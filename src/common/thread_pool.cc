@@ -22,7 +22,34 @@ std::atomic<int64_t> g_wait_nanos{0};
 // spans "pool-task-inline", keeping the "pool-task spans appear only on
 // pool-worker tracks" invariant the telemetry smoke checks.
 thread_local bool t_is_pool_worker = false;
+
+// Innermost live PoolUsageScope on this thread (see PoolUsageScope).
+thread_local PoolUsageScope* t_usage_scope = nullptr;
+
+// Runs `fn` with `scope` as the thread's innermost usage scope.
+template <typename Fn>
+void RunInScope(PoolUsageScope* scope, Fn&& fn) {
+  PoolUsageScope* const saved = t_usage_scope;
+  t_usage_scope = scope;
+  fn();
+  t_usage_scope = saved;
+}
 }  // namespace
+
+PoolUsageScope::PoolUsageScope() : prev_(t_usage_scope) {
+  t_usage_scope = this;
+}
+
+PoolUsageScope::~PoolUsageScope() { t_usage_scope = prev_; }
+
+PoolStatsSnapshot PoolUsageScope::stats() const {
+  PoolStatsSnapshot snap;
+  snap.parallel_loops = parallel_loops_.load(std::memory_order_relaxed);
+  snap.tasks_submitted = tasks_submitted_.load(std::memory_order_relaxed);
+  snap.wait_seconds =
+      static_cast<double>(wait_nanos_.load(std::memory_order_relaxed)) * 1e-9;
+  return snap;
+}
 
 PoolStatsSnapshot GlobalPoolStats() {
   PoolStatsSnapshot snap;
@@ -66,7 +93,8 @@ bool ThreadPool::TryRunOne() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
-  task();
+  // The task belongs to whoever queued it, not to the waiter's scope.
+  RunInScope(nullptr, task);
   return true;
 }
 
@@ -115,6 +143,7 @@ namespace {
 /// scheduled after all units were already claimed.
 struct FanOutState {
   std::function<void(int64_t)> body;
+  PoolUsageScope* scope = nullptr;  // the issuing thread's, for nested loops
   int64_t units = 0;
   std::atomic<int64_t> next{0};
   std::mutex mu;
@@ -151,12 +180,18 @@ void ParallelForEach(int64_t units, int num_threads,
 
   g_parallel_loops.fetch_add(1, std::memory_order_relaxed);
   g_tasks_submitted.fetch_add(helpers, std::memory_order_relaxed);
+  PoolUsageScope* const scope = t_usage_scope;
+  if (scope != nullptr) {
+    scope->parallel_loops_.fetch_add(1, std::memory_order_relaxed);
+    scope->tasks_submitted_.fetch_add(helpers, std::memory_order_relaxed);
+  }
 
   telemetry::TraceSpan loop_span("pool", "parallel-for");
   loop_span.set_rows(units);
 
   auto state = std::make_shared<FanOutState>();
   state->body = body;
+  state->scope = scope;
   state->units = units;
   state->pending_helpers = helpers;
   for (int i = 0; i < helpers; ++i) {
@@ -165,7 +200,7 @@ void ParallelForEach(int64_t units, int num_threads,
       // worker tracks; the distinct span name keeps trace accounting honest.
       telemetry::TraceSpan task_span(
           "pool", t_is_pool_worker ? "pool-task" : "pool-task-inline");
-      state->RunLoop();
+      RunInScope(state->scope, [&] { state->RunLoop(); });
       task_span.End();
       state->HelperExit();
     });
@@ -188,10 +223,14 @@ void ParallelForEach(int64_t units, int num_threads,
       break;
     }
   }
-  g_wait_nanos.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - wait_start)
-                             .count(),
-                         std::memory_order_relaxed);
+  const int64_t wait_nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - wait_start)
+          .count();
+  g_wait_nanos.fetch_add(wait_nanos, std::memory_order_relaxed);
+  if (scope != nullptr) {
+    scope->wait_nanos_.fetch_add(wait_nanos, std::memory_order_relaxed);
+  }
 }
 
 int64_t MorselCount(int64_t total, int num_threads) {

@@ -1,6 +1,7 @@
 #ifndef NESTRA_COMMON_THREAD_POOL_H_
 #define NESTRA_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -108,6 +109,38 @@ struct PoolStatsSnapshot {
 
 /// Current process-wide pool usage counters (cheap: three relaxed loads).
 PoolStatsSnapshot GlobalPoolStats();
+
+/// \brief Pool usage attributed to one scope (a profiled executor stage).
+///
+/// While a scope is live on a thread, every parallel loop that thread
+/// issues is counted here as well as in the global counters — and so is
+/// every loop issued from inside that loop's units, on whichever thread
+/// runs them. Scopes nest on a thread; a loop goes to the innermost one
+/// only, and tasks run by ThreadPool::TryRunOne start outside any scope, so
+/// each loop lands in at most one scope. Concurrent stages therefore never
+/// count each other's loops, and the scopes of one query sum to no more
+/// than the global delta across it. Must be destroyed on the thread that
+/// created it, in reverse creation order (plain locals guarantee both).
+class PoolUsageScope {
+ public:
+  PoolUsageScope();
+  ~PoolUsageScope();
+
+  PoolUsageScope(const PoolUsageScope&) = delete;
+  PoolUsageScope& operator=(const PoolUsageScope&) = delete;
+
+  /// Loops, helper tasks and helping-wait time counted so far.
+  PoolStatsSnapshot stats() const;
+
+ private:
+  friend void ParallelForEach(int64_t units, int num_threads,
+                              const std::function<void(int64_t)>& body);
+
+  std::atomic<int64_t> parallel_loops_{0};
+  std::atomic<int64_t> tasks_submitted_{0};
+  std::atomic<int64_t> wait_nanos_{0};
+  PoolUsageScope* prev_;
+};
 
 }  // namespace nestra
 

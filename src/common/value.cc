@@ -146,13 +146,20 @@ size_t Value::Hash() const {
 
 size_t Value::SqlHash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ULL;
-  if (is_string()) return std::hash<std::string>()(string());
+  if (is_string()) return SqlHashString(string());
+  return SqlHashNumber(*AsDouble());
+}
+
+size_t Value::SqlHashNumber(double d) {
   // Both numeric types hash through the double image so that values equated
   // by the SQL comparator (1 = 1.0) land in the same bucket. +0.0 and -0.0
   // compare equal, so canonicalize the sign before hashing.
-  double d = *AsDouble();
   if (d == 0.0) d = 0.0;
   return std::hash<double>()(d) ^ 0xc4ceb9fe1a85ec53ULL;
+}
+
+size_t Value::SqlHashString(const std::string& s) {
+  return std::hash<std::string>()(s);
 }
 
 std::string Value::ToString() const {

@@ -97,6 +97,11 @@ class Value {
   /// nearby integers; equality disambiguates.
   size_t SqlHash() const;
 
+  /// SqlHash of a non-NULL numeric / string value given its payload, for
+  /// callers scanning typed column storage without building Values.
+  static size_t SqlHashNumber(double d);
+  static size_t SqlHashString(const std::string& s);
+
   std::string ToString() const;
 
  private:

@@ -16,6 +16,7 @@
 #include "expr/evaluator.h"
 #include "nra/cost.h"
 #include "nra/profile.h"
+#include "storage/columnar_mirror.h"
 #include "storage/io_sim.h"
 #include "storage/table_stats.h"
 #include "telemetry/engine_metrics.h"
@@ -35,129 +36,6 @@ std::string BlockLabel(const QueryBlock& block) {
   }
   label += ']';
   return label;
-}
-
-// Fused morsel-parallel scan+filter over one base table: each morsel
-// charges its rows to the (thread-safe) IoSim and filters into its own
-// slot; slots concatenate in morsel order, so output — and the simulator's
-// totals — equal the serial ScanNode/FilterNode pass exactly.
-Result<Table> ParallelScanFilter(const Table* table, const Schema& schema,
-                                 const Expr* pred, int num_threads,
-                                 ProfiledOperator* op_out) {
-  BoundPredicate bound;
-  if (pred != nullptr) {
-    NESTRA_ASSIGN_OR_RETURN(bound, BoundPredicate::Make(pred, schema));
-  }
-  const int64_t n = table->num_rows();
-  const int64_t morsels = MorselCount(n, num_threads);
-  std::vector<std::vector<Row>> slots(static_cast<size_t>(morsels));
-  struct IoCounts {
-    int64_t hits = 0;
-    int64_t seq_misses = 0;
-    int64_t random_misses = 0;
-  };
-  std::vector<IoCounts> io(static_cast<size_t>(morsels));
-  ParallelForMorsels(n, num_threads, [&](int64_t m, int64_t begin,
-                                         int64_t end) {
-    std::vector<Row>& slot = slots[static_cast<size_t>(m)];
-    IoCounts& counts = io[static_cast<size_t>(m)];
-    IoSim* sim = IoSim::Get();
-    for (int64_t i = begin; i < end; ++i) {
-      if (sim != nullptr) {
-        switch (sim->SeqRow(table, i)) {
-          case IoAccess::kHit:
-            ++counts.hits;
-            break;
-          case IoAccess::kSeqMiss:
-            ++counts.seq_misses;
-            break;
-          case IoAccess::kRandomMiss:
-            ++counts.random_misses;
-            break;
-          case IoAccess::kNone:
-            break;
-        }
-      }
-      const Row& r = table->rows()[static_cast<size_t>(i)];
-      if (pred == nullptr || bound.Matches(r)) slot.push_back(r);
-    }
-  });
-  Table out{schema};
-  for (std::vector<Row>& slot : slots) {
-    for (Row& r : slot) out.AppendUnchecked(std::move(r));
-  }
-  if (op_out != nullptr) {
-    op_out->name = pred == nullptr ? "ParallelScan" : "ParallelScanFilter";
-    op_out->phase = QueryPhase::kUnnestJoin;
-    op_out->rows_in = n;
-    op_out->stats.rows_out = out.num_rows();
-    for (const IoCounts& counts : io) {
-      op_out->stats.io_hits += counts.hits;
-      op_out->stats.io_seq_misses += counts.seq_misses;
-      op_out->stats.io_random_misses += counts.random_misses;
-    }
-  }
-  return out;
-}
-
-// Fused vectorized scan+filter over one base table (serial). Late
-// materialization: only the predicate's columns are transposed into the
-// batch; Select then picks the survivors and only those rows are copied
-// out of the table. Rows the filter rejects are never deep-copied, which
-// is where this beats both the row pipeline (copies every row out of the
-// scan) and the generic batch pipeline (transposes every column).
-// IoSim charging stays per row in table order, so the simulator's totals
-// and LRU state match the serial row engine exactly.
-Result<Table> VectorizedScanFilter(const Table* table, const Schema& schema,
-                                   const VectorizedPredicate& pred,
-                                   ProfiledOperator* op_out) {
-  const int64_t n = table->num_rows();
-  const std::vector<Row>& rows = table->rows();
-  const std::vector<int> cols = pred.used_columns();
-  Table out{schema};
-  // Worst case every row survives; one up-front allocation of the row
-  // headers beats log(n) grow-and-move cycles of the output vector.
-  out.Reserve(static_cast<size_t>(n));
-  RowBatch batch;
-  batch.Reset(schema);
-  std::vector<int32_t> sel;
-  int64_t hits = 0;
-  int64_t seq_misses = 0;
-  int64_t random_misses = 0;
-  int64_t batches = 0;
-  IoSim* sim = IoSim::Get();
-  for (int64_t begin = 0; begin < n; begin += RowBatch::kDefaultCapacity) {
-    int64_t end = begin + RowBatch::kDefaultCapacity;
-    if (end > n) end = n;
-    if (sim != nullptr) {
-      const IoSim::RangeCounts counts = sim->SeqRange(table, begin, end);
-      hits += counts.hits;
-      seq_misses += counts.seq_misses;
-      random_misses += counts.random_misses;
-    }
-    batch.Clear();
-    for (int64_t i = begin; i < end; ++i) {
-      const Row& r = rows[static_cast<size_t>(i)];
-      for (const int c : cols) batch.column(c).Append(r[c]);
-    }
-    batch.set_num_rows(end - begin);
-    ++batches;
-    pred.Select(batch, &sel);
-    for (const int32_t s : sel) {
-      out.AppendUnchecked(rows[static_cast<size_t>(begin + s)]);
-    }
-  }
-  if (op_out != nullptr) {
-    op_out->name = "VectorizedScanFilter";
-    op_out->phase = QueryPhase::kUnnestJoin;
-    op_out->rows_in = n;
-    op_out->stats.rows_out = out.num_rows();
-    op_out->stats.batches_out = batches;
-    op_out->stats.io_hits = hits;
-    op_out->stats.io_seq_misses = seq_misses;
-    op_out->stats.io_random_misses = random_misses;
-  }
-  return out;
 }
 
 // One local-predicate conjunct usable for zone-map pruning: a column
@@ -238,71 +116,96 @@ bool GranuleRejected(const ZoneEntry& z, const ZoneTerm& t) {
   return false;
 }
 
-// Scan+filter over the kept granules only (morsel = granule, kept order =
-// table order). ONE implementation for every engine combination — serial or
-// parallel, row or vectorized — so rows and IoSim charges are identical
-// across all of them by construction; SeqRange charges exactly what the
-// unpruned pass would charge for these rows.
-Result<Table> PrunedScanFilter(const Table* table, const Schema& schema,
-                               const Expr* pred,
-                               const std::vector<int64_t>& kept,
-                               int64_t total_granules, int num_threads,
-                               ProfiledOperator* op_out) {
+// THE base-table scan+filter of single-table blocks. Walks the mirror's
+// granules — all of them, or only the zone map's `kept` list — in table
+// order. Each granule charges its rows to the IoSim with one SeqRange
+// (granules are whole pages, so the charges equal a row-at-a-time pass),
+// selects its survivors with the compiled predicate straight off the
+// mirror's typed columns (or with the row BoundPredicate when `compiled` is
+// null), and copies only those rows out of the row store. At one thread the
+// granules run inline into the output; otherwise ParallelForEach runs one
+// slot per granule and the slots concatenate in order. Rows, row order and
+// IoSim totals are therefore the same for every thread count and engine.
+Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
+                         const Expr* pred, const VectorizedPredicate* compiled,
+                         const std::vector<int64_t>* kept, int num_threads,
+                         ProfiledOperator* op_out) {
   BoundPredicate bound;
-  if (pred != nullptr) {
+  if (pred != nullptr && compiled == nullptr) {
     NESTRA_ASSIGN_OR_RETURN(bound, BoundPredicate::Make(pred, schema));
   }
-  const int64_t n = table->num_rows();
-  const int64_t g = static_cast<int64_t>(kept.size());
-  std::vector<std::vector<Row>> slots(static_cast<size_t>(g));
-  struct IoCounts {
-    int64_t hits = 0;
-    int64_t seq_misses = 0;
-    int64_t random_misses = 0;
+  const Table* table = mirror.table();
+  const std::vector<Row>& rows = table->rows();
+  const int64_t units = kept != nullptr ? static_cast<int64_t>(kept->size())
+                                        : mirror.num_granules();
+  const auto granule_of = [&](int64_t k) {
+    return kept != nullptr ? (*kept)[static_cast<size_t>(k)] : k;
   };
-  std::vector<IoCounts> io(static_cast<size_t>(g));
+  std::vector<IoSim::RangeCounts> io(static_cast<size_t>(units));
+  // Appends the survivors of the k-th walked granule to `dst`.
+  const auto scan_granule = [&](int64_t k, std::vector<int32_t>* sel,
+                                std::vector<Row>* dst) {
+    const int64_t g = granule_of(k);
+    const int64_t begin = mirror.GranuleBegin(g);
+    const int64_t end = mirror.GranuleEnd(g);
+    if (IoSim* sim = IoSim::Get()) {
+      io[static_cast<size_t>(k)] = sim->SeqRange(table, begin, end);
+    }
+    if (pred == nullptr) {
+      dst->insert(dst->end(), rows.begin() + begin, rows.begin() + end);
+    } else if (compiled != nullptr) {
+      compiled->Select(mirror.granule(g), sel);
+      for (const int32_t s : *sel) {
+        dst->push_back(rows[static_cast<size_t>(begin + s)]);
+      }
+    } else {
+      for (int64_t i = begin; i < end; ++i) {
+        const Row& r = rows[static_cast<size_t>(i)];
+        if (bound.Matches(r)) dst->push_back(r);
+      }
+    }
+  };
   int64_t scanned_rows = 0;
-  ParallelForEach(g, num_threads, [&](int64_t k) {
-    const int64_t gi = kept[static_cast<size_t>(k)];
-    const int64_t begin = gi * kZoneGranuleRows;
-    int64_t end = begin + kZoneGranuleRows;
-    if (end > n) end = n;
-    IoSim* sim = IoSim::Get();
-    if (sim != nullptr) {
-      const IoSim::RangeCounts counts = sim->SeqRange(table, begin, end);
-      IoCounts& c = io[static_cast<size_t>(k)];
-      c.hits = counts.hits;
-      c.seq_misses = counts.seq_misses;
-      c.random_misses = counts.random_misses;
-    }
-    std::vector<Row>& slot = slots[static_cast<size_t>(k)];
-    for (int64_t i = begin; i < end; ++i) {
-      const Row& r = table->rows()[static_cast<size_t>(i)];
-      if (pred == nullptr || bound.Matches(r)) slot.push_back(r);
-    }
-  });
+  for (int64_t k = 0; k < units; ++k) {
+    const int64_t g = granule_of(k);
+    scanned_rows += mirror.GranuleEnd(g) - mirror.GranuleBegin(g);
+  }
   Table out{schema};
-  for (std::vector<Row>& slot : slots) {
-    for (Row& r : slot) out.AppendUnchecked(std::move(r));
+  if (num_threads <= 1) {
+    // Worst case every scanned row survives; one up-front allocation of
+    // the row headers beats log(n) grow-and-move cycles.
+    out.Reserve(static_cast<size_t>(scanned_rows));
+    std::vector<int32_t> sel;
+    for (int64_t k = 0; k < units; ++k) scan_granule(k, &sel, &out.rows());
+  } else {
+    std::vector<std::vector<Row>> slots(static_cast<size_t>(units));
+    ParallelForEach(units, num_threads, [&](int64_t k) {
+      std::vector<int32_t> sel;
+      scan_granule(k, &sel, &slots[static_cast<size_t>(k)]);
+    });
+    size_t survivors = 0;
+    for (const std::vector<Row>& slot : slots) survivors += slot.size();
+    out.Reserve(survivors);
+    for (std::vector<Row>& slot : slots) {
+      for (Row& r : slot) out.AppendUnchecked(std::move(r));
+    }
   }
-  for (const int64_t gi : kept) {
-    const int64_t begin = gi * kZoneGranuleRows;
-    scanned_rows += std::min(n, begin + kZoneGranuleRows) - begin;
-  }
-  if (telemetry::MetricsEnabled()) {
+  if (kept != nullptr && telemetry::MetricsEnabled()) {
     const telemetry::EngineMetrics& m = telemetry::Metrics();
-    m.zone_granules_scanned_total->Add(static_cast<double>(g));
+    m.zone_granules_scanned_total->Add(static_cast<double>(units));
     m.zone_granules_pruned_total->Add(
-        static_cast<double>(total_granules - g));
+        static_cast<double>(mirror.num_granules() - units));
   }
   if (op_out != nullptr) {
-    op_out->name = "ZoneMapScanFilter";
-    op_out->detail = "granules=" + std::to_string(g) + "/" +
-                     std::to_string(total_granules);
+    op_out->name = "ScanFilter";
+    op_out->detail = "granules=" + std::to_string(units) + "/" +
+                     std::to_string(mirror.num_granules());
+    if (pred != nullptr && compiled == nullptr) op_out->detail += " row-pred";
     op_out->phase = QueryPhase::kUnnestJoin;
     op_out->rows_in = scanned_rows;
     op_out->stats.rows_out = out.num_rows();
-    for (const IoCounts& counts : io) {
+    op_out->stats.batches_out = units;
+    for (const IoSim::RangeCounts& counts : io) {
       op_out->stats.io_hits += counts.hits;
       op_out->stats.io_seq_misses += counts.seq_misses;
       op_out->stats.io_random_misses += counts.random_misses;
@@ -316,6 +219,28 @@ Result<Table> PrunedScanFilter(const Table* table, const Schema& schema,
 // gate keeps every tier-1 test workload on the byte-identical unpruned
 // paths, same reasoning as kCostMinJoinRows).
 constexpr int64_t kMinPruneGranules = 8;
+
+// Zone-map pruning: fills `kept` with the granules the local conjuncts
+// cannot rule out and returns true when that skips at least one. Tables
+// below kMinPruneGranules never prune.
+bool KeepGranules(const std::vector<ExprPtr>& conjuncts, const Schema& schema,
+                  const TableZoneMap& zones, std::vector<int64_t>* kept) {
+  if (zones.num_granules < kMinPruneGranules) return false;
+  std::vector<ZoneTerm> terms;
+  CollectZoneTerms(conjuncts, schema, &terms);
+  if (terms.empty()) return false;
+  for (int64_t gi = 0; gi < zones.num_granules; ++gi) {
+    bool keep = true;
+    for (const ZoneTerm& t : terms) {
+      if (GranuleRejected(zones.At(gi, t.col), t)) {
+        keep = false;
+        break;
+      }
+    }
+    if (keep) kept->push_back(gi);
+  }
+  return static_cast<int64_t>(kept->size()) < zones.num_granules;
+}
 
 }  // namespace
 
@@ -354,115 +279,59 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
     conjuncts = SplitConjunction(block.local_pred->Clone());
   }
 
-  if (block.tables.size() == 1 && cost_based && !conjuncts.empty()) {
-    // Zone-map pruning: when per-granule min/max from load-time stats prove
-    // some granules can't contribute, scan only the kept ones. The pruned
-    // path runs for EVERY engine combination, so rows and IoSim charges
-    // stay identical across threads and row/vectorized; when nothing is
-    // provably prunable the pre-stats paths below run byte for byte.
+  if (block.tables.size() == 1) {
+    // Single-table block: the fused ScanFilter over the columnar mirror, for
+    // every engine combination except the one-thread row engine, whose
+    // ScanNode/FilterNode pipeline below stays as the oracle. Zone-map
+    // pruning, when cost-based stats prove some granules cannot contribute,
+    // goes through ScanFilter for every combination, so pruned rows and
+    // IoSim charges are identical across threads and engines.
     const QueryBlock::TableRef& ref = block.tables[0];
-    NESTRA_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(ref.table));
-    const Result<const TableStats*> stats = catalog.GetStats(ref.table);
-    if (stats.ok() && (*stats)->zones.num_granules >= kMinPruneGranules) {
-      const Schema schema = ref.alias.empty()
-                                ? table->schema()
-                                : table->schema().Qualify(ref.alias);
-      std::vector<ZoneTerm> terms;
-      CollectZoneTerms(conjuncts, schema, &terms);
-      const TableZoneMap& zones = (*stats)->zones;
-      std::vector<int64_t> kept;
-      if (!terms.empty()) {
-        for (int64_t gi = 0; gi < zones.num_granules; ++gi) {
-          bool keep = true;
-          for (const ZoneTerm& t : terms) {
-            if (GranuleRejected(zones.At(gi, t.col), t)) {
-              keep = false;
-              break;
-            }
-          }
-          if (keep) kept.push_back(gi);
+    NESTRA_ASSIGN_OR_RETURN(const std::shared_ptr<const ColumnarMirror> mirror,
+                            catalog.GetMirror(ref.table));
+    const Table* table = mirror->table();
+    const Schema schema = ref.alias.empty()
+                              ? table->schema()
+                              : table->schema().Qualify(ref.alias);
+    std::vector<int64_t> kept;
+    bool pruned = false;
+    if (cost_based && !conjuncts.empty()) {
+      const Result<const TableStats*> stats = catalog.GetStats(ref.table);
+      pruned = stats.ok() && KeepGranules(conjuncts, schema, (*stats)->zones,
+                                          &kept);
+    }
+    if (pruned || num_threads > 1 || vectorized) {
+      const ExprPtr pred =
+          conjuncts.empty() ? nullptr : MakeAnd(std::move(conjuncts));
+      VectorizedPredicate vpred;
+      bool compiled = false;
+      if (two_valued) {
+        // Proven-2VL fast path: columns the catalog proves non-NULL
+        // (declared NOT NULL or scanned NULL-free at registration) compile
+        // to kernels with no per-value NULL loads. Tables are immutable once
+        // registered, so the proof cannot be invalidated under us.
+        std::vector<bool> non_null(static_cast<size_t>(schema.num_fields()),
+                                   false);
+        for (int i = 0; i < schema.num_fields(); ++i) {
+          non_null[static_cast<size_t>(i)] = catalog.ProvenNotNull(
+              ref.table, table->schema().fields()[i].name);
         }
+        compiled =
+            VectorizedPredicate::Compile(pred.get(), schema, non_null, &vpred);
+      } else {
+        compiled = VectorizedPredicate::Compile(pred.get(), schema, &vpred);
       }
-      if (!terms.empty() &&
-          static_cast<int64_t>(kept.size()) < zones.num_granules) {
-        const ExprPtr pred = MakeAnd(std::move(conjuncts));
-        StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
-        ProfiledOperator op;
-        NESTRA_ASSIGN_OR_RETURN(
-            Table out,
-            PrunedScanFilter(table, schema, pred.get(), kept,
-                             zones.num_granules, num_threads,
-                             timer.active() ? &op : nullptr));
-        NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, TableBytes(out)));
-        timer.Finish(out.num_rows(), std::move(op));
-        return out;
-      }
-    }
-  }
-
-  if (block.tables.size() == 1 && num_threads > 1) {
-    // Single-table block: one fused morsel-parallel scan+filter. The IoSim
-    // is charged from whichever worker owns the morsel (it is thread-safe),
-    // and morsel-ordered slots keep the rows identical to the serial scan.
-    const QueryBlock::TableRef& ref = block.tables[0];
-    NESTRA_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(ref.table));
-    const Schema schema = ref.alias.empty()
-                              ? table->schema()
-                              : table->schema().Qualify(ref.alias);
-    const ExprPtr pred =
-        conjuncts.empty() ? nullptr : MakeAnd(std::move(conjuncts));
-    StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
-    ProfiledOperator op;
-    NESTRA_ASSIGN_OR_RETURN(
-        Table out,
-        ParallelScanFilter(table, schema, pred.get(), num_threads,
-                           timer.active() ? &op : nullptr));
-    NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, TableBytes(out)));
-    timer.Finish(out.num_rows(), std::move(op));
-    return out;
-  }
-
-  if (block.tables.size() == 1 && vectorized) {
-    // Single-table block, serial vectorized engine: fuse scan and filter
-    // with late materialization when the predicate compiles to kernels.
-    // Non-vectorizable predicates fall through to the node pipeline below
-    // (whose FilterNode takes the row-at-a-time fallback).
-    const QueryBlock::TableRef& ref = block.tables[0];
-    NESTRA_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(ref.table));
-    const Schema schema = ref.alias.empty()
-                              ? table->schema()
-                              : table->schema().Qualify(ref.alias);
-    const ExprPtr pred =
-        conjuncts.empty() ? nullptr : MakeAnd(std::move(conjuncts));
-    VectorizedPredicate vpred;
-    bool compiled = false;
-    if (two_valued) {
-      // Proven-2VL fast path: columns the catalog proves non-NULL (declared
-      // NOT NULL or scanned NULL-free at registration) compile to kernels
-      // with no per-value NULL loads. Tables are immutable once registered,
-      // so the proof cannot be invalidated under us.
-      std::vector<bool> non_null(static_cast<size_t>(schema.num_fields()),
-                                 false);
-      for (int i = 0; i < schema.num_fields(); ++i) {
-        non_null[static_cast<size_t>(i)] =
-            catalog.ProvenNotNull(ref.table, table->schema().fields()[i].name);
-      }
-      compiled =
-          VectorizedPredicate::Compile(pred.get(), schema, non_null, &vpred);
-    } else {
-      compiled = VectorizedPredicate::Compile(pred.get(), schema, &vpred);
-    }
-    if (compiled) {
       StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
       ProfiledOperator op;
       NESTRA_ASSIGN_OR_RETURN(
-          Table out, VectorizedScanFilter(table, schema, vpred,
-                                          timer.active() ? &op : nullptr));
+          Table out,
+          ScanFilter(*mirror, schema, pred.get(), compiled ? &vpred : nullptr,
+                     pruned ? &kept : nullptr, num_threads,
+                     timer.active() ? &op : nullptr));
       NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, TableBytes(out)));
       timer.Finish(out.num_rows(), std::move(op));
       return out;
     }
-    if (pred != nullptr) conjuncts = SplitConjunction(pred->Clone());
   }
 
   ExecNodePtr node;

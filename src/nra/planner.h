@@ -25,22 +25,25 @@ class QueryProfile;
 /// Builds T_i = σ_i(R_i): scans the block's tables under their aliases,
 /// joins them on the local equality predicates (hash join; remaining local
 /// conjuncts become filters) and returns the materialized result with fully
-/// qualified column names. `num_threads > 1` runs the hash joins in
-/// parallel, and single-table blocks as one fused morsel-parallel
-/// scan+filter (IoSim is thread-safe, and per-morsel slots concatenated in
-/// morsel order keep results identical to the serial pass). `vectorized`
-/// drains the serial operator trees in columnar RowBatches (identical rows,
-/// identical IoSim charges). `two_valued` lets the serial vectorized
-/// scan+filter compile predicates against Catalog::ProvenNotNull facts: terms
-/// whose operands are proven non-NULL pick kernels with no per-value NULL
-/// checks (bit-identical output whenever the proofs hold, which registration
+/// qualified column names. Single-table blocks run as one fused ScanFilter
+/// over the table's columnar mirror (Catalog::GetMirror): granule by
+/// granule, compiled predicate on the mirror, survivors copied from the
+/// row store, in parallel granule slots concatenated in order when
+/// `num_threads > 1` — identical rows and IoSim charges at every thread
+/// count. Only the one-thread row engine (`vectorized` false,
+/// `num_threads` 1) keeps the ScanNode/FilterNode pipeline, as the oracle.
+/// `num_threads > 1` also runs multi-table blocks' hash joins in parallel;
+/// `vectorized` drains their operator trees in columnar RowBatches
+/// (identical rows, identical IoSim charges). `two_valued` lets ScanFilter
+/// compile predicates against Catalog::ProvenNotNull facts: terms whose
+/// operands are proven non-NULL pick kernels with no per-value NULL checks
+/// (bit-identical output whenever the proofs hold, which registration
 /// guarantees for immutable tables). `cost_based` enables the stats-driven
 /// physical choices (DESIGN.md §13): zone-map granule pruning on
-/// single-table scans whose local predicate provably rejects whole granules
-/// (the pruned path then runs for every engine combination, so rows AND
-/// IoSim charges stay identical across threads/row/vectorized), and perfect
-/// (dense-array) keying hints for intra-block hash joins. When pruning
-/// skips nothing the pre-stats paths run byte for byte.
+/// single-table scans whose local predicate provably rejects whole
+/// granules (ScanFilter then walks only the kept granules, for every
+/// engine combination), and perfect (dense-array) keying hints for
+/// intra-block hash joins.
 Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
                             int num_threads = 1,
                             QueryProfile* profile = nullptr,

@@ -187,6 +187,10 @@ double QueryProfile::PhaseSeconds(QueryPhase phase) const {
   for (const ProfiledStage& stage : stages_) {
     if (stage.has_tree) {
       SumPhase(stage.tree, phase, &seconds);
+      // Stage time outside the operator tree — draining it into the result
+      // table — belongs to the stage's own phase.
+      const double outside = stage.seconds - stage.tree.stats.total_seconds();
+      if (stage.phase == phase && outside > 0) seconds += outside;
     } else if (stage.phase == phase) {
       seconds += stage.seconds;
     }
@@ -338,7 +342,7 @@ StageTimer::StageTimer(QueryProfile* profile, QueryPhase phase,
       metrics_(telemetry::MetricsEnabled()),
       trace_(telemetry::TraceEnabled()) {
   if (!recording()) return;
-  if (profile_ != nullptr) pool_before_ = GlobalPoolStats();
+  if (profile_ != nullptr) pool_usage_.emplace();
   start_ = Clock::now();
 }
 
@@ -370,8 +374,9 @@ void StageTimer::FinishImpl(int64_t rows_out, ProfiledOperator* tree) {
   stage.rows_out = rows_out;
   stage.mem_bytes = mem_bytes_;
   stage.peak_mem_bytes = peak_mem_bytes_;
-  stage.pool = GlobalPoolStats() - pool_before_;
+  stage.pool = pool_usage_->stats();
   if (tree != nullptr) {
+    if (tree->stats.total_seconds() == 0) tree->stats.next_seconds = seconds;
     stage.has_tree = true;
     stage.tree = std::move(*tree);
   }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,7 @@ struct ProfiledStage {
   int64_t peak_mem_bytes = 0;
   bool has_tree = false;
   ProfiledOperator tree;
-  PoolStatsSnapshot pool;  // shared-pool usage delta across this stage
+  PoolStatsSnapshot pool;  // pool loops this stage issued (PoolUsageScope)
 };
 
 /// \brief Per-query profile assembled by NraExecutor when
@@ -66,7 +67,9 @@ class QueryProfile {
   const std::vector<ProfiledStage>& stages() const { return stages_; }
 
   /// Wall time attributed to a paper phase: the self time of every operator
-  /// tagged with it, plus the stage time of non-tree stages tagged with it.
+  /// tagged with it, plus, for stages tagged with it, the stage time their
+  /// operator tree does not cover (all of it for tree-less stages). Summed
+  /// over phases this is the summed stage time.
   double PhaseSeconds(QueryPhase phase) const;
 
   /// Rows produced by the stages attributed to a paper phase.
@@ -122,9 +125,10 @@ Result<Table> CollectProfiled(ExecNode* node, QueryPhase phase,
 /// double-counts.
 void FlushOperatorMetrics(const ExecNode& node);
 
-/// \brief Scoped helper timing one executor stage. Captures start time and
-/// pool counters on construction; one of the Finish overloads reports the
-/// stage to every enabled consumer:
+/// \brief Scoped helper timing one executor stage. Captures the start time
+/// and, with a profile, opens a PoolUsageScope that collects the pool loops
+/// the stage issues until the timer dies; one of the Finish overloads
+/// reports the stage to every enabled consumer:
 ///
 ///  * the QueryProfile (stage list, when constructed with a non-null one),
 ///  * the global metrics registry (per-phase rows/stages/seconds counters
@@ -157,7 +161,9 @@ class StageTimer {
   void Finish(int64_t rows_out);
 
   /// Reports a stage carrying an operator-tree snapshot (profile only; the
-  /// tree is ignored without a profile sink).
+  /// tree is ignored without a profile sink). A root with no recorded time
+  /// (a fused stage's hand-built snapshot) is charged the stage's wall
+  /// time, so PhaseSeconds' self-time sum covers the stage.
   void Finish(int64_t rows_out, ProfiledOperator tree);
 
  private:
@@ -170,7 +176,8 @@ class StageTimer {
   bool trace_ = false;
   int64_t mem_bytes_ = 0;
   int64_t peak_mem_bytes_ = 0;
-  PoolStatsSnapshot pool_before_;
+  // Profile only: collects the pool loops this stage issues.
+  std::optional<PoolUsageScope> pool_usage_;
   std::chrono::steady_clock::time_point start_;
 };
 

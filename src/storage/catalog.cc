@@ -16,20 +16,23 @@ Status Catalog::RegisterTable(const std::string& name, Table table,
                                      "' not in schema of table " + name);
     }
   }
-  // One-pass stats scan (null counts, numeric min/max, distinct estimates,
-  // zone map), run on the argument BEFORE taking the exclusive lock: the
-  // scan only reads `table`, which no other thread can see yet, so
-  // concurrent lookups of other tables proceed unblocked while a large load
-  // is scanned. Tables are immutable once registered, so both the
-  // observed-non-NULL proof and the planner stats stay sound for the
-  // entry's lifetime; re-registration replaces them and bumps the version,
-  // which is what invalidates prepared plans that baked in stats decisions.
+  // One pass over the rows builds the columnar mirror; the stats (null
+  // counts, numeric min/max, distinct estimates, zone map) are then read
+  // column by column from its typed arrays. Both run on the argument BEFORE
+  // taking the exclusive lock: they only read `table`, which no other
+  // thread can see yet, so concurrent lookups of other tables proceed
+  // unblocked while a large load is scanned. Tables are immutable once
+  // registered, so the mirror, the observed-non-NULL proof and the planner
+  // stats stay sound for the entry's lifetime; re-registration replaces them
+  // and bumps the version, which is what invalidates prepared plans that
+  // baked in stats decisions.
   TableMetadata meta;
   meta.primary_key = primary_key;
   meta.not_null_columns = std::move(not_null_columns);
   const Schema& schema = table.schema();
   const size_t num_cols = schema.fields().size();
-  TableStats stats = CollectTableStats(table);
+  auto mirror = std::make_shared<ColumnarMirror>(table);
+  TableStats stats = CollectTableStats(*mirror);
   for (size_t c = 0; c < num_cols; ++c) {
     if (stats.columns[c].null_count == 0) {
       meta.observed_not_null.insert(schema.fields()[c].name);
@@ -46,6 +49,8 @@ Status Catalog::RegisterTable(const std::string& name, Table table,
   e.table = std::move(table);
   e.meta = std::move(meta);
   e.stats = std::move(stats);
+  mirror->BindRowStore(&e.table);
+  e.mirror = std::move(mirror);
   e.version = ddl_generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
   return Status::OK();
 }
@@ -90,6 +95,13 @@ Result<const TableStats*> Catalog::GetStats(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   NESTRA_ASSIGN_OR_RETURN(Entry * e, GetEntryLocked(name));
   return const_cast<const TableStats*>(&e->stats);
+}
+
+Result<std::shared_ptr<const ColumnarMirror>> Catalog::GetMirror(
+    const std::string& name) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  NESTRA_ASSIGN_OR_RETURN(Entry * e, GetEntryLocked(name));
+  return e->mirror;
 }
 
 bool Catalog::IsNotNull(const std::string& table_name,

@@ -13,6 +13,7 @@
 
 #include "common/table.h"
 #include "storage/btree_index.h"
+#include "storage/columnar_mirror.h"
 #include "storage/hash_index.h"
 #include "storage/sorted_index.h"
 #include "storage/table_stats.h"
@@ -64,8 +65,9 @@ class Catalog {
   /// Registers a table. `primary_key` must name a column of `table` (may be
   /// empty for keyless test tables — then NRA plans add a synthetic row-id
   /// key at scan time). Fails on duplicate names or unknown PK columns.
-  /// The load-time NULL scan runs on the argument before the exclusive lock
-  /// is taken, keeping the critical section to the map insert itself.
+  /// The load-time mirror build and stats pass run on the argument before
+  /// the exclusive lock is taken, keeping the critical section to the map
+  /// insert itself.
   Status RegisterTable(const std::string& name, Table table,
                        const std::string& primary_key = "",
                        std::set<std::string> not_null_columns = {});
@@ -84,6 +86,15 @@ class Catalog {
   /// fresh stats AND a new TableVersion, so prepared plans cannot reuse
   /// decisions derived from the old data.
   Result<const TableStats*> GetStats(const std::string& name) const;
+
+  /// The columnar mirror built at registration (see ColumnarMirror), bound
+  /// to the entry's row store. Shared ownership keeps the granules alive for
+  /// a scan that holds them across a concurrent drop; the row store behind
+  /// `mirror->table()` follows GetTable's lifetime contract. A drop +
+  /// re-register replaces the mirror together with the stats and the
+  /// TableVersion, so a lookup never pairs new rows with old granules.
+  Result<std::shared_ptr<const ColumnarMirror>> GetMirror(
+      const std::string& name) const;
 
   /// True if `column` (unqualified) of `table_name` is declared NOT NULL —
   /// either the PK or listed in not_null_columns.
@@ -136,6 +147,7 @@ class Catalog {
     Table table;
     TableMetadata meta;
     TableStats stats;      // collected at registration, immutable afterwards
+    std::shared_ptr<const ColumnarMirror> mirror;  // ditto, bound to `table`
     uint64_t version = 0;  // snapshot of ddl_generation_ at last change
     // Serializes lazy index construction for this table; cached index reads
     // and builds via const methods are safe from concurrent queries.

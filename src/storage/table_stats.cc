@@ -4,7 +4,10 @@
 #include <cmath>
 #include <memory>
 #include <sstream>
-#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "storage/columnar_mirror.h"
 
 namespace nestra {
 
@@ -69,50 +72,116 @@ class Hll {
 // hashes; well above every test table and far below bench-scale lineitem.
 constexpr size_t kExactDistinctCap = 1 << 16;
 
+// Set of 64-bit hashes with open addressing: linear probing over a
+// power-of-two slot array kept at most half full, one flat allocation
+// instead of a node per element. Keys are MixHash outputs, so their low
+// bits index the slots directly. Slot value 0 means empty; the key 0 itself
+// is tracked by a flag.
+class FlatHashSet {
+ public:
+  size_t size() const { return size_; }
+
+  void Insert(uint64_t h) {
+    if (h == 0) {
+      if (!has_zero_) {
+        has_zero_ = true;
+        ++size_;
+      }
+      return;
+    }
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(h) & mask;
+    while (slots_[i] != 0) {
+      if (slots_[i] == h) return;
+      i = (i + 1) & mask;
+    }
+    slots_[i] = h;
+    ++size_;
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (has_zero_) fn(uint64_t{0});
+    for (const uint64_t h : slots_) {
+      if (h != 0) fn(h);
+    }
+  }
+
+ private:
+  void Grow() {
+    std::vector<uint64_t> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), 0);
+    const size_t mask = slots_.size() - 1;
+    for (const uint64_t h : old) {
+      if (h == 0) continue;
+      size_t i = static_cast<size_t>(h) & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = h;
+    }
+  }
+
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+  bool has_zero_ = false;
+};
+
 struct ColumnAccumulator {
   ColumnStats stats;
-  std::unordered_set<uint64_t> exact;
+  FlatHashSet exact;
   std::unique_ptr<Hll> sketch;
   bool saw_non_numeric = false;
 
-  void Add(const Value& v) {
-    if (v.is_null()) {
-      ++stats.null_count;
-      return;
-    }
+  void AddNull() { ++stats.null_count; }
+
+  // One non-NULL value with Value::SqlHash `sql_hash`.
+  void AddHash(uint64_t sql_hash) {
     ++stats.non_null_count;
-    const uint64_t h = MixHash(static_cast<uint64_t>(v.SqlHash()));
+    const uint64_t h = MixHash(sql_hash);
     if (sketch == nullptr) {
-      exact.insert(h);
+      exact.Insert(h);
       if (exact.size() > kExactDistinctCap) {
         sketch = std::make_unique<Hll>();
-        for (const uint64_t e : exact) sketch->Add(e);
-        exact.clear();
+        exact.ForEach([this](uint64_t e) { sketch->Add(e); });
+        exact = FlatHashSet();
       }
     } else {
       sketch->Add(h);
     }
-    if (v.is_string()) {
-      saw_non_numeric = true;
-      return;
-    }
-    const double d = *v.AsDouble();
+  }
+
+  void AddString(const std::string& s) {
+    AddHash(static_cast<uint64_t>(Value::SqlHashString(s)));
+    saw_non_numeric = true;
+  }
+
+  // One non-NULL numeric value; `x` is its int64 when `is_int`.
+  void AddNumber(double d, bool is_int, int64_t x) {
+    AddHash(static_cast<uint64_t>(Value::SqlHashNumber(d)));
     if (!stats.has_range) {
       stats.has_range = true;
       stats.min = stats.max = d;
-      stats.integer_only = v.is_int();
-      if (v.is_int()) stats.min_i64 = stats.max_i64 = v.int64();
+      stats.integer_only = is_int;
+      if (is_int) stats.min_i64 = stats.max_i64 = x;
+      return;
+    }
+    stats.min = std::min(stats.min, d);
+    stats.max = std::max(stats.max, d);
+    if (!is_int) {
+      stats.integer_only = false;
+    } else if (stats.integer_only) {
+      stats.min_i64 = std::min(stats.min_i64, x);
+      stats.max_i64 = std::max(stats.max_i64, x);
+    }
+  }
+
+  void Add(const Value& v) {
+    if (v.is_null()) {
+      AddNull();
+    } else if (v.is_string()) {
+      AddString(v.string());
     } else {
-      stats.min = std::min(stats.min, d);
-      stats.max = std::max(stats.max, d);
-      if (v.is_int()) {
-        if (stats.integer_only) {
-          stats.min_i64 = std::min(stats.min_i64, v.int64());
-          stats.max_i64 = std::max(stats.max_i64, v.int64());
-        }
-      } else {
-        stats.integer_only = false;
-      }
+      AddNumber(*v.AsDouble(), v.is_int(), v.is_int() ? v.int64() : 0);
     }
   }
 
@@ -136,46 +205,104 @@ struct ColumnAccumulator {
   }
 };
 
-}  // namespace
+void WidenZone(ZoneEntry* zone, double d) {
+  zone->all_null = false;
+  if (!zone->has_range) {
+    zone->has_range = true;
+    zone->min = zone->max = d;
+  } else {
+    zone->min = std::min(zone->min, d);
+    zone->max = std::max(zone->max, d);
+  }
+}
 
-TableStats CollectTableStats(const Table& table) {
-  TableStats out;
-  const int num_cols = table.schema().num_fields();
-  out.row_count = table.num_rows();
-  std::vector<ColumnAccumulator> accs(static_cast<size_t>(num_cols));
-
-  TableZoneMap& zones = out.zones;
-  zones.num_columns = num_cols;
-  zones.num_granules =
-      (out.row_count + kZoneGranuleRows - 1) / kZoneGranuleRows;
-  zones.entries.assign(
-      static_cast<size_t>(zones.num_granules * num_cols), ZoneEntry{});
-
-  const std::vector<Row>& rows = table.rows();
-  for (int64_t i = 0; i < out.row_count; ++i) {
-    const Row& row = rows[static_cast<size_t>(i)];
-    const int64_t g = i / kZoneGranuleRows;
-    for (int c = 0; c < num_cols; ++c) {
-      const Value& v = row[c];
-      accs[static_cast<size_t>(c)].Add(v);
+// Feeds one granule's cells of one column, in row order, to the column's
+// accumulator and the granule's zone entry — straight from the typed
+// arrays, building no Values except for generic (mixed-type) storage.
+void AccumulateGranule(const ColumnVector& col, ColumnAccumulator* acc,
+                       ZoneEntry* zone) {
+  const int64_t n = col.size();
+  const std::vector<uint8_t>& nulls = col.nulls();
+  if (col.generic()) {
+    for (const Value& v : col.values()) {
+      acc->Add(v);
       if (v.is_null()) continue;
-      ZoneEntry& zone = zones.entries[static_cast<size_t>(g * num_cols + c)];
-      zone.all_null = false;
-      if (v.is_string()) continue;
-      const double d = *v.AsDouble();
-      if (!zone.has_range) {
-        zone.has_range = true;
-        zone.min = zone.max = d;
+      if (v.is_string()) {
+        zone->all_null = false;
       } else {
-        zone.min = std::min(zone.min, d);
-        zone.max = std::max(zone.max, d);
+        WidenZone(zone, *v.AsDouble());
       }
     }
+    return;
   }
+  switch (col.type()) {
+    case TypeId::kInt64:
+    case TypeId::kDate: {
+      const std::vector<int64_t>& data = col.ints();
+      for (int64_t i = 0; i < n; ++i) {
+        if (nulls[i] != 0) {
+          acc->AddNull();
+          continue;
+        }
+        const double d = static_cast<double>(data[i]);
+        acc->AddNumber(d, /*is_int=*/true, data[i]);
+        WidenZone(zone, d);
+      }
+      break;
+    }
+    case TypeId::kFloat64: {
+      const std::vector<double>& data = col.doubles();
+      for (int64_t i = 0; i < n; ++i) {
+        if (nulls[i] != 0) {
+          acc->AddNull();
+          continue;
+        }
+        acc->AddNumber(data[i], /*is_int=*/false, 0);
+        WidenZone(zone, data[i]);
+      }
+      break;
+    }
+    case TypeId::kString: {
+      const std::vector<std::string>& data = col.strings();
+      for (int64_t i = 0; i < n; ++i) {
+        if (nulls[i] != 0) {
+          acc->AddNull();
+          continue;
+        }
+        acc->AddString(data[i]);
+        zone->all_null = false;
+      }
+      break;
+    }
+  }
+}
 
+}  // namespace
+
+TableStats CollectTableStats(const ColumnarMirror& mirror) {
+  TableStats out;
+  const int num_cols = mirror.schema().num_fields();
+  out.row_count = mirror.num_rows();
+  TableZoneMap& zones = out.zones;
+  zones.num_columns = num_cols;
+  zones.num_granules = mirror.num_granules();
+  zones.entries.assign(
+      static_cast<size_t>(zones.num_granules * num_cols), ZoneEntry{});
   out.columns.reserve(static_cast<size_t>(num_cols));
-  for (ColumnAccumulator& acc : accs) out.columns.push_back(acc.Finish());
+  for (int c = 0; c < num_cols; ++c) {
+    ColumnAccumulator acc;
+    for (int64_t g = 0; g < zones.num_granules; ++g) {
+      AccumulateGranule(
+          mirror.granule(g).column(c), &acc,
+          &zones.entries[static_cast<size_t>(g * num_cols + c)]);
+    }
+    out.columns.push_back(acc.Finish());
+  }
   return out;
+}
+
+TableStats CollectTableStats(const Table& table) {
+  return CollectTableStats(ColumnarMirror(table));
 }
 
 std::string TableStats::ToString() const {

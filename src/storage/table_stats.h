@@ -77,8 +77,14 @@ struct TableStats {
   std::string ToString() const;  // one line per column, for \stats and tests
 };
 
-/// One-pass collection: null counts, numeric min/max, distinct estimates and
-/// the zone map together. Deterministic — same table, same stats.
+class ColumnarMirror;
+
+/// Collects null counts, numeric min/max, distinct estimates and the zone
+/// map column by column from the mirror's typed granule arrays.
+/// Deterministic — same table, same stats.
+TableStats CollectTableStats(const ColumnarMirror& mirror);
+
+/// Same stats for a bare table (builds a temporary mirror first).
 TableStats CollectTableStats(const Table& table);
 
 }  // namespace nestra

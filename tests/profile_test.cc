@@ -212,6 +212,39 @@ TEST_F(ProfileTpchTest, PhaseSplitCoversNestAndLinkingSelection) {
             std::string::npos);
 }
 
+TEST_F(ProfileTpchTest, PhaseSecondsCoverStageSeconds) {
+  // At one thread stages run one after another, so the phase split (self
+  // time of every operator, plus the time of tree-less stages) must account
+  // for the stages' wall time — fused stages whose hand-built operator
+  // snapshot has no timer of its own (ScanFilter) included.
+  for (const bool two_valued : {false, true}) {
+    NraOptions opts = NraOptions::Optimized();
+    opts.num_threads = 1;
+    opts.profile = true;
+    opts.two_valued = two_valued;
+    NraExecutor exec(catalog_, opts);
+    QueryProfile profile;
+    ASSERT_OK_AND_ASSIGN(Table result,
+                         exec.ExecuteSql(Query1Sql(), nullptr, &profile));
+    (void)result;
+    double stage_seconds = 0;
+    for (const ProfiledStage& stage : profile.stages()) {
+      stage_seconds += stage.seconds;
+    }
+    double phase_seconds = 0;
+    for (const QueryPhase phase :
+         {QueryPhase::kUnnestJoin, QueryPhase::kNest,
+          QueryPhase::kLinkingSelection, QueryPhase::kPostProcessing,
+          QueryPhase::kUnattributed}) {
+      phase_seconds += profile.PhaseSeconds(phase);
+    }
+    ASSERT_GT(stage_seconds, 0.0);
+    EXPECT_NEAR(phase_seconds, stage_seconds, 0.05 * stage_seconds)
+        << "two_valued=" << two_valued << "\n"
+        << profile.ToString();
+  }
+}
+
 TEST_F(ProfileTpchTest, ThreadPoolUsageIsAttributed) {
   NraOptions opts = NraOptions::Optimized();
   opts.num_threads = 8;

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -121,6 +123,134 @@ TEST(TableStatsTest, AllNullGranuleIsMarked) {
   EXPECT_TRUE(stats.zones.At(0, 1).has_range);
   EXPECT_FALSE(stats.zones.At(0, 1).all_null);
   EXPECT_TRUE(stats.zones.At(1, 1).all_null);
+}
+
+// Pins the stats of the column-by-column collection over the columnar
+// mirror to a row-at-a-time reference written here from scratch: the same
+// counts, ranges and zones, distinct counts exact up to 2^16 distinct
+// SqlHash values (MixHash is a bijection, so counting raw SqlHash values is
+// the same set size) and HyperLogLog past that. The sketch estimates are
+// pinned to the numbers the row-at-a-time collector produced.
+TEST(TableStatsTest, ColumnarCollectionMatchesRowAtATimeReference) {
+  constexpr int64_t kRows = 70000;  // 69 granules, the last one partial
+  std::vector<Field> fields = {
+      Field("k", TypeId::kInt64), Field("m16", TypeId::kInt64),
+      Field("m17", TypeId::kInt64), Field("f", TypeId::kFloat64),
+      Field("mix", TypeId::kInt64), Field("s", TypeId::kString),
+      Field("d", TypeId::kDate)};
+  Table t{Schema(fields)};
+  for (int64_t i = 0; i < kRows; ++i) {
+    Row r;
+    r.Append(Value::Int64(i * 7919 % kRows));  // 70000 distinct -> sketch
+    r.Append(Value::Int64(i % 65536));         // exactly 2^16 -> exact
+    r.Append(Value::Int64(i % 65537));         // 2^16 + 1 -> sketch
+    if (i % 11 == 0) {
+      r.Append(Value::Null());
+    } else if (i % 97 == 0) {
+      r.Append(Value::Float64(std::nan("")));
+    } else if (i % 5 == 0) {
+      r.Append(Value::Float64(-0.0));  // equals 0.0: one distinct value
+    } else if (i % 5 == 1) {
+      r.Append(Value::Float64(0.0));
+    } else {
+      r.Append(Value::Float64(static_cast<double>(i % 3000) * 0.5));
+    }
+    // Integral doubles among ints (generic storage): 1.0 and 1 are one
+    // distinct value under SQL equality.
+    r.Append(i % 3 == 0 ? Value::Float64(static_cast<double>(i % 50))
+                        : Value::Int64(i % 50));
+    r.Append(i % 13 == 0 ? Value::Null()
+                         : Value::String("s" + std::to_string(i % 400)));
+    r.Append(i % 7 == 0 ? Value::Null() : Value::Date(8000 + i % 900));
+    t.AppendUnchecked(std::move(r));
+  }
+  const TableStats stats = CollectTableStats(t);
+  ASSERT_EQ(stats.row_count, kRows);
+  ASSERT_EQ(stats.columns.size(), fields.size());
+  ASSERT_EQ(stats.zones.num_granules,
+            (kRows + kZoneGranuleRows - 1) / kZoneGranuleRows);
+
+  const auto same = [](double a, double b) {
+    return a == b || (std::isnan(a) && std::isnan(b));
+  };
+  for (int c = 0; c < static_cast<int>(fields.size()); ++c) {
+    ColumnStats want;
+    std::unordered_set<size_t> distinct;
+    bool strings = false;
+    std::vector<ZoneEntry> zones(
+        static_cast<size_t>(stats.zones.num_granules));
+    for (int64_t i = 0; i < kRows; ++i) {
+      const Value& v = t.rows()[static_cast<size_t>(i)][c];
+      if (v.is_null()) {
+        ++want.null_count;
+        continue;
+      }
+      ++want.non_null_count;
+      distinct.insert(v.SqlHash());
+      ZoneEntry& z = zones[static_cast<size_t>(i / kZoneGranuleRows)];
+      z.all_null = false;
+      if (v.is_string()) {
+        strings = true;
+        continue;
+      }
+      const double d = *v.AsDouble();
+      if (!z.has_range) {
+        z.has_range = true;
+        z.min = z.max = d;
+      } else {
+        z.min = std::min(z.min, d);
+        z.max = std::max(z.max, d);
+      }
+      if (!want.has_range) {
+        want.has_range = true;
+        want.min = want.max = d;
+        want.integer_only = v.is_int();
+        if (v.is_int()) want.min_i64 = want.max_i64 = v.int64();
+        continue;
+      }
+      want.min = std::min(want.min, d);
+      want.max = std::max(want.max, d);
+      if (!v.is_int()) {
+        want.integer_only = false;
+      } else if (want.integer_only) {
+        want.min_i64 = std::min(want.min_i64, v.int64());
+        want.max_i64 = std::max(want.max_i64, v.int64());
+      }
+    }
+    if (strings) want.has_range = want.integer_only = false;
+    if (!want.integer_only) want.min_i64 = want.max_i64 = 0;
+
+    const ColumnStats& got = stats.columns[static_cast<size_t>(c)];
+    const std::string name = fields[static_cast<size_t>(c)].name;
+    EXPECT_EQ(got.null_count, want.null_count) << name;
+    EXPECT_EQ(got.non_null_count, want.non_null_count) << name;
+    EXPECT_EQ(got.has_range, want.has_range) << name;
+    if (want.has_range) {
+      EXPECT_TRUE(same(got.min, want.min)) << name;
+      EXPECT_TRUE(same(got.max, want.max)) << name;
+    }
+    EXPECT_EQ(got.integer_only, want.integer_only) << name;
+    EXPECT_EQ(got.min_i64, want.min_i64) << name;
+    EXPECT_EQ(got.max_i64, want.max_i64) << name;
+    const bool exact = distinct.size() <= (size_t{1} << 16);
+    EXPECT_EQ(got.distinct_exact, exact) << name;
+    if (exact) {
+      EXPECT_EQ(got.distinct, static_cast<int64_t>(distinct.size())) << name;
+    }
+    for (int64_t g = 0; g < stats.zones.num_granules; ++g) {
+      const ZoneEntry& zg = stats.zones.At(g, c);
+      const ZoneEntry& zw = zones[static_cast<size_t>(g)];
+      EXPECT_EQ(zg.all_null, zw.all_null) << name << " granule " << g;
+      EXPECT_EQ(zg.has_range, zw.has_range) << name << " granule " << g;
+      EXPECT_TRUE(same(zg.min, zw.min)) << name << " granule " << g;
+      EXPECT_TRUE(same(zg.max, zw.max)) << name << " granule " << g;
+    }
+  }
+  EXPECT_EQ(stats.columns[1].distinct, 65536);
+  EXPECT_EQ(stats.columns[4].distinct, 50);
+  // HyperLogLog past the switch, as the row-at-a-time collector had it.
+  EXPECT_EQ(stats.columns[0].distinct, 65861);
+  EXPECT_EQ(stats.columns[2].distinct, 62001);
 }
 
 TEST(TableStatsTest, CatalogServesStatsAndRefreshesOnReRegister) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -212,6 +213,67 @@ TEST(ThreadPoolTest, DoublyNestedParallelForEachCompletes) {
     });
   });
   EXPECT_EQ(visits.load(), kN * kN * kN);
+}
+
+TEST(PoolUsageScopeTest, ConcurrentScopesCountOnlyTheirOwnLoops) {
+  // Two "stages" on two threads issue loops at the same time. Each scope
+  // sees exactly its own loops — including the ones nested inside its
+  // units, which run on pool workers — and never the other's, so the
+  // scopes sum to no more than the global delta.
+  constexpr int kLoops = 6;
+  const PoolStatsSnapshot before = GlobalPoolStats();
+  PoolStatsSnapshot seen[2];
+  std::vector<std::thread> stages;
+  for (int s = 0; s < 2; ++s) {
+    stages.emplace_back([&, s] {
+      PoolUsageScope scope;
+      for (int i = 0; i < kLoops; ++i) {
+        ParallelForEach(4, 4, [&](int64_t unit) {
+          // One nested loop per outer loop, issued from unit 0.
+          if (unit == 0) ParallelForEach(3, 2, [](int64_t) {});
+        });
+      }
+      seen[s] = scope.stats();
+    });
+  }
+  for (std::thread& t : stages) t.join();
+  const PoolStatsSnapshot total = GlobalPoolStats() - before;
+  for (const PoolStatsSnapshot& s : seen) {
+    EXPECT_EQ(s.parallel_loops, 2 * kLoops);
+    // 3 helpers per outer loop, 1 per nested loop.
+    EXPECT_EQ(s.tasks_submitted, kLoops * (3 + 1));
+  }
+  EXPECT_LE(seen[0].parallel_loops + seen[1].parallel_loops,
+            total.parallel_loops);
+}
+
+TEST(PoolUsageScopeTest, InnermostScopeWinsAndSerialLoopsAreFree) {
+  PoolUsageScope outer;
+  {
+    PoolUsageScope inner;
+    ParallelForEach(4, 2, [](int64_t) {});
+    ParallelForEach(4, 1, [](int64_t) {});  // serial: never a pool loop
+    EXPECT_EQ(inner.stats().parallel_loops, 1);
+  }
+  EXPECT_EQ(outer.stats().parallel_loops, 0);
+  ParallelForEach(4, 2, [](int64_t) {});
+  EXPECT_EQ(outer.stats().parallel_loops, 1);
+}
+
+TEST(PoolUsageScopeTest, TasksRunInlineByAWaiterAreNotItsLoops) {
+  // A task the waiter drains via TryRunOne belongs to whoever queued it:
+  // its loops must not land in the waiter's scope.
+  ThreadPool* pool = ThreadPool::Shared();
+  std::atomic<bool> ran{false};
+  PoolUsageScope scope;
+  pool->Submit([&] {
+    ParallelForEach(4, 2, [](int64_t) {});
+    ran.store(true);
+  });
+  while (!ran.load()) {
+    if (!pool->TryRunOne()) std::this_thread::yield();
+  }
+  EXPECT_EQ(scope.stats().parallel_loops, 0);
 }
 
 }  // namespace
