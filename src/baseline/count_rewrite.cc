@@ -40,8 +40,10 @@ Result<Table> ExecuteAggRewrite(const QueryBlock& root,
   if (!why_not.empty()) return Status::InvalidArgument(why_not);
   const QueryBlock& child = *root.children[0];
 
-  NESTRA_ASSIGN_OR_RETURN(Table outer, EvalBlockBase(root, catalog));
-  NESTRA_ASSIGN_OR_RETURN(Table inner, EvalBlockBase(child, catalog));
+  NESTRA_ASSIGN_OR_RETURN(Table outer,
+                          EvalBlockBase(root, catalog, root.attributes));
+  NESTRA_ASSIGN_OR_RETURN(Table inner,
+                          EvalBlockBase(child, catalog, child.attributes));
 
   std::vector<std::string> okeys, ikeys;
   if (!AllEquiCorrelation(child, outer.schema(), inner.schema(), &okeys,

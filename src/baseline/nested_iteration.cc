@@ -130,7 +130,9 @@ NestedIterationExecutor::Prepare(const QueryBlock& block,
         rt->residual,
         BoundPredicate::MakeOwned(MakeAnd(std::move(conjuncts)), combined));
   } else {
-    NESTRA_ASSIGN_OR_RETURN(rt->filtered, EvalBlockBase(block, catalog_));
+    // Full width: the oracle never depends on the NRA's carried sets.
+    NESTRA_ASSIGN_OR_RETURN(rt->filtered,
+                            EvalBlockBase(block, catalog_, block.attributes));
     std::vector<ExprPtr> conjuncts;
     for (const ExprPtr& p : block.correlated_preds) {
       conjuncts.push_back(p->Clone());

@@ -89,10 +89,13 @@ Result<Table> SemiAntiUnnester::Execute(const QueryBlock& root) {
                           LinearChain(root));
   const int n = static_cast<int>(chain.size());
 
-  NESTRA_ASSIGN_OR_RETURN(Table cur, EvalBlockBase(*chain[n - 1], catalog_));
+  NESTRA_ASSIGN_OR_RETURN(
+      Table cur,
+      EvalBlockBase(*chain[n - 1], catalog_, chain[n - 1]->attributes));
   for (int k = n - 2; k >= 0; --k) {
     const QueryBlock& child = *chain[k + 1];
-    NESTRA_ASSIGN_OR_RETURN(Table left, EvalBlockBase(*chain[k], catalog_));
+    NESTRA_ASSIGN_OR_RETURN(
+        Table left, EvalBlockBase(*chain[k], catalog_, chain[k]->attributes));
 
     JoinType join_type = JoinType::kLeftSemi;
     ExprPtr extra;

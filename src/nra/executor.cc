@@ -193,11 +193,7 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
   Result<Table> result = [&]() -> Result<Table> {
     if (root.children.empty()) {
       const auto t0 = Clock::now();
-      NESTRA_ASSIGN_OR_RETURN(
-          Table rel,
-          EvalBlockBase(root, catalog_, num_threads_, prof,
-                        options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+      NESTRA_ASSIGN_OR_RETURN(Table rel, EvalBase(root, prof));
       stats->join_seconds += Seconds(t0);
       stats->intermediate_rows = rel.num_rows();
       return FinishRoot(root, std::move(rel), prof);
@@ -244,14 +240,11 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
       return ExecutePipelinedRecursive(root, stats, prof);
     }
     const auto t0 = Clock::now();
-    NESTRA_ASSIGN_OR_RETURN(
-        Table rel, EvalBlockBase(root, catalog_, num_threads_, prof,
-                                 options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+    NESTRA_ASSIGN_OR_RETURN(Table rel, EvalBase(root, prof));
     stats->join_seconds += Seconds(t0);
     std::vector<const QueryBlock*> path{&root};
     NESTRA_ASSIGN_OR_RETURN(rel, ComputeNode(root, std::move(rel),
-                                             root.attributes, &path, stats,
+                                             root.carried, &path, stats,
                                              prof));
     return FinishRoot(root, std::move(rel), prof);
   }();
@@ -449,15 +442,9 @@ Result<Table> NraExecutor::ExecuteFusedLinear(
 
   // Top-down join phase: one wide relation W over all blocks.
   auto t0 = Clock::now();
-  NESTRA_ASSIGN_OR_RETURN(
-      Table rel, EvalBlockBase(*chain[0], catalog_, num_threads_, profile,
-                              options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+  NESTRA_ASSIGN_OR_RETURN(Table rel, EvalBase(*chain[0], profile));
   for (int k = 1; k < n; ++k) {
-    NESTRA_ASSIGN_OR_RETURN(
-        Table base, EvalBlockBase(*chain[k], catalog_, num_threads_, profile,
-                                  options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+    NESTRA_ASSIGN_OR_RETURN(Table base, EvalBase(*chain[k], profile));
     if (options_.magic_restriction) {
       StageTimer magic_timer(profile, QueryPhase::kUnnestJoin,
                              "magic[b" + std::to_string(chain[k]->id) + "]");
@@ -483,7 +470,7 @@ Result<Table> NraExecutor::ExecuteFusedLinear(
   std::vector<FusedLevelSpec> levels;
   std::vector<std::string> prefix;
   for (int k = 0; k + 1 < n; ++k) {
-    for (const std::string& a : chain[k]->attributes) prefix.push_back(a);
+    for (const std::string& a : chain[k]->carried) prefix.push_back(a);
     FusedLevelSpec spec;
     spec.nesting_attrs = prefix;
     spec.pred = PredFor(*chain[k + 1], /*group=*/"");
@@ -515,21 +502,14 @@ Result<Table> NraExecutor::ExecuteBottomUpLinear(
   const int n = static_cast<int>(chain.size());
 
   auto t0 = Clock::now();
-  NESTRA_ASSIGN_OR_RETURN(
-      Table cur, EvalBlockBase(*chain[n - 1], catalog_, num_threads_, profile,
-                              options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+  NESTRA_ASSIGN_OR_RETURN(Table cur, EvalBase(*chain[n - 1], profile));
   stats->join_seconds += Seconds(t0);
 
   for (int k = n - 2; k >= 0; --k) {
     const QueryBlock& outer = *chain[k];
     const QueryBlock& child = *chain[k + 1];
     t0 = Clock::now();
-    NESTRA_ASSIGN_OR_RETURN(
-        Table outer_base,
-        EvalBlockBase(outer, catalog_, num_threads_, profile,
-                      options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+    NESTRA_ASSIGN_OR_RETURN(Table outer_base, EvalBase(outer, profile));
     stats->join_seconds += Seconds(t0);
 
     // In the bottom-up order only (outer, child) tuples exist when the
@@ -563,7 +543,7 @@ Result<Table> NraExecutor::ExecuteBottomUpLinear(
                             "nest[b" + std::to_string(child.id) + "]");
       NESTRA_ASSIGN_OR_RETURN(
           NestedRelation nested,
-          Nest(joined, outer.attributes, NestedAttrsFor(child), "g",
+          Nest(joined, outer.carried, NestedAttrsFor(child), "g",
                options_.nest_method, num_threads_));
       NESTRA_RETURN_NOT_OK(
           FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
@@ -591,10 +571,7 @@ Result<Table> NraExecutor::ComputeNode(const QueryBlock& node, Table rel,
     const std::string bid = std::to_string(child.id);
 
     auto t0 = Clock::now();
-    NESTRA_ASSIGN_OR_RETURN(
-        Table base, EvalBlockBase(child, catalog_, num_threads_, profile,
-                                  options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+    NESTRA_ASSIGN_OR_RETURN(Table base, EvalBase(child, profile));
     stats->join_seconds += Seconds(t0);
 
     const bool strict_safe = StrictSafe(*path);
@@ -646,7 +623,7 @@ Result<Table> NraExecutor::ComputeNode(const QueryBlock& node, Table rel,
       NESTRA_ASSIGN_OR_RETURN(
           rel, HashLinkSelect(std::move(rel), base, /*outer_key_cols=*/{},
                               /*inner_key_cols=*/{}, child, mode,
-                              node.attributes, num_threads_));
+                              node.carried, num_threads_));
       NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(rel)));
       link_timer.Finish(rel.num_rows());
       stats->nest_select_seconds += Seconds(t0);
@@ -664,7 +641,7 @@ Result<Table> NraExecutor::ComputeNode(const QueryBlock& node, Table rel,
                               "link-select[b" + bid + "]");
         NESTRA_ASSIGN_OR_RETURN(
             rel, HashLinkSelect(std::move(rel), base, okeys, ikeys, child,
-                                mode, node.attributes, num_threads_));
+                                mode, node.carried, num_threads_));
         NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(rel)));
         link_timer.Finish(rel.num_rows());
         stats->nest_select_seconds += Seconds(t0);
@@ -693,7 +670,7 @@ Result<Table> NraExecutor::ComputeNode(const QueryBlock& node, Table rel,
 
     // Recurse into the child's own subqueries.
     std::vector<std::string> retained_child = retained;
-    for (const std::string& a : child.attributes) {
+    for (const std::string& a : child.carried) {
       retained_child.push_back(a);
     }
     path->push_back(&child);
@@ -711,7 +688,7 @@ Result<Table> NraExecutor::ComputeNode(const QueryBlock& node, Table rel,
       spec.nesting_attrs = retained;
       spec.pred = PredFor(child, /*group=*/"");
       spec.mode = mode;
-      spec.pad_attrs = node.attributes;
+      spec.pad_attrs = node.carried;
       auto sort = std::make_unique<SortNode>(
           std::make_unique<TableSourceNode>(std::move(rel)),
           SortKeysFor(retained), num_threads_, options_.vectorized);
@@ -738,7 +715,7 @@ Result<Table> NraExecutor::ComputeNode(const QueryBlock& node, Table rel,
                               "select[b" + bid + "]");
       NESTRA_ASSIGN_OR_RETURN(
           rel, LinkingSelect(nested, PredFor(child, "g"), mode,
-                             node.attributes));
+                             node.carried));
       NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(rel)));
       select_timer.Finish(rel.num_rows());
     }
@@ -767,10 +744,7 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
       "base[b" + std::to_string(chain[0]->id) + "]", {},
       [&](NraStats* s, QueryProfile* p) -> Status {
         const auto t0 = Clock::now();
-        NESTRA_ASSIGN_OR_RETURN(
-            rel, EvalBlockBase(*chain[0], catalog_, num_threads_, p,
-                               options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+        NESTRA_ASSIGN_OR_RETURN(rel, EvalBase(*chain[0], p));
         s->join_seconds += Seconds(t0);
         return Status::OK();
       });
@@ -780,11 +754,7 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
         "base[b" + bid + "]", {},
         [&, k](NraStats* s, QueryProfile* p) -> Status {
           const auto t0 = Clock::now();
-          NESTRA_ASSIGN_OR_RETURN(
-              bases[k], EvalBlockBase(*chain[k], catalog_, num_threads_, p,
-                                      options_.vectorized,
-                                      options_.two_valued,
-                        options_.cost_based));
+          NESTRA_ASSIGN_OR_RETURN(bases[k], EvalBase(*chain[k], p));
           s->join_seconds += Seconds(t0);
           return Status::OK();
         });
@@ -826,7 +796,7 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
         std::vector<FusedLevelSpec> levels;
         std::vector<std::string> prefix;
         for (int k = 0; k + 1 < n; ++k) {
-          for (const std::string& a : chain[k]->attributes) {
+          for (const std::string& a : chain[k]->carried) {
             prefix.push_back(a);
           }
           FusedLevelSpec spec;
@@ -870,10 +840,7 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
       "base[b" + std::to_string(chain[n - 1]->id) + "]", {},
       [&](NraStats* s, QueryProfile* p) -> Status {
         const auto t0 = Clock::now();
-        NESTRA_ASSIGN_OR_RETURN(
-            cur, EvalBlockBase(*chain[n - 1], catalog_, num_threads_, p,
-                               options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+        NESTRA_ASSIGN_OR_RETURN(cur, EvalBase(*chain[n - 1], p));
         s->join_seconds += Seconds(t0);
         return Status::OK();
       });
@@ -882,11 +849,7 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
         "base[b" + std::to_string(chain[k]->id) + "]", {},
         [&, k](NraStats* s, QueryProfile* p) -> Status {
           const auto t0 = Clock::now();
-          NESTRA_ASSIGN_OR_RETURN(
-              bases[k], EvalBlockBase(*chain[k], catalog_, num_threads_, p,
-                                      options_.vectorized,
-                                      options_.two_valued,
-                        options_.cost_based));
+          NESTRA_ASSIGN_OR_RETURN(bases[k], EvalBase(*chain[k], p));
           s->join_seconds += Seconds(t0);
           return Status::OK();
         });
@@ -928,7 +891,7 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
             StageTimer nest_timer(p, QueryPhase::kNest, "nest[b" + bid + "]");
             NESTRA_ASSIGN_OR_RETURN(
                 NestedRelation nested,
-                Nest(joined, outer.attributes, NestedAttrsFor(child), "g",
+                Nest(joined, outer.carried, NestedAttrsFor(child), "g",
                      options_.nest_method, num_threads_));
             NESTRA_RETURN_NOT_OK(
                 FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
@@ -964,7 +927,7 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
     spec.nesting_attrs = retained;
     spec.pred = PredFor(child, /*group=*/"");
     spec.mode = mode;
-    spec.pad_attrs = node.attributes;
+    spec.pad_attrs = node.carried;
     auto sort = std::make_unique<SortNode>(
         std::make_unique<TableSourceNode>(std::move(*rel)),
         SortKeysFor(retained), num_threads_, options_.vectorized);
@@ -989,7 +952,7 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
     StageTimer select_timer(profile, QueryPhase::kLinkingSelection,
                             "select[b" + bid + "]");
     NESTRA_ASSIGN_OR_RETURN(*rel, LinkingSelect(nested, PredFor(child, "g"),
-                                                mode, node.attributes));
+                                                mode, node.carried));
     NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(*rel)));
     select_timer.Finish(rel->num_rows());
   }
@@ -1009,10 +972,7 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
         "base[b" + bid + "]", {},
         [this, &child, base](NraStats* s, QueryProfile* p) -> Status {
           const auto t0 = Clock::now();
-          NESTRA_ASSIGN_OR_RETURN(
-              *base, EvalBlockBase(child, catalog_, num_threads_, p,
-                                   options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+          NESTRA_ASSIGN_OR_RETURN(*base, EvalBase(child, p));
           s->join_seconds += Seconds(t0);
           return Status::OK();
         });
@@ -1081,7 +1041,7 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
                 *rel, HashLinkSelect(std::move(*rel), *base,
                                      /*outer_key_cols=*/{},
                                      /*inner_key_cols=*/{}, child, mode,
-                                     node.attributes, num_threads_));
+                                     node.carried, num_threads_));
             NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(*rel)));
             link_timer.Finish(rel->num_rows());
             s->nest_select_seconds += Seconds(t0);
@@ -1110,7 +1070,7 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
                                       "link-select[b" + bid + "]");
                 NESTRA_ASSIGN_OR_RETURN(
                     *rel, HashLinkSelect(std::move(*rel), *base, okeys, ikeys,
-                                         child, mode, node.attributes,
+                                         child, mode, node.carried,
                                          num_threads_));
                 NESTRA_RETURN_NOT_OK(
                     FoldStageMem(&link_timer, TableBytes(*rel)));
@@ -1174,7 +1134,7 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
         });
 
     std::vector<std::string> retained_child = retained;
-    for (const std::string& a : child.attributes) {
+    for (const std::string& a : child.carried) {
       retained_child.push_back(a);
     }
     path->push_back(&child);
@@ -1210,15 +1170,12 @@ Result<Table> NraExecutor::ExecutePipelinedRecursive(const QueryBlock& root,
       "base[b" + std::to_string(root.id) + "]", {},
       [&](NraStats* s, QueryProfile* p) -> Status {
         const auto t0 = Clock::now();
-        NESTRA_ASSIGN_OR_RETURN(
-            rel, EvalBlockBase(root, catalog_, num_threads_, p,
-                               options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+        NESTRA_ASSIGN_OR_RETURN(rel, EvalBase(root, p));
         s->join_seconds += Seconds(t0);
         return Status::OK();
       });
   std::vector<const QueryBlock*> path{&root};
-  const int last = BuildComputeTaskDag(&dag, root, &path, root.attributes,
+  const int last = BuildComputeTaskDag(&dag, root, &path, root.carried,
                                        root_base, &rel, &bases);
   dag.AddTask("finish", {last},
               [&](NraStats* /*s*/, QueryProfile* p) -> Status {
@@ -1228,6 +1185,13 @@ Result<Table> NraExecutor::ExecutePipelinedRecursive(const QueryBlock& root,
               });
   NESTRA_RETURN_NOT_OK(dag.Run(num_threads_, stats, profile));
   return std::move(out);
+}
+
+Result<Table> NraExecutor::EvalBase(const QueryBlock& block,
+                                    QueryProfile* profile) {
+  return EvalBlockBase(block, catalog_, block.carried, num_threads_, profile,
+                       options_.vectorized, options_.two_valued,
+                       options_.cost_based);
 }
 
 Result<Table> NraExecutor::FinishRoot(const QueryBlock& root, Table rel,

@@ -101,7 +101,7 @@ class NraExecutor {
   /// The "way up" of Algorithm 1 for one child link, shared by the
   /// pipelined task bodies: nest `*rel` by `retained` and apply the linking
   /// selection (one fused pass when options_.fused), padding `node`'s
-  /// attributes in pseudo mode. Same stages, timers, and labels as the
+  /// carried attributes in pseudo mode. Same stages, timers, and labels as the
   /// corresponding ComputeNode block.
   Status ApplyNestSelect(const QueryBlock& node, const QueryBlock& child,
                          const std::vector<std::string>& retained,
@@ -109,12 +109,16 @@ class NraExecutor {
                          QueryProfile* profile);
 
   /// The recursive body of Algorithm 1 (original / tree-query path).
-  /// `retained` lists the qualified attributes of blocks root..node;
+  /// `retained` lists the carried attributes of blocks root..node;
   /// `path` is the block chain root..node for strict/pseudo decisions.
   Result<Table> ComputeNode(const QueryBlock& node, Table rel,
                             const std::vector<std::string>& retained,
                             std::vector<const QueryBlock*>* path,
                             NraStats* stats, QueryProfile* profile);
+
+  /// T_i of `block` under the executor's engine options, projected onto
+  /// the block's carried columns.
+  Result<Table> EvalBase(const QueryBlock& block, QueryProfile* profile);
 
   /// Final projection (+ DISTINCT, + root-key NOT NULL guard).
   Result<Table> FinishRoot(const QueryBlock& root, Table rel,

@@ -122,12 +122,15 @@ bool GranuleRejected(const ZoneEntry& z, const ZoneTerm& t) {
 // (granules are whole pages, so the charges equal a row-at-a-time pass),
 // selects its survivors with the compiled predicate straight off the
 // mirror's typed columns (or with the row BoundPredicate when `compiled` is
-// null), and copies only those rows out of the row store. At one thread the
-// granules run inline into the output; otherwise ParallelForEach runs one
-// slot per granule and the slots concatenate in order. Rows, row order and
-// IoSim totals are therefore the same for every thread count and engine.
+// null), and gathers each survivor's `cols` (indices into `schema`) from the
+// granule's typed columns — cell-for-cell the row store's Values, by the
+// mirror's contract. At one thread the granules run inline into the output;
+// otherwise ParallelForEach runs one slot per granule and the slots
+// concatenate in order. Rows, row order and IoSim totals are therefore the
+// same for every thread count and engine.
 Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
-                         const Expr* pred, const VectorizedPredicate* compiled,
+                         const std::vector<int>& cols, const Expr* pred,
+                         const VectorizedPredicate* compiled,
                          const std::vector<int64_t>* kept, int num_threads,
                          ProfiledOperator* op_out) {
   BoundPredicate bound;
@@ -146,23 +149,31 @@ Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
   const auto scan_granule = [&](int64_t k, std::vector<int32_t>* sel,
                                 std::vector<Row>* dst) {
     const int64_t g = granule_of(k);
+    const RowBatch& batch = mirror.granule(g);
     const int64_t begin = mirror.GranuleBegin(g);
     const int64_t end = mirror.GranuleEnd(g);
     if (IoSim* sim = IoSim::Get()) {
       io[static_cast<size_t>(k)] = sim->SeqRange(table, begin, end);
     }
+    sel->clear();
     if (pred == nullptr) {
-      dst->insert(dst->end(), rows.begin() + begin, rows.begin() + end);
-    } else if (compiled != nullptr) {
-      compiled->Select(mirror.granule(g), sel);
-      for (const int32_t s : *sel) {
-        dst->push_back(rows[static_cast<size_t>(begin + s)]);
+      for (int64_t i = begin; i < end; ++i) {
+        sel->push_back(static_cast<int32_t>(i - begin));
       }
+    } else if (compiled != nullptr) {
+      compiled->Select(batch, sel);
     } else {
       for (int64_t i = begin; i < end; ++i) {
-        const Row& r = rows[static_cast<size_t>(i)];
-        if (bound.Matches(r)) dst->push_back(r);
+        if (bound.Matches(rows[static_cast<size_t>(i)])) {
+          sel->push_back(static_cast<int32_t>(i - begin));
+        }
       }
+    }
+    for (const int32_t s : *sel) {
+      std::vector<Value> values;
+      values.reserve(cols.size());
+      for (const int c : cols) values.push_back(batch.column(c).GetValue(s));
+      dst->emplace_back(std::move(values));
     }
   };
   int64_t scanned_rows = 0;
@@ -170,7 +181,7 @@ Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
     const int64_t g = granule_of(k);
     scanned_rows += mirror.GranuleEnd(g) - mirror.GranuleBegin(g);
   }
-  Table out{schema};
+  Table out{schema.Select(cols)};
   if (num_threads <= 1) {
     // Worst case every scanned row survives; one up-front allocation of
     // the row headers beats log(n) grow-and-move cycles.
@@ -214,6 +225,29 @@ Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
   return out;
 }
 
+// Indices of `columns` in `schema`, in order.
+Result<std::vector<int>> ResolveColumns(
+    const Schema& schema, const std::vector<std::string>& columns) {
+  std::vector<int> indices;
+  indices.reserve(columns.size());
+  for (const std::string& c : columns) {
+    NESTRA_ASSIGN_OR_RETURN(int idx, schema.Resolve(c));
+    indices.push_back(idx);
+  }
+  return indices;
+}
+
+// True when `columns` names exactly `schema`'s fields in order, so the
+// projection onto them is the identity and is skipped.
+bool ListsSchema(const std::vector<std::string>& columns,
+                 const Schema& schema) {
+  if (static_cast<int>(columns.size()) != schema.num_fields()) return false;
+  for (int i = 0; i < schema.num_fields(); ++i) {
+    if (columns[static_cast<size_t>(i)] != schema.field(i).name) return false;
+  }
+  return true;
+}
+
 // Zone-map pruning pays off on big tables; below this many granules the
 // whole scan fits a few pages anyway and plan stability matters more (the
 // gate keeps every tier-1 test workload on the byte-identical unpruned
@@ -245,10 +279,15 @@ bool KeepGranules(const std::vector<ExprPtr>& conjuncts, const Schema& schema,
 }  // namespace
 
 Result<Table> ParallelFilterTable(Table in, const Expr* pred,
-                                  int num_threads) {
+                                  int num_threads,
+                                  const std::vector<std::string>* columns) {
   NESTRA_ASSIGN_OR_RETURN(BoundPredicate bound,
                           BoundPredicate::Make(pred, in.schema()));
-  Table out{in.schema()};
+  std::vector<int> keep;
+  if (columns != nullptr) {
+    NESTRA_ASSIGN_OR_RETURN(keep, ResolveColumns(in.schema(), *columns));
+  }
+  Table out{columns != nullptr ? in.schema().Select(keep) : in.schema()};
   const int64_t n = static_cast<int64_t>(in.rows().size());
   // Morsels keep row order: slot m holds the survivors of rows
   // [m*chunk, (m+1)*chunk), concatenated in morsel order below.
@@ -259,7 +298,8 @@ Result<Table> ParallelFilterTable(Table in, const Expr* pred,
     std::vector<Row>& slot = slots[static_cast<size_t>(morsel)];
     for (int64_t i = begin; i < end; ++i) {
       Row& r = in.rows()[static_cast<size_t>(i)];
-      if (bound.Matches(r)) slot.push_back(std::move(r));
+      if (!bound.Matches(r)) continue;
+      slot.push_back(columns != nullptr ? r.Select(keep) : std::move(r));
     }
   });
   for (std::vector<Row>& slot : slots) {
@@ -269,6 +309,7 @@ Result<Table> ParallelFilterTable(Table in, const Expr* pred,
 }
 
 Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
+                            const std::vector<std::string>& columns,
                             int num_threads, QueryProfile* profile,
                             bool vectorized, bool two_valued,
                             bool cost_based) {
@@ -321,13 +362,15 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
       } else {
         compiled = VectorizedPredicate::Compile(pred.get(), schema, &vpred);
       }
+      NESTRA_ASSIGN_OR_RETURN(const std::vector<int> cols,
+                              ResolveColumns(schema, columns));
       StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
       ProfiledOperator op;
       NESTRA_ASSIGN_OR_RETURN(
-          Table out,
-          ScanFilter(*mirror, schema, pred.get(), compiled ? &vpred : nullptr,
-                     pruned ? &kept : nullptr, num_threads,
-                     timer.active() ? &op : nullptr));
+          Table out, ScanFilter(*mirror, schema, cols, pred.get(),
+                                compiled ? &vpred : nullptr,
+                                pruned ? &kept : nullptr, num_threads,
+                                timer.active() ? &op : nullptr));
       NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, TableBytes(out)));
       timer.Finish(out.num_rows(), std::move(op));
       return out;
@@ -392,9 +435,11 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
     // Stage peak: operator charges plus the drained intermediate, which is
     // still live while the parallel filter builds its output.
     const int64_t tree_peak = TreePeakMemBytes(*node) + scanned_bytes;
+    const bool project = !ListsSchema(columns, scanned.schema());
     NESTRA_ASSIGN_OR_RETURN(
-        Table out,
-        ParallelFilterTable(std::move(scanned), pred.get(), num_threads));
+        Table out, ParallelFilterTable(std::move(scanned), pred.get(),
+                                       num_threads,
+                                       project ? &columns : nullptr));
     const int64_t out_bytes = TableBytes(out);
     NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, out_bytes, tree_peak + out_bytes));
     if (timer.active()) {
@@ -413,6 +458,9 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
   if (!conjuncts.empty()) {
     node = std::make_unique<FilterNode>(std::move(node),
                                         MakeAnd(std::move(conjuncts)));
+  }
+  if (!ListsSchema(columns, node->output_schema())) {
+    node = std::make_unique<ProjectNode>(std::move(node), columns);
   }
   return CollectProfiled(node.get(), QueryPhase::kUnnestJoin,
                          BlockLabel(block), profile, vectorized);

@@ -22,16 +22,22 @@ class QueryProfile;
 /// of `num_threads`) with phase attribution and, where an operator tree
 /// ran, its stats snapshot.
 
-/// Builds T_i = σ_i(R_i): scans the block's tables under their aliases,
-/// joins them on the local equality predicates (hash join; remaining local
-/// conjuncts become filters) and returns the materialized result with fully
-/// qualified column names. Single-table blocks run as one fused ScanFilter
-/// over the table's columnar mirror (Catalog::GetMirror): granule by
-/// granule, compiled predicate on the mirror, survivors copied from the
-/// row store, in parallel granule slots concatenated in order when
+/// Builds π_columns(σ_i(R_i)): scans the block's tables under their
+/// aliases, joins them on the local equality predicates (hash join;
+/// remaining local conjuncts become filters) and returns the materialized
+/// result projected onto `columns` (fully qualified names, in the given
+/// order). The NRA executor passes the block's `carried` list; the
+/// baselines pass `attributes`, which keeps their base relations full-width.
+/// Local predicates always see every column: the projection comes last.
+/// Single-table blocks run as one fused ScanFilter over the table's
+/// columnar mirror (Catalog::GetMirror): granule by granule, compiled
+/// predicate on the mirror, survivors' `columns` gathered from the mirror's
+/// typed columns, in parallel granule slots concatenated in order when
 /// `num_threads > 1` — identical rows and IoSim charges at every thread
 /// count. Only the one-thread row engine (`vectorized` false,
-/// `num_threads` 1) keeps the ScanNode/FilterNode pipeline, as the oracle.
+/// `num_threads` 1) keeps the ScanNode/FilterNode pipeline, as the oracle,
+/// with a ProjectNode on top (multi-table blocks likewise; a projection onto
+/// the full schema is skipped).
 /// `num_threads > 1` also runs multi-table blocks' hash joins in parallel;
 /// `vectorized` drains their operator trees in columnar RowBatches
 /// (identical rows, identical IoSim charges). `two_valued` lets ScanFilter
@@ -45,6 +51,7 @@ class QueryProfile;
 /// engine combination), and perfect (dense-array) keying hints for
 /// intra-block hash joins.
 Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
+                            const std::vector<std::string>& columns,
                             int num_threads = 1,
                             QueryProfile* profile = nullptr,
                             bool vectorized = false,
@@ -53,9 +60,11 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
 
 /// Filters `in` down to the rows matching `pred` using row-range morsels
 /// (serial when `num_threads <= 1`); row order is preserved, so the result
-/// equals a serial FilterNode pass.
-Result<Table> ParallelFilterTable(Table in, const Expr* pred,
-                                  int num_threads);
+/// equals a serial FilterNode pass. When `columns` is non-null the
+/// survivors are projected onto those columns.
+Result<Table> ParallelFilterTable(
+    Table in, const Expr* pred, int num_threads,
+    const std::vector<std::string>* columns = nullptr);
 
 /// Joins `rel` (the accumulated outer relation) with the child block's base
 /// relation using the child's correlated predicates as the join condition:

@@ -564,12 +564,76 @@ class Binder {
   int next_id_ = 0;
 };
 
+// Every column anything after a base evaluation reads, over the whole
+// query: correlated predicates, linking / linked / key attributes, and the
+// root's output columns. Aliases are unique across the query, so one set
+// serves every block.
+void CollectReadColumns(const QueryBlock& block, std::set<std::string>* read) {
+  for (const ExprPtr& p : block.correlated_preds) {
+    std::vector<std::string> cols;
+    p->CollectColumns(&cols);
+    read->insert(cols.begin(), cols.end());
+  }
+  if (!block.linking_attr.empty()) read->insert(block.linking_attr);
+  if (!block.linked_attr.empty()) read->insert(block.linked_attr);
+  read->insert(block.key_attr);
+  if (block.IsRoot()) {
+    read->insert(block.select_list.begin(), block.select_list.end());
+    read->insert(block.group_by.begin(), block.group_by.end());
+    for (const QueryBlock::RootAgg& a : block.aggregates) {
+      if (!a.column.empty()) read->insert(a.column);
+    }
+    for (const QueryBlock::OrderItem& o : block.order_by) {
+      read->insert(o.column);
+    }
+    if (block.having != nullptr) {
+      std::vector<std::string> cols;
+      block.having->CollectColumns(&cols);
+      read->insert(cols.begin(), cols.end());
+    }
+  }
+  for (const auto& c : block.children) CollectReadColumns(*c, read);
+}
+
+// Fills QueryBlock::carried for `block` and its subtree. A multi-table block
+// also keeps every table's primary key, so distinct join rows stay distinct
+// under the nest; a keyless table there keeps all its columns.
+Status AssignCarried(QueryBlock* block, const std::set<std::string>& read,
+                     const Catalog& catalog) {
+  std::set<std::string> keep;
+  if (block->tables.size() > 1) {
+    for (const QueryBlock::TableRef& ref : block->tables) {
+      NESTRA_ASSIGN_OR_RETURN(const TableMetadata* meta,
+                              catalog.GetMetadata(ref.table));
+      if (!meta->primary_key.empty()) {
+        keep.insert(ref.alias + "." + meta->primary_key);
+        continue;
+      }
+      NESTRA_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(ref.table));
+      for (const Field& f : table->schema().fields()) {
+        keep.insert(ref.alias + "." + f.name);
+      }
+    }
+  }
+  block->carried.clear();
+  for (const std::string& a : block->attributes) {
+    if (read.count(a) > 0 || keep.count(a) > 0) block->carried.push_back(a);
+  }
+  for (const auto& c : block->children) {
+    NESTRA_RETURN_NOT_OK(AssignCarried(c.get(), read, catalog));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<QueryBlockPtr> BindQuery(const AstSelect& ast, const Catalog& catalog,
                                 ParamBinding* params) {
   Binder binder(catalog, params);
   NESTRA_ASSIGN_OR_RETURN(QueryBlockPtr block, binder.Bind(ast));
+  std::set<std::string> read;
+  CollectReadColumns(*block, &read);
+  NESTRA_RETURN_NOT_OK(AssignCarried(block.get(), read, catalog));
   if (params != nullptr) {
     // One NULL slot per declared parameter; EXECUTE overwrites them all.
     params->slots->assign(static_cast<size_t>(params->count), Value::Null());

@@ -49,7 +49,10 @@ struct ParamBinding {
 ///    column becomes a date;
 ///  * block key attribution: each block's first table must have a primary
 ///    key registered in the catalog (the paper's "unique non-null
-///    attribute" assumption).
+///    attribute" assumption);
+///  * the carried columns: a post-pass over the whole tree fills each
+///    block's QueryBlock::carried from the columns read after the base
+///    scans (and, in multi-table blocks, every FROM table's key).
 /// When `params` is null (the default), `$n` placeholders are a bind error —
 /// parameters only make sense under PREPARE.
 Result<QueryBlockPtr> BindQuery(const AstSelect& ast, const Catalog& catalog,

@@ -90,6 +90,12 @@ std::string QueryBlock::ToString(int indent) const {
     oss << pad << "  correlated: " << c->ToString() << "\n";
   }
   oss << pad << "  key: " << key_attr << "\n";
+  oss << pad << "  carry " << carried.size() << "/" << attributes.size()
+      << ":";
+  for (size_t i = 0; i < carried.size(); ++i) {
+    oss << (i == 0 ? " " : ", ") << carried[i];
+  }
+  oss << "\n";
   for (const auto& c : children) oss << c->ToString(indent + 1);
   return oss.str();
 }

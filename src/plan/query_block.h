@@ -92,6 +92,15 @@ struct QueryBlock {
   std::string key_attr;
   /// Every qualified column of this block's tables, in schema order.
   std::vector<std::string> attributes;
+  /// The columns the block carries past its base evaluation: the subsequence
+  /// of `attributes` that anything after the scan reads (correlated
+  /// predicates of the block and its descendants, linking / linked / key
+  /// attributes, and at the root the select list, grouping, aggregate,
+  /// ORDER BY and HAVING columns), plus every FROM table's primary key in a
+  /// multi-table block (a keyless table keeps all its columns). Local
+  /// predicates run before the projection and do not count. The base scan
+  /// projects to this list, and every nest, pad and sort set reads it.
+  std::vector<std::string> carried;
   /// Ids of the ancestor blocks referenced by correlated_preds (empty for a
   /// non-correlated subquery).
   std::vector<int> correlated_block_ids;

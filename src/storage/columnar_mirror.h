@@ -24,9 +24,11 @@ namespace nestra {
 /// Cells are exactly what ColumnVector::Append stores: numeric columns cost
 /// 8 bytes plus a null byte per cell, strings a copy of their payload, and a
 /// column whose runtime values disagree with its declared type falls back
-/// to generic Value storage in the granules where that happens. Scans run
-/// compiled predicates on the granules and copy the surviving rows out of
-/// the row store (`table()`), so results stay the row store's Values.
+/// to generic Value storage in the granules where that happens, so
+/// ColumnVector::GetValue returns exactly the row store's Value. Scans run
+/// compiled predicates on the granules and gather the surviving rows'
+/// carried columns from them; the row store (`table()`) still serves the
+/// row-at-a-time predicate fallback and the IoSim page charges.
 class ColumnarMirror {
  public:
   explicit ColumnarMirror(const Table& table);

@@ -74,8 +74,8 @@ struct LinkFacts {
 /// (primary keys and `not_null_columns`) plus the load-time observed
 /// non-NULL column scans (sound for execution because catalog tables are
 /// immutable once registered). Pass `declared_only` to restrict seeding to
-/// declared constraints — advisory rules (dead-pseudo) use this so their
-/// "remove the padding attribute" advice stays valid when data changes.
+/// declared constraints, for conclusions that must stay valid when the data
+/// changes.
 class PropertyAnalyzer {
  public:
   explicit PropertyAnalyzer(const Catalog& catalog, bool declared_only = false)

@@ -237,9 +237,8 @@ VerifyReport PlanVerifier::Verify(const QueryBlock& root) const {
     }
   }
 
-  const std::vector<PlanStep> outline = Outline(root);
-  CheckOutline(outline, &report);
-  CheckDeadPseudo(outline, &report);
+  CheckCarried(root, &ancestors, &report);
+  CheckOutline(Outline(root), &report);
   return report;
 }
 
@@ -528,77 +527,96 @@ void PlanVerifier::CheckLinkProperties(
   }
 }
 
-void PlanVerifier::CheckDeadPseudo(const std::vector<PlanStep>& steps,
-                                   VerifyReport* report) const {
-  if (steps.empty()) return;
-
-  // Conservative upward read set: every attribute any linking selection,
-  // correlated predicate, key probe, or root output phase might read after
-  // the padding happened. Local predicates run strictly before any padding
-  // and are deliberately excluded.
-  std::set<std::string> read;
-  const QueryBlock* root =
-      steps[0].path.empty() ? steps[0].parent : steps[0].path[0];
-  std::vector<const QueryBlock*> stack{root};
-  while (!stack.empty()) {
-    const QueryBlock* b = stack.back();
-    stack.pop_back();
-    for (const ExprPtr& p : b->correlated_preds) {
-      std::vector<std::string> cols;
-      p->CollectColumns(&cols);
-      read.insert(cols.begin(), cols.end());
+void PlanVerifier::CheckCarried(const QueryBlock& block,
+                                std::vector<const QueryBlock*>* ancestors,
+                                VerifyReport* report) const {
+  // Subsequence of the attribute list: schema order, no strangers.
+  {
+    size_t next = 0;
+    for (const std::string& c : block.carried) {
+      while (next < block.attributes.size() && block.attributes[next] != c) {
+        ++next;
+      }
+      if (next == block.attributes.size()) {
+        AddError(report, block.id, verify_rules::kCarriedSet,
+                 "carried column '" + c +
+                     "' is not an attribute of the block, or is out of "
+                     "schema order");
+        break;
+      }
+      ++next;
     }
-    if (!b->linking_attr.empty()) read.insert(b->linking_attr);
-    if (!b->linked_attr.empty()) read.insert(b->linked_attr);
-    if (!b->key_attr.empty()) read.insert(b->key_attr);
-    read.insert(b->select_list.begin(), b->select_list.end());
-    read.insert(b->group_by.begin(), b->group_by.end());
-    for (const QueryBlock::RootAgg& a : b->aggregates) {
-      if (!a.column.empty()) read.insert(a.column);
-    }
-    for (const QueryBlock::OrderItem& o : b->order_by) read.insert(o.column);
-    if (b->having != nullptr) {
-      std::vector<std::string> cols;
-      b->having->CollectColumns(&cols);
-      read.insert(cols.begin(), cols.end());
-    }
-    for (const auto& c : b->children) stack.push_back(c.get());
   }
 
-  // Declared constraints only (not the load-time observed scans): the
-  // "remove this pad attribute" advice must stay valid when data changes.
-  const auto declared_non_null = [&](const QueryBlock& owner,
-                                     const std::string& attr) {
-    for (const QueryBlock::TableRef& ref : owner.tables) {
-      const std::string prefix = ref.alias + ".";
-      if (attr.compare(0, prefix.size(), prefix) == 0) {
-        return catalog_.IsNotNull(ref.table, attr.substr(prefix.size()));
+  // Keys: the block key always; in a multi-table block every table's key
+  // (a keyless table: all its columns), so distinct join rows stay
+  // distinct in every nest that groups by the carried prefix.
+  const auto require = [&](const QueryBlock& owner, const std::string& c,
+                           const char* what) {
+    if (!Contains(owner.carried, c)) {
+      AddError(report, block.id, verify_rules::kCarriedSet,
+               std::string(what) + " '" + c + "' is not carried by block " +
+                   std::to_string(owner.id));
+    }
+  };
+  if (!block.key_attr.empty()) require(block, block.key_attr, "key attribute");
+  if (block.tables.size() > 1) {
+    for (const QueryBlock::TableRef& ref : block.tables) {
+      const Result<const TableMetadata*> meta =
+          catalog_.GetMetadata(ref.table);
+      const Result<const Table*> table = catalog_.GetTable(ref.table);
+      if (!meta.ok() || !table.ok()) continue;  // schema-resolve reports it
+      if (!(*meta)->primary_key.empty()) {
+        require(block, ref.alias + "." + (*meta)->primary_key,
+                "primary key");
+        continue;
+      }
+      for (const Field& f : (*table)->schema().fields()) {
+        require(block, ref.alias + "." + f.name, "column of a keyless table");
       }
     }
-    return false;
-  };
-
-  for (const PlanStep& s : steps) {
-    if (s.mode != SelectionMode::kPseudo || s.streaming) continue;
-    std::vector<std::string> removable;
-    for (const std::string& a : s.pad_attrs) {
-      if (read.count(a) > 0) continue;
-      if (!declared_non_null(*s.parent, a)) continue;
-      removable.push_back(a);
-    }
-    if (removable.empty()) continue;
-    std::ostringstream list;
-    for (size_t i = 0; i < removable.size(); ++i) {
-      if (i > 0) list << ", ";
-      list << removable[i];
-    }
-    AddWarning(report, s.child->id, verify_rules::kDeadPseudo,
-               "pseudo-selection for the link of block " +
-                   std::to_string(s.child->id) +
-                   " pads declared NOT NULL attributes {" + list.str() +
-                   "} that nothing upward reads; they are removable from "
-                   "the pad set A");
   }
+
+  // Reads after the base scans: each column must be carried by the block
+  // that owns it — this one or an ancestor on the path. A column no block
+  // owns is schema-resolve's to report.
+  const auto require_read = [&](const std::string& c, const char* what) {
+    if (Contains(block.attributes, c)) {
+      require(block, c, what);
+    } else if (const QueryBlock* owner = ResolveInAncestors(c, *ancestors)) {
+      require(*owner, c, what);
+    }
+  };
+  for (const ExprPtr& p : block.correlated_preds) {
+    std::vector<std::string> cols;
+    p->CollectColumns(&cols);
+    for (const std::string& c : cols) require_read(c, "correlated column");
+  }
+  if (!block.linking_attr.empty()) {
+    require_read(block.linking_attr, "linking attribute");
+  }
+  if (!block.linked_attr.empty()) {
+    require_read(block.linked_attr, "linked attribute");
+  }
+  if (block.IsRoot()) {
+    std::vector<std::string> cols = block.select_list;
+    cols.insert(cols.end(), block.group_by.begin(), block.group_by.end());
+    for (const QueryBlock::RootAgg& a : block.aggregates) {
+      if (!a.column.empty()) cols.push_back(a.column);
+    }
+    for (const QueryBlock::OrderItem& o : block.order_by) {
+      cols.push_back(o.column);
+    }
+    if (block.having != nullptr) block.having->CollectColumns(&cols);
+    // Aggregate output names are not block columns; they never match.
+    for (const std::string& c : cols) require_read(c, "root output column");
+  }
+
+  ancestors->push_back(&block);
+  for (const auto& child : block.children) {
+    CheckCarried(*child, ancestors, report);
+  }
+  ancestors->pop_back();
 }
 
 void PlanVerifier::CheckRewritePreconditions(
@@ -663,7 +681,7 @@ std::vector<PlanStep> PlanVerifier::Outline(const QueryBlock& root) const {
                    : PlanStepKind::kNestSelect;
       s.nesting_attrs = s.kind == PlanStepKind::kHashLinkSelect
                             ? outer_cols
-                            : s.parent->attributes;
+                            : s.parent->carried;
       s.nested_attrs = NestedAttrsFor(*s.child);
       s.path = std::move(path);
       steps.push_back(std::move(s));
@@ -693,9 +711,7 @@ std::vector<PlanStep> PlanVerifier::Outline(const QueryBlock& root) const {
     if (all_correlated) {
       std::vector<std::string> prefix;
       for (size_t k = 0; k + 1 < chain.size(); ++k) {
-        for (const std::string& a : chain[k]->attributes) {
-          prefix.push_back(a);
-        }
+        for (const std::string& a : chain[k]->carried) prefix.push_back(a);
         PlanStep s;
         s.parent = chain[k];
         s.child = chain[k + 1];
@@ -713,7 +729,7 @@ std::vector<PlanStep> PlanVerifier::Outline(const QueryBlock& root) const {
 
   // Recursive Algorithm 1.
   std::vector<const QueryBlock*> path{&root};
-  OutlineNode(root, root.attributes, &path, &steps);
+  OutlineNode(root, root.carried, &path, &steps);
   return steps;
 }
 
@@ -752,7 +768,7 @@ void PlanVerifier::OutlineNode(const QueryBlock& node,
       // Virtual Cartesian product: one shared group, no grouping key.
       s.kind = PlanStepKind::kHashLinkSelect;
       s.nested_attrs = NestedAttrsFor(child);
-      s.pad_attrs = node.attributes;
+      s.pad_attrs = node.carried;
       steps->push_back(std::move(s));
       continue;
     }
@@ -763,7 +779,7 @@ void PlanVerifier::OutlineNode(const QueryBlock& node,
         s.kind = PlanStepKind::kHashLinkSelect;
         s.nesting_attrs = std::move(outer_cols);
         s.nested_attrs = NestedAttrsFor(child);
-        s.pad_attrs = node.attributes;
+        s.pad_attrs = node.carried;
         steps->push_back(std::move(s));
         continue;
       }
@@ -771,9 +787,7 @@ void PlanVerifier::OutlineNode(const QueryBlock& node,
 
     // Outer join, recurse, then nest by the retained prefix + select.
     std::vector<std::string> retained_child = retained;
-    for (const std::string& a : child.attributes) {
-      retained_child.push_back(a);
-    }
+    for (const std::string& a : child.carried) retained_child.push_back(a);
     path->push_back(&child);
     OutlineNode(child, std::move(retained_child), path, steps);
     path->pop_back();
@@ -781,7 +795,7 @@ void PlanVerifier::OutlineNode(const QueryBlock& node,
     s.kind = PlanStepKind::kNestSelect;
     s.nesting_attrs = retained;
     s.nested_attrs = NestedAttrsFor(child);
-    s.pad_attrs = node.attributes;
+    s.pad_attrs = node.carried;
     steps->push_back(std::move(s));
   }
 }
@@ -840,7 +854,8 @@ void PlanVerifier::CheckOutline(const std::vector<PlanStep>& steps,
                    "required");
     }
     if (s.mode == SelectionMode::kPseudo && !s.streaming) {
-      // A must be exactly the enclosing block's attributes, so the padded
+      // A must be exactly the enclosing block's carried attributes (every
+      // column of that block the relation still holds), so the padded
       // tuple's key and linked value read as NULL upward.
       if (parent.key_attr.empty() ||
           !Contains(s.pad_attrs, parent.key_attr)) {
@@ -852,12 +867,12 @@ void PlanVerifier::CheckOutline(const std::vector<PlanStep>& steps,
       } else {
         const std::set<std::string> pad(s.pad_attrs.begin(),
                                         s.pad_attrs.end());
-        const std::set<std::string> enclosing(parent.attributes.begin(),
-                                              parent.attributes.end());
+        const std::set<std::string> enclosing(parent.carried.begin(),
+                                              parent.carried.end());
         if (pad != enclosing) {
           AddError(report, child.id, verify_rules::kLinkMode,
                    "pseudo-selection pad set A must be exactly the "
-                   "enclosing block's attribute set");
+                   "enclosing block's carried attribute set");
         }
       }
     }

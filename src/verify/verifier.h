@@ -17,8 +17,8 @@ namespace nestra {
 /// their paper references).
 namespace verify_rules {
 /// Selection-mode consistency: strict σ_C only where no enclosing negative
-/// operator is pending; pseudo σ̄_{C,A} pads exactly the subquery-side
-/// attribute set A (paper §4, Definition of the pseudo-selection).
+/// operator is pending; pseudo σ̄_{C,A} pads exactly the enclosing block's
+/// carried attribute set A (paper §4, Definition of the pseudo-selection).
 inline constexpr const char kLinkMode[] = "link-mode";
 /// Linking predicate well-formedness: the operator's outer/inner operands
 /// exist and resolve on the correct side (paper §2, linking predicates).
@@ -48,18 +48,19 @@ inline constexpr const char kNullLinking[] = "null-linking";
 /// provably <= 1 per outer binding: it may yield more than one row at
 /// runtime (error; SQL requires at most one).
 inline constexpr const char kScalarCard[] = "scalar-card";
-/// A pseudo-selection pads attributes that are declared NOT NULL and play
-/// no role upward (not the key, not read by any enclosing predicate or
-/// link): the padding is dead weight and the attribute is removable from
-/// the pad set (warning, advisory). Uses declared constraints only, so the
-/// advice survives data changes.
-inline constexpr const char kDeadPseudo[] = "dead-pseudo";
+/// Carried-set well-formedness: each block's `carried` list is a
+/// subsequence of its attributes, holds every FROM table's primary key (all
+/// columns of a keyless table in a multi-table block), and every column a
+/// correlated, linking, nest or root-output site reads after the base scan
+/// is carried by the block that owns it (paper §3: the nest's implicit
+/// projection onto N1 ∪ N2).
+inline constexpr const char kCarriedSet[] = "carried-set";
 
 /// Every registered rule id, in documentation order. EXPLAIN's summary line
 /// and tools/lint_engine_invariants.py consume this registry.
 inline constexpr const char* kAllRules[] = {
     kLinkMode,   kLinkSchema,     kNestSets,   kKeySurvival, kSchemaResolve,
-    kRewritePrecond, kCartesianProduct, kNullLinking, kScalarCard, kDeadPseudo,
+    kRewritePrecond, kCartesianProduct, kNullLinking, kScalarCard, kCarriedSet,
 };
 inline constexpr int kNumRules = sizeof(kAllRules) / sizeof(kAllRules[0]);
 }  // namespace verify_rules
@@ -188,10 +189,12 @@ class PlanVerifier {
   void CheckLinkProperties(const QueryBlock& block,
                            const std::vector<const QueryBlock*>& ancestors,
                            VerifyReport* report) const;
-  /// dead-pseudo over the derived outline: pad attributes that are declared
-  /// NOT NULL and unread upward are flagged removable.
-  void CheckDeadPseudo(const std::vector<PlanStep>& steps,
-                       VerifyReport* report) const;
+  /// carried-set over the tree: `block`'s carried list against its
+  /// attributes and FROM keys, and every column read after the base scans
+  /// against the carried list of the block that owns it.
+  void CheckCarried(const QueryBlock& block,
+                    std::vector<const QueryBlock*>* ancestors,
+                    VerifyReport* report) const;
   void CheckRewritePreconditions(const QueryBlock& block,
                                  const std::vector<const QueryBlock*>& ancestors,
                                  VerifyReport* report) const;

@@ -185,8 +185,9 @@ class ScanFilterTest : public ::testing::Test {
     sim_.Reset();
     QueryProfile profile;
     NESTRA_ASSIGN_OR_RETURN(
-        Table rows, EvalBlockBase(block, catalog_, threads, &profile,
-                                  vectorized, two_valued, cost_based));
+        Table rows,
+        EvalBlockBase(block, catalog_, block.attributes, threads, &profile,
+                      vectorized, two_valued, cost_based));
     Run run;
     run.rows = std::move(rows);
     run.hits = sim_.hits();

@@ -146,9 +146,11 @@ TEST_F(OptimizationsTest, AllEquiCorrelationDetection) {
       ParseAndBind(
           "select b from r where exists (select * from s where s.g = r.d)",
           catalog_));
-  ASSERT_OK_AND_ASSIGN(Table outer, EvalBlockBase(*root, catalog_));
+  const QueryBlock& child = *root->children[0];
+  ASSERT_OK_AND_ASSIGN(Table outer,
+                       EvalBlockBase(*root, catalog_, root->attributes));
   ASSERT_OK_AND_ASSIGN(Table inner,
-                       EvalBlockBase(*root->children[0], catalog_));
+                       EvalBlockBase(child, catalog_, child.attributes));
   std::vector<std::string> ok, ik;
   EXPECT_TRUE(AllEquiCorrelation(*root->children[0], outer.schema(),
                                  inner.schema(), &ok, &ik));
@@ -161,9 +163,12 @@ TEST_F(OptimizationsTest, AllEquiCorrelationDetection) {
       ParseAndBind(
           "select b from r where exists (select * from s where s.e < r.b)",
           catalog_));
-  ASSERT_OK_AND_ASSIGN(Table outer2, EvalBlockBase(*theta, catalog_));
-  ASSERT_OK_AND_ASSIGN(Table inner2,
-                       EvalBlockBase(*theta->children[0], catalog_));
+  const QueryBlock& theta_child = *theta->children[0];
+  ASSERT_OK_AND_ASSIGN(Table outer2,
+                       EvalBlockBase(*theta, catalog_, theta->attributes));
+  ASSERT_OK_AND_ASSIGN(
+      Table inner2,
+      EvalBlockBase(theta_child, catalog_, theta_child.attributes));
   EXPECT_FALSE(AllEquiCorrelation(*theta->children[0], outer2.schema(),
                                   inner2.schema(), &ok, &ik));
 }
@@ -177,8 +182,10 @@ TEST_F(OptimizationsTest, HashLinkSelectMatchesJoinNestSelect) {
           "select b from r where exists (select * from s where s.g = r.d)",
           catalog_));
   const QueryBlock& child = *root->children[0];
-  ASSERT_OK_AND_ASSIGN(Table outer, EvalBlockBase(*root, catalog_));
-  ASSERT_OK_AND_ASSIGN(Table inner, EvalBlockBase(child, catalog_));
+  ASSERT_OK_AND_ASSIGN(Table outer,
+                       EvalBlockBase(*root, catalog_, root->attributes));
+  ASSERT_OK_AND_ASSIGN(Table inner,
+                       EvalBlockBase(child, catalog_, child.attributes));
   ASSERT_OK_AND_ASSIGN(
       Table reduced,
       HashLinkSelect(outer, inner, {"r.d"}, {"s.g"}, child,

@@ -28,11 +28,14 @@ TEST(ResolveNumThreadsTest, Resolution) {
 }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_workers(), 3);
+  // The tasks' state is declared before the pool, so the pool is destroyed
+  // (joining its workers) first: the waiter below may wake while the last
+  // task still holds `mu`, and `mu`/`cv` must outlive that task.
   std::atomic<int> counter{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.num_workers(), 3);
   constexpr int kTasks = 64;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {

@@ -4,6 +4,9 @@
 
 #include "verify/verifier.h"
 
+#include <algorithm>
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "nra/executor.h"
@@ -273,30 +276,62 @@ TEST_F(VerifyTest, ScalarCardSilentWhenKeyPinned) {
   }
 }
 
-TEST_F(VerifyTest, DeadPseudoFiresOnDeclaredNonNullUnreadPad) {
-  // Query Q's inner selection runs in pseudo mode, padding the middle
-  // block's attributes {s.e..s.i}. Nothing upward reads s.f; once s.f is
-  // declared NOT NULL the padding on it is provably dead.
-  ASSERT_OK(catalog_.AddNotNull("s", "f"));
+TEST_F(VerifyTest, PseudoPadSetIsTheEnclosingCarriedSet) {
+  // Query Q's inner selection (block 3's link) runs in pseudo mode, padding
+  // the middle block. s.f is read only by block 2's local predicate, which
+  // runs before the scan projects, so block 2 never carries it and the pad
+  // set A cannot contain it: A is exactly block 2's carried list.
   const QueryBlockPtr root = Bind(kQueryQ);
   ASSERT_NE(root, nullptr);
+  const QueryBlock& s = *root->children[0];
+  EXPECT_EQ(s.carried,
+            (std::vector<std::string>{"s.e", "s.g", "s.h", "s.i"}));
   const PlanVerifier verifier(catalog_, NraOptions::Original());
   const VerifyReport report = verifier.Verify(*root);
-  EXPECT_TRUE(report.HasRule(verify_rules::kDeadPseudo)) << report.ToString();
-  EXPECT_TRUE(report.ok());  // advisory warning
-  EXPECT_NE(report.ToString().find("s.f"), std::string::npos)
-      << report.ToString();
+  EXPECT_TRUE(report.clean()) << report.ToString();
+  bool found = false;
+  for (const PlanStep& step : verifier.Outline(*root)) {
+    if (step.child->id != 3) continue;
+    found = true;
+    EXPECT_EQ(step.mode, SelectionMode::kPseudo);
+    EXPECT_EQ(step.pad_attrs, s.carried);
+    EXPECT_EQ(std::find(step.pad_attrs.begin(), step.pad_attrs.end(), "s.f"),
+              step.pad_attrs.end());
+  }
+  EXPECT_TRUE(found);
 }
 
-TEST_F(VerifyTest, DeadPseudoSilentWithoutDeclaredConstraint) {
-  // Same query, no NOT NULL declaration: s.f happens to be NULL-free in the
-  // data, but the advisory rule deliberately ignores observed facts — the
-  // "remove the pad attribute" advice must stay valid when data changes.
-  const QueryBlockPtr root = Bind(kQueryQ);
-  ASSERT_NE(root, nullptr);
-  const PlanVerifier verifier(catalog_, NraOptions::Original());
-  const VerifyReport report = verifier.Verify(*root);
-  EXPECT_FALSE(report.HasRule(verify_rules::kDeadPseudo)) << report.ToString();
+TEST_F(VerifyTest, CarriedSetDetectsDroppedColumns) {
+  // Dropping a correlated column, the key, or a root output column from a
+  // carried list, or listing a stranger, is a carried-set error.
+  const char* sql =
+      "select r.a from r where r.b in (select s.e from s where s.g = r.d)";
+  const auto expect_error = [&](const std::function<void(QueryBlock*)>& mutate,
+                                const std::string& needle) {
+    const QueryBlockPtr root = Bind(sql);
+    ASSERT_NE(root, nullptr);
+    mutate(root.get());
+    const VerifyReport report = PlanVerifier(catalog_).Verify(*root);
+    EXPECT_TRUE(report.HasRule(verify_rules::kCarriedSet))
+        << needle << "\n" << report.ToString();
+    EXPECT_NE(report.ToString().find(needle), std::string::npos)
+        << report.ToString();
+  };
+  const auto drop = [](std::vector<std::string>* v, const std::string& c) {
+    v->erase(std::remove(v->begin(), v->end(), c), v->end());
+  };
+  expect_error([&](QueryBlock* r) { drop(&r->children[0]->carried, "s.g"); },
+               "correlated column 's.g'");
+  expect_error([&](QueryBlock* r) { drop(&r->carried, "r.d"); },
+               "correlated column 'r.d'");
+  expect_error([&](QueryBlock* r) { drop(&r->carried, "r.b"); },
+               "linking attribute 'r.b'");
+  expect_error([&](QueryBlock* r) { drop(&r->children[0]->carried, "s.i"); },
+               "key attribute 's.i'");
+  expect_error([&](QueryBlock* r) { drop(&r->carried, "r.a"); },
+               "root output column 'r.a'");
+  expect_error([&](QueryBlock* r) { r->carried.push_back("s.e"); },
+               "carried column 's.e'");
 }
 
 TEST_F(VerifyTest, TwoValuedAntijoinOutlinedAndGuarded) {
@@ -361,6 +396,26 @@ TEST_F(VerifyTest, ExecutorRejectsCorruptedPlanUpFront) {
               std::string::npos)
         << raw_result.status().ToString();
   }
+}
+
+TEST_F(VerifyTest, ExecutorRejectsDroppedCarriedColumn) {
+  // The carried sets are bound once and read by every executor stage; one
+  // that lost a correlated column must stop the statement before a scan.
+  const QueryBlockPtr root =
+      Bind("select r.a from r where r.b in (select s.e from s where s.g = r.d)");
+  ASSERT_NE(root, nullptr);
+  std::vector<std::string>& carried = root->children[0]->carried;
+  carried.erase(std::remove(carried.begin(), carried.end(), "s.g"),
+                carried.end());
+
+  NraExecutor exec(catalog_, NraOptions::Optimized());
+  const Result<Table> result = exec.Execute(*root);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("plan verification failed"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("carried-set"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST_F(VerifyTest, ExplainReportsVerificationSection) {
