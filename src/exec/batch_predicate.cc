@@ -1,87 +1,105 @@
 #include "exec/batch_predicate.h"
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 namespace nestra {
 
 namespace {
 
-bool CmpHolds(CmpOp op, int c) {
-  switch (op) {
-    case CmpOp::kEq:
-      return c == 0;
-    case CmpOp::kNe:
-      return c != 0;
-    case CmpOp::kLt:
-      return c < 0;
-    case CmpOp::kLe:
-      return c <= 0;
-    case CmpOp::kGt:
-      return c > 0;
-    case CmpOp::kGe:
-      return c >= 0;
+// The engine's comparison truth table (Value::Apply) with the operator
+// fixed at compile time. Only < and > are evaluated, so a NaN operand
+// compares "equal" to everything, exactly as Value::Compare's numeric path
+// does; `&`/`|` keep the result free of short-circuit branches.
+template <CmpOp OP, typename T>
+bool Holds(T x, T y) {
+  if constexpr (OP == CmpOp::kEq) {
+    return !(x < y) & !(x > y);
+  } else if constexpr (OP == CmpOp::kNe) {
+    return (x < y) | (x > y);
+  } else if constexpr (OP == CmpOp::kLt) {
+    return x < y;
+  } else if constexpr (OP == CmpOp::kLe) {
+    return !(x > y);
+  } else if constexpr (OP == CmpOp::kGt) {
+    return x > y;
+  } else {
+    return !(x < y);  // kGe
   }
-  return false;
 }
 
-// The engine's numeric comparison result: NaN compares "equal" to
-// everything here, exactly as Value::Compare's double path does.
-int CompareDoubles(double x, double y) { return x < y ? -1 : (x > y ? 1 : 0); }
-
-int CompareInts(int64_t x, int64_t y) { return x < y ? -1 : (x > y ? 1 : 0); }
-
-// Runs `pred(i)` over the batch (first term) or the current selection
-// (later terms), keeping the matching indices in `sel`.
-template <typename Pred>
-void ApplyPred(int64_t num_rows, bool first, std::vector<int32_t>* sel,
-               Pred pred) {
-  if (first) {
-    sel->clear();
-    sel->reserve(num_rows);
-    for (int64_t i = 0; i < num_rows; ++i) {
-      if (pred(i)) sel->push_back(static_cast<int32_t>(i));
-    }
-    return;
-  }
+// Branch-free compaction: every candidate index is written, and the write
+// cursor only moves past the ones `keep` accepts. The first term walks the
+// batch; later terms rewrite the current selection in place (the write
+// cursor never passes the read cursor).
+template <typename Keep>
+void Compact(int64_t n, bool first, std::vector<int32_t>* sel, Keep keep) {
   size_t w = 0;
-  for (const int32_t i : *sel) {
-    if (pred(i)) (*sel)[w++] = i;
+  if (first) {
+    sel->resize(static_cast<size_t>(n));
+    int32_t* out = sel->data();
+    for (int64_t i = 0; i < n; ++i) {
+      out[w] = static_cast<int32_t>(i);
+      w += keep(i);
+    }
+  } else {
+    int32_t* s = sel->data();
+    for (size_t k = 0, m = sel->size(); k < m; ++k) {
+      const int32_t i = s[k];
+      s[w] = i;
+      w += keep(i);
+    }
   }
   sel->resize(w);
 }
 
-// One-sided NULL guard: when the operand is proven non-NULL the check (and
-// the null-vector load) disappears from the kernel.
+// The NULL guards, chosen once per batch. A null pointer marks an operand
+// proven non-NULL, whose null-byte load then disappears. Reading a NULL
+// row's value slot is safe (ColumnVector stores a zero or empty placeholder
+// there), so the guard is an AND with the comparison, not a branch.
 template <typename Pred>
-void Apply1(int64_t n, bool first, bool non_null,
-            const std::vector<uint8_t>& nulls, std::vector<int32_t>* sel,
-            Pred body) {
-  if (non_null) {
-    ApplyPred(n, first, sel, body);
+void Guarded(int64_t n, bool first, const uint8_t* ln, const uint8_t* rn,
+             std::vector<int32_t>* sel, Pred pred) {
+  if (ln == nullptr && rn == nullptr) {
+    Compact(n, first, sel, pred);
+  } else if (rn == nullptr) {
+    Compact(n, first, sel,
+            [&](int64_t i) { return (ln[i] == 0) & pred(i); });
+  } else if (ln == nullptr) {
+    Compact(n, first, sel,
+            [&](int64_t i) { return (rn[i] == 0) & pred(i); });
   } else {
-    ApplyPred(n, first, sel,
-              [&](int64_t i) { return nulls[i] == 0 && body(i); });
+    Compact(n, first, sel, [&](int64_t i) {
+      return (ln[i] == 0) & (rn[i] == 0) & pred(i);
+    });
   }
 }
 
-// Two-sided NULL guard for column-vs-column kernels.
-template <typename Pred>
-void Apply2(int64_t n, bool first, bool l_non_null, bool r_non_null,
-            const std::vector<uint8_t>& ln, const std::vector<uint8_t>& rn,
-            std::vector<int32_t>* sel, Pred body) {
-  if (l_non_null && r_non_null) {
-    ApplyPred(n, first, sel, body);
-  } else if (l_non_null) {
-    ApplyPred(n, first, sel,
-              [&](int64_t i) { return rn[i] == 0 && body(i); });
-  } else if (r_non_null) {
-    ApplyPred(n, first, sel,
-              [&](int64_t i) { return ln[i] == 0 && body(i); });
-  } else {
-    ApplyPred(n, first, sel, [&](int64_t i) {
-      return ln[i] == 0 && rn[i] == 0 && body(i);
+// One comparison kernel, `x(i) op y(i)` under the NULL guards, with the
+// operator turned into a template argument before the row loop.
+template <typename X, typename Y>
+void CmpKernel(CmpOp op, int64_t n, bool first, const uint8_t* ln,
+               const uint8_t* rn, std::vector<int32_t>* sel, X x, Y y) {
+  const auto run = [&](auto kop) {
+    Guarded(n, first, ln, rn, sel, [&](int64_t i) {
+      return Holds<decltype(kop)::value>(x(i), y(i));
     });
+  };
+  switch (op) {
+    case CmpOp::kEq:
+      return run(std::integral_constant<CmpOp, CmpOp::kEq>{});
+    case CmpOp::kNe:
+      return run(std::integral_constant<CmpOp, CmpOp::kNe>{});
+    case CmpOp::kLt:
+      return run(std::integral_constant<CmpOp, CmpOp::kLt>{});
+    case CmpOp::kLe:
+      return run(std::integral_constant<CmpOp, CmpOp::kLe>{});
+    case CmpOp::kGt:
+      return run(std::integral_constant<CmpOp, CmpOp::kGt>{});
+    case CmpOp::kGe:
+      return run(std::integral_constant<CmpOp, CmpOp::kGe>{});
   }
 }
 
@@ -101,6 +119,22 @@ StorageClass ClassOf(const ColumnVector& col) {
   }
   return StorageClass::kGeneric;
 }
+
+// Calls `k` with a numeric (kInt or kDouble) column's typed data.
+template <typename K>
+void WithNumbers(const ColumnVector& col, K k) {
+  if (ClassOf(col) == StorageClass::kInt) {
+    k(col.ints().data());
+  } else {
+    k(col.doubles().data());
+  }
+}
+
+// The common type of two numeric operands, as Value::TotalOrderCompare
+// compares them: int64 when both are ints, double otherwise.
+template <typename A, typename B>
+using NumericCommon = std::common_type_t<std::remove_cvref_t<A>,
+                                         std::remove_cvref_t<B>>;
 
 }  // namespace
 
@@ -189,122 +223,85 @@ void VectorizedPredicate::SelectTerm(const RowBatch& batch, const Term& term,
                                      std::vector<int32_t>* sel) const {
   const int64_t n = batch.num_rows();
   const ColumnVector& lhs = batch.column(term.lhs);
-  const std::vector<uint8_t>& lnull = lhs.nulls();
-  const bool lnn = term.lhs_non_null;
+  const uint8_t* lnull = term.lhs_non_null ? nullptr : lhs.nulls().data();
 
   if (term.kind == TermKind::kIsNull) {
     const bool want_null = !term.negated;
-    if (lnn) {
-      // Proven non-NULL: IS NULL selects nothing, IS NOT NULL everything.
-      ApplyPred(n, first, sel, [&](int64_t) { return !want_null; });
-      return;
-    }
-    ApplyPred(n, first, sel,
+    if (lnull != nullptr) {
+      Compact(n, first, sel,
               [&](int64_t i) { return (lnull[i] != 0) == want_null; });
+    } else if (want_null) {
+      sel->clear();  // proven non-NULL: IS NULL selects nothing
+    } else if (first) {
+      Compact(n, first, sel, [](int64_t) { return true; });
+    }
     return;
   }
 
+  const CmpOp op = term.op;
+  const StorageClass lcls = ClassOf(lhs);
   if (term.kind == TermKind::kCmpColLit) {
     const Value& lit = term.literal;
-    const StorageClass cls = ClassOf(lhs);
-    if (lit.is_null()) {
-      // Comparison with NULL is Unknown for every row.
-      ApplyPred(n, first, sel, [](int64_t) { return false; });
-      return;
-    }
-    const CmpOp op = term.op;
-    if (cls == StorageClass::kGeneric) {
-      ApplyPred(n, first, sel, [&](int64_t i) {
+    if (lcls == StorageClass::kGeneric) {
+      Compact(n, first, sel, [&](int64_t i) {
         return IsTrue(Value::Apply(op, lhs.GetValue(i), lit));
       });
-      return;
-    }
-    if (cls == StorageClass::kInt) {
-      const std::vector<int64_t>& data = lhs.ints();
-      if (lit.is_int()) {
-        const int64_t y = lit.int64();
-        Apply1(n, first, lnn, lnull, sel, [&](int64_t i) {
-          return CmpHolds(op, CompareInts(data[i], y));
-        });
-      } else if (lit.is_float()) {
-        const double y = lit.float64();
-        Apply1(n, first, lnn, lnull, sel, [&](int64_t i) {
-          return CmpHolds(op, CompareDoubles(static_cast<double>(data[i]), y));
-        });
-      } else {  // string vs numeric: incomparable -> Unknown
-        ApplyPred(n, first, sel, [](int64_t) { return false; });
-      }
-      return;
-    }
-    if (cls == StorageClass::kDouble) {
-      const std::vector<double>& data = lhs.doubles();
-      if (lit.is_int() || lit.is_float()) {
-        const double y = *lit.AsDouble();
-        Apply1(n, first, lnn, lnull, sel, [&](int64_t i) {
-          return CmpHolds(op, CompareDoubles(data[i], y));
-        });
-      } else {
-        ApplyPred(n, first, sel, [](int64_t) { return false; });
-      }
-      return;
-    }
-    // kString storage.
-    const std::vector<std::string>& data = lhs.strings();
-    if (lit.is_string()) {
+    } else if (lit.is_null() ||
+               (lcls == StorageClass::kString) != lit.is_string()) {
+      sel->clear();  // NULL literal or string vs numeric: Unknown everywhere
+    } else if (lcls == StorageClass::kString) {
+      // Strings compare through one compare() against 0.
+      const std::string* a = lhs.strings().data();
       const std::string& y = lit.string();
-      Apply1(n, first, lnn, lnull, sel, [&](int64_t i) {
-        return CmpHolds(op, data[i].compare(y));
-      });
+      CmpKernel(op, n, first, lnull, nullptr, sel,
+                [&](int64_t i) { return a[i].compare(y); },
+                [](int64_t) { return 0; });
     } else {
-      ApplyPred(n, first, sel, [](int64_t) { return false; });
+      WithNumbers(lhs, [&](const auto* a) {
+        const auto against = [&](auto lit_value) {
+          using T = NumericCommon<decltype(*a), decltype(lit_value)>;
+          const T y = static_cast<T>(lit_value);
+          CmpKernel(op, n, first, lnull, nullptr, sel,
+                    [&](int64_t i) { return static_cast<T>(a[i]); },
+                    [&](int64_t) { return y; });
+        };
+        if (lit.is_int()) {
+          against(lit.int64());
+        } else {
+          against(lit.float64());
+        }
+      });
     }
     return;
   }
 
   // kCmpColCol.
   const ColumnVector& rhs = batch.column(term.rhs);
-  const std::vector<uint8_t>& rnull = rhs.nulls();
-  const bool rnn = term.rhs_non_null;
-  const CmpOp op = term.op;
-  const StorageClass lcls = ClassOf(lhs);
+  const uint8_t* rnull = term.rhs_non_null ? nullptr : rhs.nulls().data();
   const StorageClass rcls = ClassOf(rhs);
   if (lcls == StorageClass::kGeneric || rcls == StorageClass::kGeneric) {
-    ApplyPred(n, first, sel, [&](int64_t i) {
+    Compact(n, first, sel, [&](int64_t i) {
       return IsTrue(Value::Apply(op, lhs.GetValue(i), rhs.GetValue(i)));
     });
-    return;
-  }
-  if (lcls == StorageClass::kInt && rcls == StorageClass::kInt) {
-    const std::vector<int64_t>& a = lhs.ints();
-    const std::vector<int64_t>& b = rhs.ints();
-    Apply2(n, first, lnn, rnn, lnull, rnull, sel, [&](int64_t i) {
-      return CmpHolds(op, CompareInts(a[i], b[i]));
+  } else if ((lcls == StorageClass::kString) !=
+             (rcls == StorageClass::kString)) {
+    sel->clear();  // string vs numeric: incomparable for every row
+  } else if (lcls == StorageClass::kString) {
+    const std::string* a = lhs.strings().data();
+    const std::string* b = rhs.strings().data();
+    CmpKernel(op, n, first, lnull, rnull, sel,
+              [&](int64_t i) { return a[i].compare(b[i]); },
+              [](int64_t) { return 0; });
+  } else {
+    WithNumbers(lhs, [&](const auto* a) {
+      WithNumbers(rhs, [&](const auto* b) {
+        using T = NumericCommon<decltype(*a), decltype(*b)>;
+        CmpKernel(op, n, first, lnull, rnull, sel,
+                  [&](int64_t i) { return static_cast<T>(a[i]); },
+                  [&](int64_t i) { return static_cast<T>(b[i]); });
+      });
     });
-    return;
   }
-  if (lcls == StorageClass::kString && rcls == StorageClass::kString) {
-    const std::vector<std::string>& a = lhs.strings();
-    const std::vector<std::string>& b = rhs.strings();
-    Apply2(n, first, lnn, rnn, lnull, rnull, sel, [&](int64_t i) {
-      return CmpHolds(op, a[i].compare(b[i]));
-    });
-    return;
-  }
-  if (lcls == StorageClass::kString || rcls == StorageClass::kString) {
-    // string vs numeric: incomparable for every row.
-    ApplyPred(n, first, sel, [](int64_t) { return false; });
-    return;
-  }
-  // Mixed numeric (at least one double): compare through doubles.
-  Apply2(n, first, lnn, rnn, lnull, rnull, sel, [&](int64_t i) {
-    const double x = lcls == StorageClass::kInt
-                         ? static_cast<double>(lhs.ints()[i])
-                         : lhs.doubles()[i];
-    const double y = rcls == StorageClass::kInt
-                         ? static_cast<double>(rhs.ints()[i])
-                         : rhs.doubles()[i];
-    return CmpHolds(op, CompareDoubles(x, y));
-  });
 }
 
 std::vector<int> VectorizedPredicate::used_columns() const {
@@ -322,9 +319,7 @@ void VectorizedPredicate::Select(const RowBatch& batch,
                                  std::vector<int32_t>* sel) const {
   const int64_t n = batch.num_rows();
   if (terms_.empty()) {
-    sel->clear();
-    sel->reserve(n);
-    for (int64_t i = 0; i < n; ++i) sel->push_back(static_cast<int32_t>(i));
+    Compact(n, /*first=*/true, sel, [](int64_t) { return true; });
     return;
   }
   bool first = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -207,6 +208,15 @@ struct ColumnAccumulator {
 
 void WidenZone(ZoneEntry* zone, double d) {
   zone->all_null = false;
+  if (std::isnan(d)) {
+    // NaN compares "equal" to every number (Value::Apply), so it passes
+    // =, <= and >= against any literal: a granule holding one proves
+    // nothing. std::min/std::max would skip it; widen to the whole line.
+    zone->has_range = true;
+    zone->min = -std::numeric_limits<double>::infinity();
+    zone->max = std::numeric_limits<double>::infinity();
+    return;
+  }
   if (!zone->has_range) {
     zone->has_range = true;
     zone->min = zone->max = d;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -194,7 +195,13 @@ TEST(TableStatsTest, ColumnarCollectionMatchesRowAtATimeReference) {
         continue;
       }
       const double d = *v.AsDouble();
-      if (!z.has_range) {
+      if (std::isnan(d)) {
+        // A NaN passes =, <= and >= against any literal: the granule's
+        // zone spans the whole line, wherever the NaN sits.
+        z.has_range = true;
+        z.min = -std::numeric_limits<double>::infinity();
+        z.max = std::numeric_limits<double>::infinity();
+      } else if (!z.has_range) {
         z.has_range = true;
         z.min = z.max = d;
       } else {

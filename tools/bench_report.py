@@ -15,9 +15,15 @@ checks, and writes the same data as JSON
 Usage:
   python3 tools/bench_report.py [--dir DIR] [--out-md BENCH_REPORT.md]
                                 [--out-json BENCH_REPORT.json] [--strict]
+                                [--bounds BENCHMARK.json]
 
 --strict exits nonzero when any entry reports identical=false (the
 per-file CI gates do this too; the flag lets the report stand alone).
+
+--bounds reads the end-to-end metrics of BENCHMARK.json and checks every
+parent/change entry (tools/bench_pairs.py, "nestra-e2e-pairs-v1"): it
+exits nonzero when a metric's change median is worse than the parent
+median by more than the metric's relative `bound`.
 """
 
 import argparse
@@ -83,6 +89,26 @@ def file_summary(name, doc):
         summary["speedup_median"] = statistics.median(speedups)
         summary["speedup_max"] = max(speedups)
     return summary
+
+
+def bound_violations(docs, bench):
+    """[(file, entry name, relative worsening, bound)] beyond the bounds."""
+    bounds = {m["name"]: m for m in bench.get("end_to_end", [])}
+    out = []
+    for name, doc in docs:
+        for e in doc["entries"]:
+            m = bounds.get(e.get("metric"))
+            parent, change = e.get("parent_median"), e.get("change_median")
+            if m is None or not isinstance(parent, (int, float)) or \
+                    not isinstance(change, (int, float)):
+                continue
+            worse = change - parent if m["better"] == "lower" \
+                else parent - change
+            frac = worse / abs(parent) if parent else (1.0 if worse > 0
+                                                       else 0.0)
+            if frac > m["bound"]:
+                out.append((name, e["name"], frac, m["bound"]))
+    return out
 
 
 def markdown_table(columns, rows):
@@ -151,6 +177,9 @@ def main():
     parser.add_argument("--out-json", default="BENCH_REPORT.json")
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero on any identical=false entry")
+    parser.add_argument("--bounds", metavar="BENCHMARK_JSON",
+                        help="exit nonzero when a parent/change median "
+                             "moves beyond the metric's bound")
     args = parser.parse_args()
 
     docs = load_bench_files(args.dir)
@@ -177,11 +206,22 @@ def main():
     failures = sum(s["identity_failures"] for s in summaries)
     print(f"{len(docs)} bench files, {total_entries} entries -> "
           f"{args.out_md}, {args.out_json}")
+    status = 0
     if failures:
         print(f"{failures} identity failure(s)", file=sys.stderr)
         if args.strict:
-            return 1
-    return 0
+            status = 1
+    if args.bounds:
+        with open(args.bounds) as f:
+            bench = json.load(f)
+        violations = bound_violations(docs, bench)
+        for file, entry, frac, bound in violations:
+            print(f"{file}: {entry} worse by {frac:.1%} (bound {bound:.0%})",
+                  file=sys.stderr)
+        print(f"bounds: {len(violations)} metric(s) beyond their bound")
+        if violations:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
