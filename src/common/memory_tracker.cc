@@ -37,8 +37,26 @@ thread_local SessionMemoryTracker* tls_session_memory = nullptr;
 
 }  // namespace
 
+int64_t BatchRowBytes(const RowBatch& batch) {
+  int64_t bytes =
+      batch.num_rows() *
+      static_cast<int64_t>(sizeof(Row) +
+                           static_cast<size_t>(batch.num_columns()) *
+                               sizeof(Value));
+  for (int c = 0; c < batch.num_columns(); ++c) {
+    bytes += batch.column(c).StringBytes();
+  }
+  return bytes;
+}
+
 int64_t TableBytes(const Table& table) {
   int64_t bytes = 0;
+  if (table.columnar()) {
+    for (const RowBatch& batch : table.batches()) {
+      bytes += BatchRowBytes(batch);
+    }
+    return bytes;
+  }
   for (const Row& row : table.rows()) bytes += RowBytes(row);
   return bytes;
 }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/row.h"
+#include "common/row_batch.h"
 #include "common/status.h"
 #include "common/table.h"
 #include "common/value.h"
@@ -41,8 +42,13 @@ inline int64_t RowBytes(const Row& row) {
   return bytes;
 }
 
-/// Logical footprint of a materialized table. O(cells); called only at
-/// stage boundaries, never per row.
+/// Logical footprint of the rows a batch holds: exactly the RowBytes sum
+/// over the rows it would materialize, n·(sizeof(Row) + ncols·sizeof(Value))
+/// plus the string payloads. O(1) per numeric column.
+int64_t BatchRowBytes(const RowBatch& batch);
+
+/// Logical footprint of a table, row-bodied or columnar (the same number
+/// for both forms). Called only at stage boundaries, never per row.
 int64_t TableBytes(const Table& table);
 
 /// \brief Operator-local byte accountant: two plain int64 counters, no

@@ -71,6 +71,21 @@ int64_t ColumnVector::ByteSize() const {
   return bytes;
 }
 
+int64_t ColumnVector::StringBytes() const {
+  int64_t bytes = 0;
+  if (generic_) {
+    for (const Value& v : values_) {
+      if (v.is_string()) bytes += static_cast<int64_t>(v.string().size());
+    }
+  } else if (type_ == TypeId::kString) {
+    // NULL slots hold empty placeholders, so they add nothing.
+    for (const std::string& s : strings_) {
+      bytes += static_cast<int64_t>(s.size());
+    }
+  }
+  return bytes;
+}
+
 int64_t RowBatch::ByteSize() const {
   int64_t bytes = 0;
   for (const ColumnVector& col : columns_) bytes += col.ByteSize();

@@ -149,6 +149,32 @@ class ColumnVector {
     nulls_.push_back(0);
   }
 
+  /// Appends cells `sel[0..]` of `src`, in order — AppendFrom over a
+  /// selection vector, with the storage decision made once per call
+  /// instead of once per cell when both sides share typed storage.
+  void AppendSelection(const ColumnVector& src,
+                       const std::vector<int32_t>& sel) {
+    if (generic_ || src.generic_ || type_ != src.type_) {
+      for (const int32_t i : sel) AppendFrom(src, i);
+      return;
+    }
+    // Null slots carry a zero/empty placeholder in typed storage, so
+    // copying them verbatim keeps that invariant.
+    for (const int32_t i : sel) nulls_.push_back(src.nulls_[i]);
+    switch (type_) {
+      case TypeId::kInt64:
+      case TypeId::kDate:
+        for (const int32_t i : sel) ints_.push_back(src.ints_[i]);
+        break;
+      case TypeId::kFloat64:
+        for (const int32_t i : sel) doubles_.push_back(src.doubles_[i]);
+        break;
+      case TypeId::kString:
+        for (const int32_t i : sel) strings_.push_back(src.strings_[i]);
+        break;
+    }
+  }
+
   bool IsNull(int64_t i) const { return nulls_[i] != 0; }
   const std::vector<uint8_t>& nulls() const { return nulls_; }
 
@@ -183,6 +209,11 @@ class ColumnVector {
   /// capacity. Called once per batch at accounting boundaries, not per
   /// cell.
   int64_t ByteSize() const;
+
+  /// Total length of the string payloads the column's cells would
+  /// materialize (NULL cells carry none). O(n) over string and generic
+  /// columns, O(1) otherwise.
+  int64_t StringBytes() const;
 
   /// Like GetValue but transfers ownership of string payloads out of the
   /// column (cell `i` is left empty). For sinks that materialize each batch
@@ -242,6 +273,23 @@ class RowBatch {
   static constexpr int64_t kDefaultCapacity = 1024;
 
   RowBatch() = default;
+  RowBatch(const RowBatch&) = default;
+  RowBatch& operator=(const RowBatch&) = default;
+  /// Moves leave the source empty (no rows, no columns), so a batch handed
+  /// over by move can never be read twice.
+  RowBatch(RowBatch&& other) noexcept
+      : schema_(other.schema_),
+        columns_(std::move(other.columns_)),
+        num_rows_(std::exchange(other.num_rows_, 0)) {
+    other.columns_.clear();
+  }
+  RowBatch& operator=(RowBatch&& other) noexcept {
+    schema_ = other.schema_;
+    columns_ = std::move(other.columns_);
+    num_rows_ = std::exchange(other.num_rows_, 0);
+    other.columns_.clear();
+    return *this;
+  }
 
   /// Points the batch at `schema` and clears it. The schema must outlive
   /// the batch. Cheap when the batch already uses the same schema object —
@@ -252,6 +300,11 @@ class RowBatch {
   void Clear();
 
   const Schema* schema() const { return schema_; }
+
+  /// Re-points the batch at `schema` without touching its columns. For a
+  /// batch handed across a stage boundary: its old schema pointer went
+  /// stale when the owning Table moved.
+  void Rebind(const Schema& schema) { schema_ = &schema; }
   int num_columns() const { return static_cast<int>(columns_.size()); }
   int64_t num_rows() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }

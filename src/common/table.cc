@@ -6,6 +6,27 @@
 
 namespace nestra {
 
+void Table::AppendBatch(RowBatch batch) {
+  if (batch.empty()) return;
+  if (!rows_.empty()) {
+    for (int64_t i = 0; i < batch.num_rows(); ++i) {
+      rows_.push_back(batch.TakeRow(i));
+    }
+    return;
+  }
+  batches_.push_back(std::move(batch));
+}
+
+void Table::Materialize() const {
+  rows_.reserve(static_cast<size_t>(num_rows()));
+  for (RowBatch& batch : batches_) {
+    for (int64_t i = 0; i < batch.num_rows(); ++i) {
+      rows_.push_back(batch.TakeRow(i));
+    }
+  }
+  batches_.clear();
+}
+
 Status Table::Append(Row row) {
   if (row.size() != schema_.num_fields()) {
     return Status::InvalidArgument(
@@ -13,7 +34,7 @@ Status Table::Append(Row row) {
         " does not match schema arity " +
         std::to_string(schema_.num_fields()));
   }
-  rows_.push_back(std::move(row));
+  rows().push_back(std::move(row));
   return Status::OK();
 }
 
@@ -25,13 +46,13 @@ Result<Table> Table::Project(const std::vector<std::string>& columns) const {
     indices.push_back(idx);
   }
   Table out(schema_.Select(indices));
-  out.Reserve(rows_.size());
-  for (const Row& r : rows_) out.AppendUnchecked(r.Select(indices));
+  out.Reserve(rows().size());
+  for (const Row& r : rows()) out.AppendUnchecked(r.Select(indices));
   return out;
 }
 
 Table Table::Sorted() const {
-  Table out(schema_, rows_);
+  Table out(schema_, rows());
   std::sort(out.rows_.begin(), out.rows_.end(),
             [](const Row& a, const Row& b) { return Row::Compare(a, b) < 0; });
   return out;

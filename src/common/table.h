@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/row.h"
+#include "common/row_batch.h"
 #include "common/schema.h"
 #include "common/status.h"
 
@@ -12,9 +13,14 @@ namespace nestra {
 
 /// \brief An in-memory flat relation: a schema plus a bag of rows.
 ///
-/// Tables are the materialized interchange format between pipeline stages;
-/// the volcano operators stream Rows and only materialize at pipeline
-/// breakers.
+/// Tables are the materialized interchange format between pipeline stages.
+/// The body is either rows or columnar — a list of non-empty RowBatches
+/// (DESIGN.md §8): a vectorized stage leaves its result as the batches it
+/// produced, and the next stage's TableSourceNode hands them on by move.
+/// The first rows() call turns a columnar body into rows, once and one way.
+/// That call mutates a const Table, which is safe under the engine's
+/// single-owner rule: a stage result has one reader at a time, and code
+/// that fans rows out to threads calls rows() before it forks.
 class Table {
  public:
   Table() = default;
@@ -23,17 +29,40 @@ class Table {
       : schema_(std::move(schema)), rows_(std::move(rows)) {}
 
   const Schema& schema() const { return schema_; }
-  const std::vector<Row>& rows() const { return rows_; }
-  std::vector<Row>& rows() { return rows_; }
-  int64_t num_rows() const { return static_cast<int64_t>(rows_.size()); }
+  const std::vector<Row>& rows() const {
+    if (!batches_.empty()) Materialize();
+    return rows_;
+  }
+  std::vector<Row>& rows() {
+    if (!batches_.empty()) Materialize();
+    return rows_;
+  }
+  int64_t num_rows() const {
+    if (batches_.empty()) return static_cast<int64_t>(rows_.size());
+    int64_t n = 0;
+    for (const RowBatch& batch : batches_) n += batch.num_rows();
+    return n;
+  }
+
+  /// True while the body is columnar (non-empty batches, no rows yet).
+  bool columnar() const { return !batches_.empty(); }
+  /// The columnar body; empty for a row-bodied table. Batches point at a
+  /// schema that may be stale — rebind before reading through schema().
+  const std::vector<RowBatch>& batches() const { return batches_; }
+  std::vector<RowBatch>& batches() { return batches_; }
+
+  /// Appends a batch's rows, keeping them columnar unless the table
+  /// already holds rows. Empty batches are dropped. Columns must match the
+  /// schema positionally.
+  void AppendBatch(RowBatch batch);
 
   /// Appends a row; fails if the arity does not match the schema.
   Status Append(Row row);
 
   /// Unchecked append for hot paths (arity must match).
-  void AppendUnchecked(Row row) { rows_.push_back(std::move(row)); }
+  void AppendUnchecked(Row row) { rows().push_back(std::move(row)); }
 
-  void Reserve(size_t n) { rows_.reserve(n); }
+  void Reserve(size_t n) { rows().reserve(n); }
 
   /// Projection onto the named columns (exact or unqualified names).
   Result<Table> Project(const std::vector<std::string>& columns) const;
@@ -47,8 +76,13 @@ class Table {
   std::string ToString(int max_rows = 50) const;
 
  private:
+  // Moves the columnar body into rows_ (string payloads move, not copy).
+  void Materialize() const;
+
   Schema schema_;
-  std::vector<Row> rows_;
+  // At most one of rows_ / batches_ is non-empty.
+  mutable std::vector<Row> rows_;
+  mutable std::vector<RowBatch> batches_;
 };
 
 }  // namespace nestra

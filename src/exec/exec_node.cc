@@ -150,9 +150,9 @@ namespace {
 Status DrainAllRowsImpl(ExecNode* node, bool vectorized,
                         std::vector<Row>* rows) {
   if (vectorized) {
-    // A TableSource already holds materialized rows; pulling them through
-    // a batch would transpose and re-materialize every one. The batch
-    // protocol hands over rows in bulk, so take them directly.
+    // A TableSource already holds a materialized table; take its rows in
+    // bulk (a columnar body turns into rows once, moving its strings)
+    // rather than copying each one through a batch.
     if (auto* source = dynamic_cast<TableSourceNode*>(node)) {
       if (source->TakeAllRows(rows)) return Status::OK();
     }
@@ -194,6 +194,41 @@ Status DrainAllRows(ExecNode* node, bool vectorized, std::vector<Row>* rows,
   return s;
 }
 
+Status DrainAllBatches(ExecNode* node, bool vectorized,
+                       std::vector<RowBatch>* batches, int64_t* bytes) {
+  RowBatch batch;
+  if (vectorized) {
+    bool eof = false;
+    while (true) {
+      NESTRA_RETURN_NOT_OK(node->NextBatch(&batch, &eof));
+      if (eof) break;
+      if (bytes != nullptr) *bytes += BatchRowBytes(batch);
+      batches->push_back(std::move(batch));
+    }
+    return Status::OK();
+  }
+  const auto flush = [&]() {
+    if (batch.empty()) return;
+    if (bytes != nullptr) *bytes += BatchRowBytes(batch);
+    batches->push_back(std::move(batch));
+  };
+  batch.Reset(node->output_schema());
+  Row row;
+  bool eof = false;
+  while (true) {
+    NESTRA_RETURN_NOT_OK(node->Next(&row, &eof));
+    if (eof) break;
+    if (batch.num_rows() == RowBatch::kDefaultCapacity) {
+      flush();
+      batch.Reset(node->output_schema());
+    }
+    batch.AppendRow(std::move(row));
+    row = Row();
+  }
+  flush();
+  return Status::OK();
+}
+
 Result<Table> CollectTable(ExecNode* node, bool vectorized, int64_t* bytes) {
   NESTRA_RETURN_NOT_OK(node->Open());
   Table out(node->output_schema());
@@ -203,10 +238,8 @@ Result<Table> CollectTable(ExecNode* node, bool vectorized, int64_t* bytes) {
     while (true) {
       NESTRA_RETURN_NOT_OK(node->NextBatch(&batch, &eof));
       if (eof) break;
-      for (int64_t i = 0; i < batch.num_rows(); ++i) {
-        out.AppendUnchecked(batch.TakeRow(i));
-        if (bytes != nullptr) *bytes += RowBytes(out.rows().back());
-      }
+      if (bytes != nullptr) *bytes += BatchRowBytes(batch);
+      out.AppendBatch(std::move(batch));
     }
     node->Close();
     return out;
@@ -225,11 +258,16 @@ Result<Table> CollectTable(ExecNode* node, bool vectorized, int64_t* bytes) {
 }
 
 Status TableSourceNode::OpenImpl() {
-  // TakeAllRows only ever runs against an opened node, so an Open that
-  // sees taken_ is a reopen — and the rows are gone.
+  // TakeAllRows and the batch hand-over only ever run against an opened
+  // node, so an Open that sees either is a reopen — and the data is gone.
   if (taken_) {
     return Status::Internal(
         "TableSource reopened after TakeAllRows moved its rows out; the "
+        "replay would be silently empty");
+  }
+  if (batches_out_ != 0) {
+    return Status::Internal(
+        "TableSource reopened after NextBatch handed its batches over; the "
         "replay would be silently empty");
   }
   pos_ = 0;
@@ -256,6 +294,10 @@ void TableSourceNode::ReleaseCharge() {
 }
 
 Status TableSourceNode::NextImpl(Row* out, bool* eof) {
+  if (batches_out_ != 0) {
+    return Status::Internal(
+        "TableSource read row by row after handing batches over");
+  }
   if (pos_ >= table_.num_rows()) {
     *eof = true;
     return Status::OK();
@@ -266,6 +308,15 @@ Status TableSourceNode::NextImpl(Row* out, bool* eof) {
 }
 
 Status TableSourceNode::NextBatchImpl(RowBatch* out, bool* eof) {
+  if (table_.columnar() && pos_ == 0) {
+    std::vector<RowBatch>& batches = table_.batches();
+    if (batches_out_ < batches.size()) {
+      *out = std::move(batches[batches_out_++]);
+      out->Rebind(table_.schema());
+    }
+    *eof = out->empty();
+    return Status::OK();
+  }
   const int64_t total = table_.num_rows();
   int64_t end = pos_ + RowBatch::kDefaultCapacity;
   if (end > total) end = total;

@@ -132,10 +132,11 @@ class ExecNode {
 using ExecNodePtr = std::unique_ptr<ExecNode>;
 
 /// Drains a node (Open/Next*/Close) into a materialized table. With
-/// `vectorized` the drain runs over NextBatch instead; the resulting table
-/// is cell-for-cell identical either way. When `bytes` is non-null it
-/// accumulates the logical byte footprint (RowBytes) of the collected rows
-/// during the existing drain loop — no extra pass.
+/// `vectorized` the drain runs over NextBatch and the table keeps the
+/// drained batches as its columnar body (Table); otherwise it holds rows.
+/// Either way the rows it yields are cell-for-cell identical. When `bytes`
+/// is non-null it accumulates the logical byte footprint of the collected
+/// rows (RowBytes, computed per batch by BatchRowBytes) — no extra pass.
 Result<Table> CollectTable(ExecNode* node, bool vectorized = false,
                            int64_t* bytes = nullptr);
 
@@ -143,15 +144,33 @@ Result<Table> CollectTable(ExecNode* node, bool vectorized = false,
 /// rows in identical order for both engines. With `vectorized` the drain
 /// runs over NextBatch, and a TableSourceNode child is drained by moving
 /// its rows out in bulk instead of round-tripping them through a batch.
-/// Used by materializing operators (hash join build/probe, sort). When
-/// `bytes` is non-null it accumulates the logical byte footprint of the
-/// rows appended by this call (identical for both engines — it is a pure
-/// function of row content).
+/// Used by the materializing operators that keep rows (the parallel hash
+/// probe and the mirrored build). When `bytes` is non-null it accumulates
+/// the logical byte footprint of the rows appended by this call
+/// (identical for both engines — it is a pure function of row content).
 Status DrainAllRows(ExecNode* node, bool vectorized, std::vector<Row>* rows,
                     int64_t* bytes = nullptr);
 
+/// Appends the full output of an already-opened node to `batches` as
+/// non-empty batches, the same rows in the same order for both engines.
+/// With `vectorized` the drain runs over NextBatch, so a columnar
+/// TableSourceNode hands its batches over by move; otherwise the rows from
+/// Next are packed into kDefaultCapacity-row batches. Used by the columnar
+/// breakers (sort, hash join build). `bytes` accumulates BatchRowBytes.
+Status DrainAllBatches(ExecNode* node, bool vectorized,
+                       std::vector<RowBatch>* batches,
+                       int64_t* bytes = nullptr);
+
 /// \brief Leaf node replaying an owned, already-materialized table.
 /// Used wherever an intermediate result re-enters the pipeline.
+///
+/// A columnar table's batches are handed over by move through NextBatch
+/// (re-pointed at this node's schema), so the stage boundary copies
+/// nothing; a row-bodied table is re-packed into batches, or replayed row
+/// by row through Next (which turns a columnar body into rows first). Once
+/// rows or batches were moved out the node cannot be reopened: OpenImpl
+/// fails loudly rather than silently replaying an emptied table (the
+/// stale-stats-on-reopen bug class).
 class TableSourceNode final : public ExecNode {
  public:
   explicit TableSourceNode(Table table) : table_(std::move(table)) {}
@@ -162,14 +181,12 @@ class TableSourceNode final : public ExecNode {
 
   /// Moves the not-yet-emitted rows out in one bulk transfer, as if the
   /// caller had drained them one call at a time (rows_out advances the
-  /// same way). Returns false — leaving the node untouched — when rows
-  /// were already emitted through Next/NextBatch. One-shot consumers that
-  /// materialize the whole input anyway (hash join build/probe) use this
-  /// to skip a per-row deep copy; afterwards the node cannot be reopened
-  /// (the rows are gone — OpenImpl fails loudly rather than silently
-  /// replaying an emptied table, the stale-stats-on-reopen bug class).
+  /// same way). Returns false — leaving the node untouched — when rows or
+  /// batches were already emitted through Next/NextBatch. One-shot
+  /// consumers that materialize the whole input anyway (the parallel hash
+  /// probe, the mirrored build) use this to skip a per-row deep copy.
   bool TakeAllRows(std::vector<Row>* out) {
-    if (pos_ != 0 || taken_) return false;
+    if (pos_ != 0 || batches_out_ != 0 || taken_) return false;
     taken_ = true;
     stats_.rows_out += table_.num_rows();
     if (out->empty()) {
@@ -188,8 +205,7 @@ class TableSourceNode final : public ExecNode {
  protected:
   /// Charges the table's logical bytes to the current query tracker (and
   /// fails with ResourceExhausted past the soft limit). A reopen after
-  /// TakeAllRows fails loudly — the rows are gone and the replay would be
-  /// silently empty.
+  /// TakeAllRows or a batch hand-over fails loudly.
   Status OpenImpl() override;
   Status NextImpl(Row* out, bool* eof) override;
   Status NextBatchImpl(RowBatch* out, bool* eof) override;
@@ -200,6 +216,8 @@ class TableSourceNode final : public ExecNode {
 
   Table table_;
   int64_t pos_ = 0;
+  // Columnar batches handed over so far.
+  size_t batches_out_ = 0;
   int64_t charged_bytes_ = 0;
   bool taken_ = false;
 };

@@ -1,5 +1,6 @@
 #include "exec/hash_join.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -74,6 +75,68 @@ void HashJoinNode::ReleaseMem(int64_t bytes) {
   }
 }
 
+namespace {
+
+// Packed reference to row `r` of batch `b`: (b << 32) | r.
+uint64_t BuildRef(size_t b, int64_t r) {
+  return (static_cast<uint64_t>(b) << 32) | static_cast<uint64_t>(r);
+}
+
+// Writes one SqlHash key combine per row of `batch` to hashes[0..n) and
+// the rows' NULL-key flags to nulls[0..n), column-at-a-time. Byte-identical
+// to SqlKeyHashOn over the materialized rows (kFnvOffsetBasis, then per key
+// column h ^= SqlHash; h *= kFnvPrime). With `nulls_only` just the flags.
+void HashKeyColumns(const RowBatch& batch, const std::vector<int>& key_idx,
+                    bool nulls_only, size_t* hashes, uint8_t* nulls) {
+  constexpr size_t kNullHash = 0x9e3779b97f4a7c15ULL;
+  constexpr size_t kNumericMix = 0xc4ceb9fe1a85ec53ULL;
+  const size_t n = static_cast<size_t>(batch.num_rows());
+  std::fill(nulls, nulls + n, uint8_t{0});
+  std::fill(hashes, hashes + n, nulls_only ? size_t{0} : kFnvOffsetBasis);
+  for (const int idx : key_idx) {
+    const ColumnVector& col = batch.column(idx);
+    const std::vector<uint8_t>& col_nulls = col.nulls();
+    if (nulls_only) {
+      for (size_t i = 0; i < n; ++i) {
+        if (col_nulls[i] != 0) nulls[i] = 1;
+      }
+      continue;
+    }
+    const bool generic = col.generic();
+    for (size_t i = 0; i < n; ++i) {
+      size_t vh = 0;
+      if (col_nulls[i] != 0) {
+        nulls[i] = 1;
+        vh = kNullHash;
+      } else if (generic) {
+        vh = col.GetValue(static_cast<int64_t>(i)).SqlHash();
+      } else {
+        switch (col.type()) {
+          case TypeId::kInt64:
+          case TypeId::kDate: {
+            const double d = static_cast<double>(col.ints()[i]);
+            vh = std::hash<double>()(d) ^ kNumericMix;
+            break;
+          }
+          case TypeId::kFloat64: {
+            double d = col.doubles()[i];
+            if (d == 0.0) d = 0.0;  // canonicalize -0.0, like SqlHash
+            vh = std::hash<double>()(d) ^ kNumericMix;
+            break;
+          }
+          case TypeId::kString:
+            vh = std::hash<std::string>()(col.strings()[i]);
+            break;
+        }
+      }
+      hashes[i] ^= vh;
+      hashes[i] *= kFnvPrime;
+    }
+  }
+}
+
+}  // namespace
+
 Status HashJoinNode::OpenImpl() {
   NESTRA_RETURN_NOT_OK(left_->Open());
   NESTRA_RETURN_NOT_OK(right_->Open());
@@ -90,9 +153,15 @@ Status HashJoinNode::OpenImpl() {
   }
   // Equi pairs come in matched (left, right) columns.
   NESTRA_DCHECK(left_key_idx_.size() == right_key_idx_.size());
+  residual_schema_ = Schema::Concat(ls, rs);
   NESTRA_ASSIGN_OR_RETURN(
-      bound_residual_,
-      BoundPredicate::Make(residual_.get(), Schema::Concat(ls, rs)));
+      bound_residual_, BoundPredicate::Make(residual_.get(), residual_schema_));
+  residual_compiled_ =
+      residual_ != nullptr &&
+      VectorizedPredicate::Compile(residual_.get(), residual_schema_,
+                                   &residual_vec_);
+  residual_cols_.clear();
+  if (residual_compiled_) residual_cols_ = residual_vec_.used_columns();
 
   pending_.clear();
   pending_pos_ = 0;
@@ -119,15 +188,23 @@ Status HashJoinNode::BuildTable() {
   flat_built_ = false;
   perfect_built_ = false;
   perfect_head_.clear();
+  build_batches_.clear();
+  build_refs_.clear();
 
   // Drain the child serially (Next/NextBatch is a serial protocol), then
-  // hash and partition the materialized rows in parallel.
-  std::vector<Row> rows;
+  // hash and partition the drained batches in parallel.
   int64_t build_bytes = 0;
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(right_.get(), vectorized_, &rows, &build_bytes));
-  build_rows_ = static_cast<int64_t>(rows.size());
+  NESTRA_RETURN_NOT_OK(DrainAllBatches(right_.get(), vectorized_,
+                                       &build_batches_, &build_bytes));
   NESTRA_RETURN_NOT_OK(ChargeMem(build_bytes));
+  const int64_t num_batches = static_cast<int64_t>(build_batches_.size());
+  std::vector<size_t> offsets(build_batches_.size() + 1, 0);
+  for (size_t b = 0; b < build_batches_.size(); ++b) {
+    const int64_t rows = build_batches_[b].num_rows();
+    offsets[b + 1] = offsets[b] + static_cast<size_t>(rows);
+    for (int64_t r = 0; r < rows; ++r) build_refs_.push_back(BuildRef(b, r));
+  }
+  build_rows_ = static_cast<int64_t>(build_refs_.size());
 
   const int64_t n = build_rows_;
   const size_t num_parts = num_threads_ > 1 ? static_cast<size_t>(num_threads_)
@@ -137,23 +214,14 @@ Status HashJoinNode::BuildTable() {
 
   std::vector<size_t> hashes(static_cast<size_t>(n));
   std::vector<uint8_t> has_null(static_cast<size_t>(n), 0);
-  ParallelForMorsels(n, num_threads_, [&](int64_t, int64_t begin,
-                                          int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const Row& r = rows[static_cast<size_t>(i)];
-      bool null_key = false;
-      for (const int idx : right_key_idx_) {
-        if (r[idx].is_null()) null_key = true;
-      }
-      has_null[static_cast<size_t>(i)] = null_key ? 1 : 0;
-      if (!null_key) {
-        hashes[static_cast<size_t>(i)] = SqlKeyHashOn(r, right_key_idx_);
-      }
-    }
+  ParallelForEach(num_batches, num_threads_, [&](int64_t b) {
+    const size_t sb = static_cast<size_t>(b);
+    HashKeyColumns(build_batches_[sb], right_key_idx_, /*nulls_only=*/false,
+                   hashes.data() + offsets[sb], has_null.data() + offsets[sb]);
   });
   // One serial pass: null-key detection for the null-aware antijoin, plus
   // the logical size of the key copies the partitioned build will make
-  // (only that build duplicates keys out of the rows).
+  // (only that build duplicates keys out of the build rows).
   int64_t key_bytes = 0;
   for (int64_t i = 0; i < n; ++i) {
     const size_t si = static_cast<size_t>(i);
@@ -162,25 +230,24 @@ Status HashJoinNode::BuildTable() {
       continue;
     }
     for (const int idx : right_key_idx_) {
-      key_bytes += ValueBytes(rows[si][idx]);
+      key_bytes += ValueBytes(BuildValue(static_cast<int32_t>(i), idx));
     }
   }
 
   // Perfect (dense-array) keying: single equality key over a hinted dense
   // int range. Validated against the actual rows, so a wrong hint falls
   // through to the generic builds below instead of corrupting results.
-  if (hints_.perfect && equi_.size() == 1 && TryPerfectBuild(&rows, has_null)) {
+  if (hints_.perfect && equi_.size() == 1 && TryPerfectBuild(has_null)) {
     return ChargeMem(
         static_cast<int64_t>(perfect_head_.size() * sizeof(int32_t) +
                              flat_next_.size() * sizeof(int32_t)));
   }
 
   if (vectorized_ && num_threads_ == 1) {
-    // Serial vectorized build: index chains over the materialized rows.
+    // Serial vectorized build: index chains over the build rows.
     // partitions_ would pay three allocations per insert (map node, key
     // vector, bucket vector); the chains pay none.
     flat_built_ = true;
-    flat_rows_ = std::move(rows);
     flat_hash_ = std::move(hashes);
     size_t num_buckets = 16;
     while (num_buckets < static_cast<size_t>(n) * 2) num_buckets <<= 1;
@@ -219,21 +286,24 @@ Status HashJoinNode::BuildTable() {
                           static_cast<size_t>(p)) {
                         continue;
                       }
-                      Row& row = rows[si];
+                      const uint64_t ref = build_refs_[si];
+                      const RowBatch& batch = build_batches_[ref >> 32];
+                      const int64_t r =
+                          static_cast<int64_t>(ref & 0xffffffffU);
                       std::vector<Value> key;
                       key.reserve(right_key_idx_.size());
                       for (const int idx : right_key_idx_) {
-                        key.push_back(row[idx]);
+                        key.push_back(batch.column(idx).GetValue(r));
                       }
-                      buckets[std::move(key)].push_back(std::move(row));
+                      buckets[std::move(key)].push_back(
+                          static_cast<int32_t>(i));
                     }
                   });
   return ChargeMem(key_bytes);
 }
 
-bool HashJoinNode::TryPerfectBuild(std::vector<Row>* rows,
-                                   const std::vector<uint8_t>& has_null) {
-  const int64_t n = static_cast<int64_t>(rows->size());
+bool HashJoinNode::TryPerfectBuild(const std::vector<uint8_t>& has_null) {
+  const int64_t n = build_rows_;
   const int64_t min = hints_.perfect_min;
   const int64_t max = hints_.perfect_max;
   if (max < min) return false;
@@ -245,11 +315,10 @@ bool HashJoinNode::TryPerfectBuild(std::vector<Row>* rows,
   // build, never to wrong results.
   for (int64_t i = 0; i < n; ++i) {
     if (has_null[static_cast<size_t>(i)] != 0) continue;
-    const Value& v = (*rows)[static_cast<size_t>(i)][key_idx];
+    const Value v = BuildValue(static_cast<int32_t>(i), key_idx);
     if (!v.is_int() || v.int64() < min || v.int64() > max) return false;
   }
   perfect_built_ = true;
-  flat_rows_ = std::move(*rows);
   perfect_head_.assign(static_cast<size_t>(span), -1);
   flat_next_.assign(static_cast<size_t>(n), -1);
   // Reverse insertion order, like the flat build: push-front leaves every
@@ -257,8 +326,8 @@ bool HashJoinNode::TryPerfectBuild(std::vector<Row>* rows,
   for (int64_t i = n - 1; i >= 0; --i) {
     const size_t si = static_cast<size_t>(i);
     if (has_null[si] != 0) continue;
-    const size_t slot =
-        static_cast<size_t>(flat_rows_[si][key_idx].int64() - min);
+    const size_t slot = static_cast<size_t>(
+        BuildValue(static_cast<int32_t>(i), key_idx).int64() - min);
     flat_next_[si] = perfect_head_[slot];
     perfect_head_[slot] = static_cast<int32_t>(i);
   }
@@ -282,144 +351,96 @@ bool HashJoinNode::DenseKeyOf(const Value& v, int64_t* key) const {
   return true;
 }
 
-void HashJoinNode::GatherFlatCandidates(const std::vector<Value>& key,
-                                        size_t h) const {
-  flat_candidates_.clear();
-  for (int32_t j = flat_head_[h & flat_mask_]; j >= 0; j = flat_next_[j]) {
-    const size_t sj = static_cast<size_t>(j);
+Row HashJoinNode::ConcatBuildRow(const Row& left_row, int32_t j) const {
+  const uint64_t ref = build_refs_[static_cast<size_t>(j)];
+  const RowBatch& batch = build_batches_[ref >> 32];
+  const int64_t r = static_cast<int64_t>(ref & 0xffffffffU);
+  std::vector<Value> values;
+  values.reserve(static_cast<size_t>(left_row.size() + right_width_));
+  values.insert(values.end(), left_row.values().begin(),
+                left_row.values().end());
+  for (int c = 0; c < right_width_; ++c) {
+    values.push_back(batch.column(c).GetValue(r));
+  }
+  return Row(std::move(values));
+}
+
+void HashJoinNode::PerfectCandidates(int64_t key,
+                                     std::vector<int32_t>* out) const {
+  for (int32_t j = perfect_head_[static_cast<size_t>(key -
+                                                     hints_.perfect_min)];
+       j >= 0; j = flat_next_[static_cast<size_t>(j)]) {
+    out->push_back(j);
+  }
+}
+
+void HashJoinNode::GatherCandidates(const std::vector<Value>& key, size_t h,
+                                    std::vector<int32_t>* out) const {
+  if (!flat_built_) {
+    const Buckets& buckets = partitions_[h % partitions_.size()];
+    const auto it = buckets.find(key);
+    if (it != buckets.end()) {
+      out->insert(out->end(), it->second.begin(), it->second.end());
+    }
+    return;
+  }
+  for (int32_t j = flat_head_[h & flat_mask_]; j >= 0;
+       j = flat_next_[static_cast<size_t>(j)]) {
     // Equal keys always hash equal (SqlHash is consistent with
     // TotalOrderCompare), so a hash mismatch can never hide a match.
-    if (flat_hash_[sj] != h) continue;
-    const Row& row = flat_rows_[sj];
+    if (flat_hash_[static_cast<size_t>(j)] != h) continue;
     bool equal = true;
     for (size_t k = 0; k < right_key_idx_.size(); ++k) {
-      if (Value::TotalOrderCompare(key[k], row[right_key_idx_[k]]) != 0) {
+      const Value cell = BuildValue(j, right_key_idx_[k]);
+      if (Value::TotalOrderCompare(key[k], cell) != 0) {
         equal = false;
         break;
       }
     }
-    if (equal) flat_candidates_.push_back(&row);
+    if (equal) out->push_back(j);
   }
 }
 
-void HashJoinNode::ProbeRowPerfect(const Row& left_row,
-                                   std::vector<const Row*>* scratch,
-                                   std::vector<Row>* out) const {
-  // Caller-owned scratch: the perfect probe runs under ParallelProbe too,
-  // where concurrent morsels must not share a candidate buffer.
-  const Value& v = left_row[left_key_idx_[0]];
+void HashJoinNode::ProbeRow(const Row& left_row,
+                            std::vector<int32_t>* scratch,
+                            std::vector<Row>* out) const {
   scratch->clear();
-  const bool probe_null = v.is_null();
-  int64_t key = 0;
-  if (!probe_null && DenseKeyOf(v, &key)) {
-    for (int32_t j = perfect_head_[static_cast<size_t>(key -
-                                                       hints_.perfect_min)];
-         j >= 0; j = flat_next_[j]) {
-      scratch->push_back(&flat_rows_[static_cast<size_t>(j)]);
+  bool probe_null = false;
+  if (perfect_built_) {
+    const Value& v = left_row[left_key_idx_[0]];
+    probe_null = v.is_null();
+    int64_t key = 0;
+    if (!probe_null && DenseKeyOf(v, &key)) PerfectCandidates(key, scratch);
+  } else {
+    std::vector<Value> key;
+    key.reserve(left_key_idx_.size());
+    for (const int idx : left_key_idx_) {
+      if (left_row[idx].is_null()) probe_null = true;
+      key.push_back(left_row[idx]);
     }
+    if (!probe_null) GatherCandidates(key, SqlValueKeyHash{}(key), scratch);
   }
   EmitMatches(left_row, probe_null, *scratch, out);
 }
 
 void HashJoinNode::EmitMatches(const Row& left_row, bool probe_null,
-                               const std::vector<const Row*>& candidates,
+                               const std::vector<int32_t>& candidates,
                                std::vector<Row>* out) const {
-  // Mirrors ProbeRow below over an already-gathered candidate list.
   bool matched = false;
-  for (const Row* right_row : candidates) {
-    Row combined = Row::Concat(left_row, *right_row);
+  for (const int32_t j : candidates) {
+    Row combined = ConcatBuildRow(left_row, j);
     if (!bound_residual_.Matches(combined)) continue;
     matched = true;
     if (join_type_ == JoinType::kInner ||
         join_type_ == JoinType::kLeftOuter) {
+      // Joins never rename: the concatenated row is exactly as wide as
+      // the schema fixed at construction.
       NESTRA_DCHECK(combined.size() == schema_.num_fields());
       out->push_back(std::move(combined));
       continue;
     }
+    // Semi/anti flavors decide on the first residual-passing match.
     break;
-  }
-
-  switch (join_type_) {
-    case JoinType::kInner:
-      break;
-    case JoinType::kLeftSemi:
-      if (matched) out->push_back(left_row);
-      break;
-    case JoinType::kLeftOuter:
-      if (!matched) {
-        NESTRA_DCHECK(left_row.size() + right_width_ == schema_.num_fields());
-        out->push_back(Row::Concat(left_row, Row::Nulls(right_width_)));
-      }
-      break;
-    case JoinType::kLeftAnti:
-      if (!matched) out->push_back(left_row);
-      break;
-    case JoinType::kLeftAntiNullAware: {
-      if (matched) break;
-      if (build_rows_ == 0) {
-        out->push_back(left_row);
-        break;
-      }
-      if (!probe_null && !build_has_null_key_) out->push_back(left_row);
-      break;
-    }
-  }
-}
-
-void HashJoinNode::ProbeRow(const Row& left_row, std::vector<Row>* out) const {
-  if (perfect_built_) {
-    // Serial callers share flat_candidates_ as scratch; ParallelProbe calls
-    // ProbeRowPerfect directly with a per-morsel buffer instead.
-    ProbeRowPerfect(left_row, &flat_candidates_, out);
-    return;
-  }
-  if (flat_built_) {
-    bool probe_null = false;
-    std::vector<Value> key;
-    key.reserve(left_key_idx_.size());
-    for (const int idx : left_key_idx_) {
-      if (left_row[idx].is_null()) probe_null = true;
-      key.push_back(left_row[idx]);
-    }
-    flat_candidates_.clear();
-    if (!probe_null) GatherFlatCandidates(key, SqlValueKeyHash{}(key));
-    EmitMatches(left_row, probe_null, flat_candidates_, out);
-    return;
-  }
-  const std::vector<Row>* candidates = nullptr;
-  bool probe_null = false;
-  {
-    std::vector<Value> key;
-    key.reserve(left_key_idx_.size());
-    for (const int idx : left_key_idx_) {
-      if (left_row[idx].is_null()) probe_null = true;
-      key.push_back(left_row[idx]);
-    }
-    if (!probe_null) {
-      const size_t h = SqlValueKeyHash{}(key);
-      const Buckets& buckets = partitions_[h % partitions_.size()];
-      const auto it = buckets.find(key);
-      if (it != buckets.end()) candidates = &it->second;
-    }
-  }
-
-  bool matched = false;
-  if (candidates != nullptr) {
-    for (const Row& right_row : *candidates) {
-      Row combined = Row::Concat(left_row, right_row);
-      if (!bound_residual_.Matches(combined)) continue;
-      matched = true;
-      if (join_type_ == JoinType::kInner ||
-          join_type_ == JoinType::kLeftOuter) {
-        // Joins never rename: the concatenated row is exactly as wide as
-        // the schema fixed at construction.
-        NESTRA_DCHECK(combined.size() == schema_.num_fields());
-        out->push_back(std::move(combined));
-        continue;
-      }
-      // Semi/anti flavors decide on the first residual-passing match.
-      break;
-    }
   }
 
   switch (join_type_) {
@@ -472,14 +493,10 @@ Status HashJoinNode::ParallelProbe() {
                        std::vector<Row>& out = slots[static_cast<size_t>(m)];
                        // Per-morsel candidate scratch: the shared
                        // flat_candidates_ buffer is serial-only.
-                       std::vector<const Row*> scratch;
+                       std::vector<int32_t> scratch;
                        for (int64_t i = begin; i < end; ++i) {
-                         const Row& row = probe_rows[static_cast<size_t>(i)];
-                         if (perfect_built_) {
-                           ProbeRowPerfect(row, &scratch, &out);
-                         } else {
-                           ProbeRow(row, &out);
-                         }
+                         ProbeRow(probe_rows[static_cast<size_t>(i)],
+                                  &scratch, &out);
                        }
                      });
 
@@ -752,135 +769,119 @@ Status HashJoinNode::NextImpl(Row* out, bool* eof) {
       continue;
     }
     ++probe_count_;
-    ProbeRow(left_row, &pending_);
+    ProbeRow(left_row, &flat_candidates_, &pending_);
   }
   *out = std::move(pending_[pending_pos_++]);
   *eof = false;
   return Status::OK();
 }
 
-void HashJoinNode::HashProbeBatch() {
-  // One SqlHash key combine per row, column-at-a-time; byte-identical to
-  // SqlKeyHashOn over the materialized row (kFnvOffsetBasis, then per key
-  // column h ^= SqlHash; h *= kFnvPrime).
-  constexpr size_t kNullHash = 0x9e3779b97f4a7c15ULL;
-  constexpr size_t kNumericMix = 0xc4ceb9fe1a85ec53ULL;
-  const size_t n = static_cast<size_t>(probe_batch_.num_rows());
-  if (perfect_built_) {
-    // The perfect probe indexes by value, not hash — only the NULL flags
-    // are needed. Skipping the hash pass is most of the perfect join's win
-    // on the batch path.
-    probe_hashes_.assign(n, 0);
-    probe_null_.assign(n, 0);
-    for (const int idx : left_key_idx_) {
-      const std::vector<uint8_t>& nulls = probe_batch_.column(idx).nulls();
-      for (size_t i = 0; i < n; ++i) {
-        if (nulls[i] != 0) probe_null_[i] = 1;
-      }
-    }
-    return;
-  }
-  probe_hashes_.assign(n, kFnvOffsetBasis);
-  probe_null_.assign(n, 0);
-  for (const int idx : left_key_idx_) {
-    const ColumnVector& col = probe_batch_.column(idx);
-    const std::vector<uint8_t>& nulls = col.nulls();
-    const bool generic = col.generic();
-    for (size_t i = 0; i < n; ++i) {
-      size_t vh = 0;
-      if (nulls[i] != 0) {
-        probe_null_[i] = 1;
-        vh = kNullHash;
-      } else if (generic) {
-        vh = col.GetValue(static_cast<int64_t>(i)).SqlHash();
-      } else {
-        switch (col.type()) {
-          case TypeId::kInt64:
-          case TypeId::kDate: {
-            const double d = static_cast<double>(col.ints()[i]);
-            vh = std::hash<double>()(d) ^ kNumericMix;
-            break;
-          }
-          case TypeId::kFloat64: {
-            double d = col.doubles()[i];
-            if (d == 0.0) d = 0.0;  // canonicalize -0.0, like SqlHash
-            vh = std::hash<double>()(d) ^ kNumericMix;
-            break;
-          }
-          case TypeId::kString:
-            vh = std::hash<std::string>()(col.strings()[i]);
-            break;
-        }
-      }
-      probe_hashes_[i] ^= vh;
-      probe_hashes_[i] *= kFnvPrime;
-    }
-  }
-}
+void HashJoinNode::LoadProbeBatch() {
+  const int64_t n = probe_batch_.num_rows();
+  const size_t sn = static_cast<size_t>(n);
+  probe_hashes_.resize(sn);
+  probe_null_.resize(sn);
+  // The perfect probe indexes by value, not hash — only the NULL flags
+  // are needed. Skipping the hash pass is most of the perfect join's win
+  // on the batch path.
+  HashKeyColumns(probe_batch_, left_key_idx_, /*nulls_only=*/perfect_built_,
+                 probe_hashes_.data(), probe_null_.data());
 
-int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
-  const bool probe_null = probe_null_[static_cast<size_t>(i)] != 0;
-  flat_candidates_.clear();
-  if (!probe_null) {
+  pair_begin_.assign(sn + 1, 0);
+  pair_build_.clear();
+  for (int64_t i = 0; i < n; ++i) {
+    const size_t si = static_cast<size_t>(i);
+    pair_begin_[si] = static_cast<int32_t>(pair_build_.size());
+    if (probe_null_[si] != 0) continue;
     if (perfect_built_) {
       const ColumnVector& col = probe_batch_.column(left_key_idx_[0]);
       int64_t key = 0;
       bool in_range;
       if (!col.generic() && (col.type() == TypeId::kInt64 ||
                              col.type() == TypeId::kDate)) {
-        key = col.ints()[static_cast<size_t>(i)];
+        key = col.ints()[si];
         in_range = key >= hints_.perfect_min && key <= hints_.perfect_max;
       } else {
         in_range = DenseKeyOf(col.GetValue(i), &key);
       }
-      if (in_range) {
-        for (int32_t j = perfect_head_[static_cast<size_t>(
-                 key - hints_.perfect_min)];
-             j >= 0; j = flat_next_[j]) {
-          flat_candidates_.push_back(&flat_rows_[static_cast<size_t>(j)]);
+      if (in_range) PerfectCandidates(key, &pair_build_);
+      continue;
+    }
+    scratch_key_.clear();
+    for (const int idx : left_key_idx_) {
+      scratch_key_.push_back(probe_batch_.column(idx).GetValue(i));
+    }
+    GatherCandidates(scratch_key_, probe_hashes_[si], &pair_build_);
+  }
+  pair_begin_[sn] = static_cast<int32_t>(pair_build_.size());
+  if (!residual_compiled_ || pair_build_.empty()) return;
+
+  // The residual runs once over every candidate pair of the batch: gather
+  // the columns it reads (probe cells repeated per pair, build cells by
+  // reference) into one combined batch and select the survivors.
+  const int left_width = probe_batch_.num_columns();
+  pair_batch_.Reset(residual_schema_);
+  for (const int c : residual_cols_) {
+    ColumnVector& dst = pair_batch_.column(c);
+    if (c < left_width) {
+      const ColumnVector& src = probe_batch_.column(c);
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t si = static_cast<size_t>(i);
+        for (int32_t k = pair_begin_[si]; k < pair_begin_[si + 1]; ++k) {
+          dst.AppendFrom(src, i);
         }
       }
-    } else {
-      scratch_key_.clear();
-      for (const int idx : left_key_idx_) {
-        scratch_key_.push_back(probe_batch_.column(idx).GetValue(i));
-      }
-      const size_t h = probe_hashes_[static_cast<size_t>(i)];
-      if (flat_built_) {
-        GatherFlatCandidates(scratch_key_, h);
-      } else {
-        const Buckets& buckets = partitions_[h % partitions_.size()];
-        const auto it = buckets.find(scratch_key_);
-        if (it != buckets.end()) {
-          for (const Row& r : it->second) flat_candidates_.push_back(&r);
-        }
-      }
+      continue;
+    }
+    for (const int32_t j : pair_build_) {
+      const uint64_t ref = build_refs_[static_cast<size_t>(j)];
+      dst.AppendFrom(build_batches_[ref >> 32].column(c - left_width),
+                     static_cast<int64_t>(ref & 0xffffffffU));
     }
   }
+  pair_batch_.set_num_rows(static_cast<int64_t>(pair_build_.size()));
+  residual_vec_.Select(pair_batch_, &pair_sel_);
+  pair_pass_.assign(pair_build_.size(), 0);
+  for (const int32_t k : pair_sel_) pair_pass_[static_cast<size_t>(k)] = 1;
+}
+
+int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
+  const size_t si = static_cast<size_t>(i);
+  const bool probe_null = probe_null_[si] != 0;
+  const int32_t begin = pair_begin_[si];
+  const int32_t end = pair_begin_[si + 1];
 
   const int left_width = probe_batch_.num_columns();
   int64_t emitted = 0;
   bool matched = false;
   const bool combining = join_type_ == JoinType::kInner ||
                          join_type_ == JoinType::kLeftOuter;
-  if (!flat_candidates_.empty()) {
-    if (combining && bound_residual_.always_true()) {
-      // Hot path: no residual — left cells copy typed storage to typed
-      // storage, right cells come straight from the build rows.
-      for (const Row* right_row : flat_candidates_) {
+  const bool no_residual = bound_residual_.always_true();
+  if (begin < end) {
+    if (combining && (no_residual || residual_compiled_)) {
+      // Hot path: left cells copy from the probe batch, right cells from
+      // the build batches, typed storage to typed storage.
+      for (int32_t k = begin; k < end; ++k) {
+        if (!no_residual && pair_pass_[static_cast<size_t>(k)] == 0) continue;
         matched = true;
+        const uint64_t ref =
+            build_refs_[static_cast<size_t>(pair_build_[static_cast<size_t>(k)])];
+        const RowBatch& build = build_batches_[ref >> 32];
+        const int64_t r = static_cast<int64_t>(ref & 0xffffffffU);
         for (int c = 0; c < left_width; ++c) {
           out->column(c).AppendFrom(probe_batch_.column(c), i);
         }
         for (int c = 0; c < right_width_; ++c) {
-          out->column(left_width + c).Append((*right_row)[c]);
+          out->column(left_width + c).AppendFrom(build.column(c), r);
         }
         ++emitted;
       }
     } else if (combining) {
+      // Uncompiled residual: judge each candidate on the concatenated row.
       const Row left_row = probe_batch_.MaterializeRow(i);
-      for (const Row* right_row : flat_candidates_) {
-        Row combined = Row::Concat(left_row, *right_row);
+      for (int32_t k = begin; k < end; ++k) {
+        Row combined =
+            ConcatBuildRow(left_row, pair_build_[static_cast<size_t>(k)]);
         if (!bound_residual_.Matches(combined)) continue;
         matched = true;
         NESTRA_DCHECK(combined.size() == schema_.num_fields());
@@ -889,20 +890,22 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
         }
         ++emitted;
       }
-    } else if (bound_residual_.always_true()) {
+    } else if (no_residual) {
       matched = true;
+    } else if (residual_compiled_) {
+      for (int32_t k = begin; k < end && !matched; ++k) {
+        matched = pair_pass_[static_cast<size_t>(k)] != 0;
+      }
     } else {
       const Row left_row = probe_batch_.MaterializeRow(i);
-      for (const Row* right_row : flat_candidates_) {
-        if (bound_residual_.Matches(Row::Concat(left_row, *right_row))) {
-          matched = true;
-          break;
-        }
+      for (int32_t k = begin; k < end && !matched; ++k) {
+        matched = bound_residual_.Matches(
+            ConcatBuildRow(left_row, pair_build_[static_cast<size_t>(k)]));
       }
     }
   }
 
-  // Per-row epilogue, mirroring ProbeRow exactly.
+  // Per-row epilogue, mirroring EmitMatches exactly.
   bool emit_left_only = false;
   switch (join_type_) {
     case JoinType::kInner:
@@ -966,7 +969,7 @@ Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
       }
       probe_pos_ = 0;
       probe_count_ += probe_batch_.num_rows();
-      HashProbeBatch();
+      LoadProbeBatch();
     }
     while (probe_pos_ < probe_batch_.num_rows() &&
            emitted < RowBatch::kDefaultCapacity) {
@@ -985,14 +988,18 @@ void HashJoinNode::CloseImpl() {
   ReleaseMem(charged_mem_);
   partitions_.clear();
   pending_.clear();
+  build_batches_.clear();
+  build_refs_.clear();
   flat_built_ = false;
-  flat_rows_.clear();
   flat_hash_.clear();
   flat_head_.clear();
   flat_next_.clear();
   flat_candidates_.clear();
   perfect_built_ = false;
   perfect_head_.clear();
+  pair_begin_.clear();
+  pair_build_.clear();
+  pair_pass_.clear();
   materialized_ = false;
   left_->Close();
   right_->Close();

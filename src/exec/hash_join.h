@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/hash_key.h"
+#include "common/row_batch.h"
+#include "exec/batch_predicate.h"
 #include "exec/exec_node.h"
 #include "exec/join_hints.h"
 #include "exec/join_type.h"
@@ -33,13 +35,16 @@ namespace nestra {
 /// int64 key matches a float64 key of equal numeric value, exactly as the
 /// nested-loop join's `Value::Apply(kEq)` would.
 ///
-/// With `num_threads > 1` the build hashes the materialized right input in
-/// parallel and inserts into `num_threads` hash-partitioned tables (each
-/// partition scans rows in arrival order, so bucket candidate order — and
-/// therefore output order — matches the serial build exactly); the probe
-/// materializes the left input and probes it in row-range morsels whose
-/// per-morsel outputs are concatenated in morsel order. Both sides are
-/// byte-identical to the serial `num_threads == 1` streaming path.
+/// The build side is drained as batches and stays columnar: every table
+/// layout indexes its rows by arrival ordinal, and the vectorized probe
+/// copies matched build cells straight from the build columns. With
+/// `num_threads > 1` the build hashes the batches in parallel and inserts
+/// into `num_threads` hash-partitioned tables (each partition scans rows in
+/// arrival order, so bucket candidate order — and therefore output order —
+/// matches the serial build exactly); the probe materializes the left input
+/// as rows and probes it in row-range morsels whose per-morsel outputs are
+/// concatenated in morsel order. Both sides are byte-identical to the
+/// serial `num_threads == 1` streaming path.
 class HashJoinNode final : public ExecNode {
  public:
   /// With `vectorized` the build and probe inputs are drained via
@@ -80,43 +85,53 @@ class HashJoinNode final : public ExecNode {
   void CloseImpl() override;
 
  private:
-  using Buckets = std::unordered_map<std::vector<Value>, std::vector<Row>,
+  // Build rows are addressed by arrival ordinal j; the partitioned table
+  // maps a key to the ordinals of its rows, in arrival order.
+  using Buckets = std::unordered_map<std::vector<Value>, std::vector<int32_t>,
                                      SqlValueKeyHash, SqlValueKeyEq>;
 
-  // Drains the right child and builds the partitioned hash table.
+  // Drains the right child as batches and builds the hash table over them.
   Status BuildTable();
   // Dense-array build over the single equality key; false (leaving the
-  // rows untouched) when a key violates the hinted [min, max] int range.
-  bool TryPerfectBuild(std::vector<Row>* rows,
-                       const std::vector<uint8_t>& has_null);
+  // build untouched) when a key violates the hinted [min, max] int range.
+  bool TryPerfectBuild(const std::vector<uint8_t>& has_null);
   // Maps a probe key value to its dense array key; false when the value
   // cannot equal any build key (NULL-free non-integral or out of range).
   bool DenseKeyOf(const Value& v, int64_t* key) const;
+  // Cell `c` of build row j.
+  Value BuildValue(int32_t j, int c) const {
+    const uint64_t ref = build_refs_[static_cast<size_t>(j)];
+    return build_batches_[ref >> 32].column(c).GetValue(
+        static_cast<int64_t>(ref & 0xffffffffU));
+  }
+  // `left_row` ++ build row j.
+  Row ConcatBuildRow(const Row& left_row, int32_t j) const;
+  // Appends the build rows on `key`'s perfect-array chain to `out`.
+  void PerfectCandidates(int64_t key, std::vector<int32_t>* out) const;
+  // Appends the build rows whose key equals `key` (combined hash `h`) to
+  // `out`, in arrival order, from the flat or partitioned table.
+  void GatherCandidates(const std::vector<Value>& key, size_t h,
+                        std::vector<int32_t>* out) const;
   // Emits every output row produced by one probe row (matches in build
-  // order, then the per-row outer/anti epilogue). Thread-safe.
-  void ProbeRow(const Row& left_row, std::vector<Row>* out) const;
-  // ProbeRow against the perfect array; `scratch` holds the candidate list
-  // so concurrent morsels never share state.
-  void ProbeRowPerfect(const Row& left_row,
-                       std::vector<const Row*>* scratch,
-                       std::vector<Row>* out) const;
-  // The shared per-probe-row epilogue over an already-gathered candidate
-  // list (matches in candidate order, then outer/anti handling).
+  // order, then the per-row outer/anti epilogue). Thread-safe: `scratch`
+  // holds the candidate list, so concurrent morsels never share state.
+  void ProbeRow(const Row& left_row, std::vector<int32_t>* scratch,
+                std::vector<Row>* out) const;
+  // The per-probe-row epilogue over an already-gathered candidate list
+  // (matches in candidate order, then outer/anti handling).
   void EmitMatches(const Row& left_row, bool probe_null,
-                   const std::vector<const Row*>& candidates,
+                   const std::vector<int32_t>& candidates,
                    std::vector<Row>* out) const;
-  // Fills flat_candidates_ with the build rows whose key equals `key`
-  // (combined hash `h`), in arrival order.
-  void GatherFlatCandidates(const std::vector<Value>& key, size_t h) const;
   // Materializes the left input and probes it with row-range morsels.
   Status ParallelProbe();
   // hints_.build_left: hashes the left input instead and streams the right
   // past it, re-emitting in left order; fills pending_ with the whole
   // result (byte-identical to the default build).
   Status MirroredBuildProbe();
-  // Fills probe_hashes_ / probe_null_ for the current probe batch, one
-  // SqlHash key combine per row, column-at-a-time.
-  void HashProbeBatch();
+  // Prepares the just-fetched probe batch: hashes its keys, gathers every
+  // row's candidate build rows into the pair lists, and runs the compiled
+  // residual once over all (probe row, build row) pairs.
+  void LoadProbeBatch();
   // Probes row `i` of probe_batch_, appending outputs to `out` columns
   // (without touching the batch row count); returns rows appended.
   int64_t ProbeBatchRow(int64_t i, RowBatch* out);
@@ -140,32 +155,41 @@ class HashJoinNode final : public ExecNode {
 
   std::vector<int> left_key_idx_;
   std::vector<int> right_key_idx_;
-  BoundPredicate bound_residual_;  // over left ++ right
+  Schema residual_schema_;         // left ++ right, unpadded
+  BoundPredicate bound_residual_;  // over residual_schema_
+  // The residual compiled to batch kernels (streaming vectorized probe);
+  // when it does not compile, that probe concatenates rows instead.
+  VectorizedPredicate residual_vec_;
+  bool residual_compiled_ = false;
+  std::vector<int> residual_cols_;
+
+  // The build side stays in the batches it was drained as; build_refs_[j]
+  // packs build row j's (batch << 32 | row), in arrival order. Every table
+  // layout below indexes build rows by that ordinal j.
+  std::vector<RowBatch> build_batches_;
+  std::vector<uint64_t> build_refs_;
 
   std::vector<Buckets> partitions_;
   bool build_has_null_key_ = false;  // for kLeftAntiNullAware
   int64_t build_rows_ = 0;
 
-  // Flat chained hash table used by the serial vectorized build: the
-  // drained rows stay in flat_rows_ and buckets are index chains
-  // (flat_head_ per bucket, flat_next_ per row) kept in arrival order, so
-  // candidate enumeration — and therefore output order — matches the
-  // bucketed build exactly, without a node/key/bucket allocation per
-  // insert. partitions_ stays empty while this is active.
+  // Flat chained hash table used by the serial vectorized build: buckets
+  // are index chains (flat_head_ per bucket, flat_next_ per build row) kept
+  // in arrival order, so candidate enumeration — and therefore output
+  // order — matches the bucketed build exactly, without a node/key/bucket
+  // allocation per insert. partitions_ stays empty while this is active.
   bool flat_built_ = false;
-  std::vector<Row> flat_rows_;
   std::vector<size_t> flat_hash_;
   std::vector<int32_t> flat_head_;
   std::vector<int32_t> flat_next_;
   size_t flat_mask_ = 0;
-  // Scratch for the current probe's key-equal candidates; the flat table
-  // only exists in serial execution, so one shared scratch is safe.
-  mutable std::vector<const Row*> flat_candidates_;
+  // Serial-path scratch for one probe row's key-equal candidates.
+  mutable std::vector<int32_t> flat_candidates_;
 
-  // Perfect (dense-array) table: build rows stay in flat_rows_ and each
-  // array slot heads an arrival-order index chain through flat_next_ —
-  // direct indexing by key - perfect_min, no hashing. Engages only when
-  // TryPerfectBuild validated every build key against the hinted range.
+  // Perfect (dense-array) table: each array slot heads an arrival-order
+  // index chain through flat_next_ — direct indexing by key - perfect_min,
+  // no hashing. Engages only when TryPerfectBuild validated every build
+  // key against the hinted range.
   bool perfect_built_ = false;
   std::vector<int32_t> perfect_head_;
 
@@ -181,13 +205,20 @@ class HashJoinNode final : public ExecNode {
   // Bytes currently charged to the query tracker (released in CloseImpl).
   int64_t charged_mem_ = 0;
 
-  // Vectorized streaming-probe state.
+  // Vectorized streaming-probe state. Probe row i's candidates are
+  // pair_build_[pair_begin_[i] .. pair_begin_[i + 1]); pair_pass_ flags
+  // the pairs the compiled residual accepted.
   bool vectorized_ = false;
   RowBatch probe_batch_;
   std::vector<size_t> probe_hashes_;
   std::vector<uint8_t> probe_null_;
   int64_t probe_pos_ = 0;
   std::vector<Value> scratch_key_;
+  std::vector<int32_t> pair_begin_;
+  std::vector<int32_t> pair_build_;
+  std::vector<uint8_t> pair_pass_;
+  std::vector<int32_t> pair_sel_;
+  RowBatch pair_batch_;
 };
 
 }  // namespace nestra

@@ -1,6 +1,7 @@
 #include "exec/sort.h"
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/memory_tracker.h"
 #include "common/parallel_sort.h"
@@ -8,32 +9,116 @@
 namespace nestra {
 
 namespace {
-// Rough in-memory footprint of a row: variant header per value plus string
-// payload. Only computed when profiling is on (it walks every value).
-int64_t ApproxRowBytes(const Row& row) {
-  int64_t bytes = 0;
-  for (const Value& v : row.values()) {
-    bytes += static_cast<int64_t>(sizeof(Value));
-    if (v.is_string()) bytes += static_cast<int64_t>(v.string().size());
-  }
-  return bytes;
+
+// Packed reference to row `r` of batch `b` (see SortNode::order_).
+uint64_t Ref(size_t b, int64_t r) {
+  return (static_cast<uint64_t>(b) << 32) | static_cast<uint64_t>(r);
 }
+
+int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
+
+// One sort key's cells gathered in input order, so the comparator indexes
+// contiguous arrays by input ordinal. Typed when every batch stores the
+// key column in its declared typed storage; otherwise (mixed or generic
+// cells) the cells are kept as Values for Value::TotalOrderCompare.
+struct KeyColumn {
+  enum class Kind { kInt, kFloat, kString, kValue };
+  Kind kind = Kind::kValue;
+  bool ascending = true;
+  std::vector<uint8_t> nulls;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<const std::string*> strings;  // into the drained batches
+  std::vector<Value> values;
+
+  // Value::TotalOrderCompare of input rows a and b: NULLs first; int/date
+  // and double by < and > (a NaN ties with everything); strings by
+  // compare.
+  int Compare(uint32_t a, uint32_t b) const {
+    const bool an = nulls[a] != 0;
+    const bool bn = nulls[b] != 0;
+    if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
+    switch (kind) {
+      case Kind::kInt:
+        return ints[a] < ints[b] ? -1 : (ints[a] > ints[b] ? 1 : 0);
+      case Kind::kFloat:
+        return doubles[a] < doubles[b] ? -1
+                                       : (doubles[a] > doubles[b] ? 1 : 0);
+      case Kind::kString:
+        return Sign(strings[a]->compare(*strings[b]));
+      case Kind::kValue:
+        return Value::TotalOrderCompare(values[a], values[b]);
+    }
+    return 0;
+  }
+};
+
+KeyColumn GatherKey(const std::vector<RowBatch>& batches, int idx,
+                    TypeId type, bool ascending, int64_t n) {
+  KeyColumn key;
+  key.ascending = ascending;
+  bool typed = true;
+  for (const RowBatch& b : batches) {
+    const ColumnVector& col = b.column(idx);
+    typed = typed && !col.generic() && col.type() == type;
+  }
+  if (typed) {
+    switch (type) {
+      case TypeId::kInt64:
+      case TypeId::kDate:
+        key.kind = KeyColumn::Kind::kInt;
+        break;
+      case TypeId::kFloat64:
+        key.kind = KeyColumn::Kind::kFloat;
+        break;
+      case TypeId::kString:
+        key.kind = KeyColumn::Kind::kString;
+        break;
+    }
+  }
+  key.nulls.reserve(static_cast<size_t>(n));
+  for (const RowBatch& b : batches) {
+    const ColumnVector& col = b.column(idx);
+    key.nulls.insert(key.nulls.end(), col.nulls().begin(), col.nulls().end());
+    switch (key.kind) {
+      case KeyColumn::Kind::kInt:
+        key.ints.insert(key.ints.end(), col.ints().begin(), col.ints().end());
+        break;
+      case KeyColumn::Kind::kFloat:
+        key.doubles.insert(key.doubles.end(), col.doubles().begin(),
+                           col.doubles().end());
+        break;
+      case KeyColumn::Kind::kString:
+        for (const std::string& str : col.strings()) {
+          key.strings.push_back(&str);
+        }
+        break;
+      case KeyColumn::Kind::kValue:
+        for (int64_t r = 0; r < b.num_rows(); ++r) {
+          key.values.push_back(col.GetValue(r));
+        }
+        break;
+    }
+  }
+  return key;
+}
+
 }  // namespace
 
 Status SortNode::OpenImpl() {
   NESTRA_RETURN_NOT_OK(child_->Open());
-  key_indices_.clear();
-  key_asc_.clear();
+  const Schema& schema = child_->output_schema();
+  std::vector<int> key_indices;
   for (const SortKey& k : keys_) {
-    NESTRA_ASSIGN_OR_RETURN(int idx, child_->output_schema().Resolve(k.column));
-    key_indices_.push_back(idx);
-    key_asc_.push_back(k.ascending);
+    NESTRA_ASSIGN_OR_RETURN(int idx, schema.Resolve(k.column));
+    key_indices.push_back(idx);
   }
-  rows_.clear();
+  batches_.clear();
+  order_.clear();
   pos_ = 0;
   charged_bytes_ = 0;
   NESTRA_RETURN_NOT_OK(
-      DrainAllRows(child_.get(), vectorized_, &rows_, &charged_bytes_));
+      DrainAllBatches(child_.get(), vectorized_, &batches_, &charged_bytes_));
   // Always-on byte accounting for the sort buffer: the drain already
   // computed the logical footprint, so this is just bookkeeping.
   stats_.mem_bytes = charged_bytes_;
@@ -41,29 +126,51 @@ Status SortNode::OpenImpl() {
   if (QueryMemoryTracker* mem = CurrentQueryMemory()) {
     NESTRA_RETURN_NOT_OK(mem->Charge(charged_bytes_));
   }
-  // Stable sort keeps input order within equal keys, which makes nested
-  // groups deterministic for tests — and makes the parallel sort's output
-  // identical to the serial one.
+
+  int64_t n = 0;
+  for (const RowBatch& b : batches_) n += b.num_rows();
+  std::vector<KeyColumn> keys;
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    const int idx = key_indices[k];
+    keys.push_back(GatherKey(batches_, idx, schema.field(idx).type,
+                             keys_[k].ascending, n));
+  }
+  // Stable sort of input ordinals keeps input order within equal keys,
+  // which makes nested groups deterministic for tests — and makes the
+  // parallel sort's output identical to the serial one.
+  std::vector<uint32_t> perm(static_cast<size_t>(n));
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<uint32_t>(i);
   ParallelStableSort(
-      &rows_,
-      [this](const Row& a, const Row& b) {
-        for (size_t i = 0; i < key_indices_.size(); ++i) {
-          const int c =
-              Value::TotalOrderCompare(a[key_indices_[i]], b[key_indices_[i]]);
-          if (c != 0) return key_asc_[i] ? c < 0 : c > 0;
+      &perm,
+      [&keys](uint32_t a, uint32_t b) {
+        for (const KeyColumn& key : keys) {
+          const int c = key.Compare(a, b);
+          if (c != 0) return key.ascending ? c < 0 : c > 0;
         }
         return false;
       },
       num_threads_);
-  stats_.sort_rows += static_cast<int64_t>(rows_.size());
+  std::vector<uint64_t> refs;
+  refs.reserve(static_cast<size_t>(n));
+  for (size_t b = 0; b < batches_.size(); ++b) {
+    for (int64_t r = 0; r < batches_[b].num_rows(); ++r) {
+      refs.push_back(Ref(b, r));
+    }
+  }
+  order_.reserve(perm.size());
+  for (const uint32_t i : perm) order_.push_back(refs[i]);
+  stats_.sort_rows += n;
   if (timing_) {
-    for (const Row& r : rows_) stats_.sort_bytes += ApproxRowBytes(r);
+    // The sorted payload: the drained bytes without the row headers.
+    stats_.sort_bytes +=
+        charged_bytes_ - n * static_cast<int64_t>(sizeof(Row));
   }
   return Status::OK();
 }
 
 void SortNode::CloseImpl() {
-  rows_.clear();
+  batches_.clear();
+  order_.clear();
   if (charged_bytes_ != 0) {
     if (QueryMemoryTracker* mem = CurrentQueryMemory()) {
       mem->Release(charged_bytes_);
@@ -75,21 +182,30 @@ void SortNode::CloseImpl() {
 }
 
 Status SortNode::NextImpl(Row* out, bool* eof) {
-  if (pos_ >= rows_.size()) {
+  if (pos_ >= order_.size()) {
     *eof = true;
     return Status::OK();
   }
   *eof = false;
-  *out = std::move(rows_[pos_++]);
+  // Every reference is emitted exactly once, so its cells can move out.
+  const uint64_t ref = order_[pos_++];
+  *out = batches_[ref >> 32].TakeRow(static_cast<int64_t>(ref & 0xffffffffU));
   return Status::OK();
 }
 
 Status SortNode::NextBatchImpl(RowBatch* out, bool* eof) {
   size_t end = pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity);
-  if (end > rows_.size()) end = rows_.size();
-  for (; pos_ < end; ++pos_) {
-    out->AppendRow(std::move(rows_[pos_]));
+  if (end > order_.size()) end = order_.size();
+  for (int c = 0; c < out->num_columns(); ++c) {
+    ColumnVector& dst = out->column(c);
+    for (size_t k = pos_; k < end; ++k) {
+      const uint64_t ref = order_[k];
+      dst.AppendFrom(batches_[ref >> 32].column(c),
+                     static_cast<int64_t>(ref & 0xffffffffU));
+    }
   }
+  out->set_num_rows(static_cast<int64_t>(end - pos_));
+  pos_ = end;
   *eof = out->empty();
   return Status::OK();
 }

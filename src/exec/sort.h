@@ -1,6 +1,7 @@
 #ifndef NESTRA_EXEC_SORT_H_
 #define NESTRA_EXEC_SORT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,13 +20,19 @@ struct SortKey {
 /// sort-based nest rides on: the "only the deepest nesting involves true
 /// physical reordering" optimization (§4.2.1) is one SortNode for all levels.
 ///
-/// With `num_threads > 1` the materialized input is sorted by a parallel
-/// stable merge sort; the stable order is unique, so the result is
-/// element-for-element identical to the serial sort.
+/// The input is drained into batches (columnar; a TableSourceNode hands
+/// its batches over by move), each key column is gathered into one typed
+/// array, and a permutation of the input rows is stable-sorted over those
+/// arrays — the order std::stable_sort with Value::TotalOrderCompare gives
+/// the rows. NextBatch gathers the permuted rows column by column;
+/// Next materializes one row. With `num_threads > 1` the permutation is
+/// sorted by a parallel stable merge sort; the stable order is unique, so
+/// the result is element-for-element identical to the serial sort.
 class SortNode final : public ExecNode {
  public:
   /// With `vectorized` the input is drained via NextBatch, so batch-capable
-  /// children run columnar; the materialized rows are identical either way.
+  /// children run columnar; otherwise Next's rows are packed into batches.
+  /// The sorted rows are identical either way.
   SortNode(ExecNodePtr child, std::vector<SortKey> keys, int num_threads = 1,
            bool vectorized = false)
       : child_(std::move(child)),
@@ -51,9 +58,10 @@ class SortNode final : public ExecNode {
   std::vector<SortKey> keys_;
   int num_threads_ = 1;
   bool vectorized_ = false;
-  std::vector<int> key_indices_;
-  std::vector<bool> key_asc_;
-  std::vector<Row> rows_;
+  std::vector<RowBatch> batches_;
+  // The sorted permutation of packed row references: row r of batches_[b]
+  // is (b << 32) | r.
+  std::vector<uint64_t> order_;
   size_t pos_ = 0;
   int64_t charged_bytes_ = 0;
 };

@@ -122,12 +122,13 @@ bool GranuleRejected(const ZoneEntry& z, const ZoneTerm& t) {
 // (granules are whole pages, so the charges equal a row-at-a-time pass),
 // selects its survivors with the compiled predicate straight off the
 // mirror's typed columns (or with the row BoundPredicate when `compiled` is
-// null), and gathers each survivor's `cols` (indices into `schema`) from the
-// granule's typed columns — cell-for-cell the row store's Values, by the
-// mirror's contract. At one thread the granules run inline into the output;
-// otherwise ParallelForEach runs one slot per granule and the slots
-// concatenate in order. Rows, row order and IoSim totals are therefore the
-// same for every thread count and engine.
+// null), and gathers the survivors' `cols` (indices into `schema`) from the
+// granule's typed columns into one output batch — cell-for-cell the row
+// store's Values, by the mirror's contract. The result is columnar: one
+// batch per granule with survivors, in table order. At one thread the
+// granules run inline; otherwise ParallelForEach runs one slot per granule
+// and the slots concatenate in order. Rows, row order and IoSim totals are
+// therefore the same for every thread count and engine.
 Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
                          const std::vector<int>& cols, const Expr* pred,
                          const VectorizedPredicate* compiled,
@@ -144,10 +145,11 @@ Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
   const auto granule_of = [&](int64_t k) {
     return kept != nullptr ? (*kept)[static_cast<size_t>(k)] : k;
   };
+  Table out{schema.Select(cols)};
   std::vector<IoSim::RangeCounts> io(static_cast<size_t>(units));
-  // Appends the survivors of the k-th walked granule to `dst`.
+  // Gathers the survivors of the k-th walked granule into `dst`.
   const auto scan_granule = [&](int64_t k, std::vector<int32_t>* sel,
-                                std::vector<Row>* dst) {
+                                RowBatch* dst) {
     const int64_t g = granule_of(k);
     const RowBatch& batch = mirror.granule(g);
     const int64_t begin = mirror.GranuleBegin(g);
@@ -169,37 +171,33 @@ Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
         }
       }
     }
-    for (const int32_t s : *sel) {
-      std::vector<Value> values;
-      values.reserve(cols.size());
-      for (const int c : cols) values.push_back(batch.column(c).GetValue(s));
-      dst->emplace_back(std::move(values));
+    dst->Reset(out.schema());
+    if (sel->empty()) return;
+    for (size_t j = 0; j < cols.size(); ++j) {
+      dst->column(static_cast<int>(j))
+          .AppendSelection(batch.column(cols[j]), *sel);
     }
+    dst->set_num_rows(static_cast<int64_t>(sel->size()));
   };
   int64_t scanned_rows = 0;
   for (int64_t k = 0; k < units; ++k) {
     const int64_t g = granule_of(k);
     scanned_rows += mirror.GranuleEnd(g) - mirror.GranuleBegin(g);
   }
-  Table out{schema.Select(cols)};
   if (num_threads <= 1) {
-    // Worst case every scanned row survives; one up-front allocation of
-    // the row headers beats log(n) grow-and-move cycles.
-    out.Reserve(static_cast<size_t>(scanned_rows));
     std::vector<int32_t> sel;
-    for (int64_t k = 0; k < units; ++k) scan_granule(k, &sel, &out.rows());
+    for (int64_t k = 0; k < units; ++k) {
+      RowBatch batch;
+      scan_granule(k, &sel, &batch);
+      out.AppendBatch(std::move(batch));
+    }
   } else {
-    std::vector<std::vector<Row>> slots(static_cast<size_t>(units));
+    std::vector<RowBatch> slots(static_cast<size_t>(units));
     ParallelForEach(units, num_threads, [&](int64_t k) {
       std::vector<int32_t> sel;
       scan_granule(k, &sel, &slots[static_cast<size_t>(k)]);
     });
-    size_t survivors = 0;
-    for (const std::vector<Row>& slot : slots) survivors += slot.size();
-    out.Reserve(survivors);
-    for (std::vector<Row>& slot : slots) {
-      for (Row& r : slot) out.AppendUnchecked(std::move(r));
-    }
+    for (RowBatch& slot : slots) out.AppendBatch(std::move(slot));
   }
   if (kept != nullptr && telemetry::MetricsEnabled()) {
     const telemetry::EngineMetrics& m = telemetry::Metrics();
@@ -619,6 +617,9 @@ Result<Table> FinalizeRootOutput(const QueryBlock& root, Table rel,
   int64_t out_bytes = 0;
   NESTRA_ASSIGN_OR_RETURN(Table out,
                           CollectTable(node.get(), vectorized, &out_bytes));
+  // Stage results stay columnar inside the engine; the query result that
+  // leaves it is always row-bodied.
+  out.rows();
   FlushOperatorMetrics(*node);
   NESTRA_RETURN_NOT_OK(
       FoldStageMem(&timer, out_bytes, TreePeakMemBytes(*node) + out_bytes));

@@ -6,8 +6,9 @@
 // adapter-fallback operator (aggregate, distinct, the joins) drained via
 // NextBatch does not replay as instantly-empty and does not double-count
 // rows_out. The one deliberate exception — TableSourceNode after
-// TakeAllRows moved its rows out — must fail LOUDLY on reopen instead of
-// silently replaying an emptied table.
+// TakeAllRows moved its rows out, or after NextBatch handed a columnar
+// table's batches over — must fail LOUDLY on reopen instead of silently
+// replaying an emptied table.
 
 #include <gtest/gtest.h>
 
@@ -237,6 +238,80 @@ TEST(ExecReopenTest, TableSourceAfterTakeAllRowsFailsLoudly) {
   EXPECT_FALSE(reopen.ok());
   EXPECT_NE(reopen.ToString().find("TakeAllRows"), std::string::npos)
       << reopen.ToString();
+}
+
+// LeftTable's rows as a columnar table of two batches (3 + 2 rows).
+Table ColumnarLeftTable() {
+  const Table rows = LeftTable();
+  Table table(rows.schema());
+  RowBatch batch;
+  batch.Reset(table.schema());
+  for (size_t i = 0; i < rows.rows().size(); ++i) {
+    batch.AppendRow(rows.rows()[i]);
+    if (i == 2) {
+      table.AppendBatch(std::move(batch));
+      batch = RowBatch();
+      batch.Reset(table.schema());
+    }
+  }
+  table.AppendBatch(std::move(batch));
+  return table;
+}
+
+// A columnar TableSource hands its batches over by move, so — like
+// TakeAllRows — a reopen cannot replay them and must fail loudly.
+TEST(ExecReopenTest, TableSourceAfterBatchHandOverFailsLoudly) {
+  TableSourceNode node(ColumnarLeftTable());
+  RunSnapshot first;
+  ASSERT_OK(DrainOnce(&node, /*use_batches=*/true, &first));
+  EXPECT_EQ(first.stats.batches_out, 2);
+  EXPECT_EQ(first.stats.rows_out, 5);
+  RunSnapshot expected;
+  expected.rows = LeftTable().rows();
+  ExpectSameRows(expected, first, "columnar hand-over");
+
+  const Status reopen = node.Open();
+  EXPECT_FALSE(reopen.ok());
+  EXPECT_NE(reopen.ToString().find("handed its batches over"),
+            std::string::npos)
+      << reopen.ToString();
+}
+
+// The row protocol over a columnar table materializes it once and then
+// replays like a row table, reopen included.
+TEST(ExecReopenTest, ColumnarTableSourceReplaysThroughRowProtocol) {
+  TableSourceNode node(ColumnarLeftTable());
+  RunSnapshot first;
+  RunSnapshot second;
+  ASSERT_OK(DrainOnce(&node, /*use_batches=*/false, &first));
+  ASSERT_OK(DrainOnce(&node, /*use_batches=*/false, &second));
+  RunSnapshot expected;
+  expected.rows = LeftTable().rows();
+  ExpectSameRows(expected, first, "first run");
+  ExpectSameRows(expected, second, "reopened run");
+}
+
+// TakeAllRows on a columnar table returns exactly what it returns on the
+// row table, and leaves the node as unreopenable.
+TEST(ExecReopenTest, TakeAllRowsOnColumnarTableMatchesRowTable) {
+  std::vector<Row> from_rows;
+  std::vector<Row> from_batches;
+  TableSourceNode row_node(LeftTable());
+  TableSourceNode batch_node(ColumnarLeftTable());
+  ASSERT_OK(row_node.Open());
+  ASSERT_OK(batch_node.Open());
+  ASSERT_TRUE(row_node.TakeAllRows(&from_rows));
+  ASSERT_TRUE(batch_node.TakeAllRows(&from_batches));
+  EXPECT_EQ(batch_node.stats().rows_out, row_node.stats().rows_out);
+  RunSnapshot want;
+  RunSnapshot got;
+  want.rows = std::move(from_rows);
+  got.rows = std::move(from_batches);
+  ASSERT_EQ(got.rows.size(), 5u);
+  ExpectSameRows(want, got, "TakeAllRows");
+  batch_node.Close();
+  row_node.Close();
+  EXPECT_FALSE(batch_node.Open().ok());
 }
 
 // TakeAllRows after partial emission must refuse (the hybrid would drop the

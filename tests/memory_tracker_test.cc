@@ -25,7 +25,9 @@
 
 #include "common/date.h"
 #include "common/memory_tracker.h"
+#include "common/row_batch.h"
 #include "common/table.h"
+#include "exec/exec_node.h"
 #include "nra/executor.h"
 #include "nra/profile.h"
 #include "server/connection_manager.h"
@@ -167,6 +169,87 @@ TEST(MemoryTrackerTest, LogicalBytesBoundLiveContainers) {
                 static_cast<int64_t>(r.values().size() * sizeof(Value)));
   EXPECT_EQ(ValueBytes(S("abcd")),
             static_cast<int64_t>(sizeof(Value)) + 4);
+}
+
+// ---------- Columnar byte parity ----------
+
+// Per-column logical bytes (BatchRowBytes, TableBytes of a columnar table,
+// CollectTable's drain bytes) must equal the RowBytes sum over the rows the
+// batches materialize to, so switching a stage result between rows and
+// batches never moves a reported peak.
+TEST(MemoryTrackerTest, ColumnarBytesEqualRowBytes) {
+  // k_gen is declared int64 but holds doubles and strings too, so its
+  // batches go generic.
+  const Schema schema({Field("k_int", TypeId::kInt64),
+                       Field("k_date", TypeId::kDate),
+                       Field("k_dbl", TypeId::kFloat64),
+                       Field("k_str", TypeId::kString),
+                       Field("k_gen", TypeId::kInt64)});
+  const auto make_rows = [](int64_t n) {
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < n; ++i) {
+      const bool null = i % 7 == 3;
+      const std::string str(static_cast<size_t>(i % 5), 'x');  // "" too
+      Value gen = i % 3 == 0   ? Value::Int64(i)
+                  : i % 3 == 1 ? Value::Float64(0.5 * static_cast<double>(i))
+                               : Value::String(str + "g");
+      rows.push_back(Row({null ? Value::Null() : I(i),
+                          i % 11 == 0 ? Value::Null() : Value::Date(i % 400),
+                          null ? Value::Null() : Value::Float64(i * 0.25),
+                          i % 13 == 5 ? Value::Null() : S(str),
+                          i % 9 == 4 ? Value::Null() : std::move(gen)}));
+    }
+    return rows;
+  };
+  for (const int64_t n : {int64_t{0}, int64_t{1}, int64_t{1023},
+                          int64_t{1024}, int64_t{2500}}) {
+    const std::vector<Row> rows = make_rows(n);
+    int64_t expected = 0;
+    for (const Row& r : rows) expected += RowBytes(r);
+    EXPECT_EQ(TableBytes(Table(schema, rows)), expected) << "rows " << n;
+    for (const int64_t batch_rows :
+         {int64_t{1}, int64_t{1023}, int64_t{1024}}) {
+      const std::string context =
+          "rows " + std::to_string(n) + " batch " + std::to_string(batch_rows);
+      Table table(schema);
+      RowBatch batch;
+      batch.Reset(table.schema());
+      int64_t batch_sum = 0;
+      const auto flush = [&]() {
+        batch_sum += BatchRowBytes(batch);
+        table.AppendBatch(std::move(batch));
+        batch = RowBatch();
+        batch.Reset(table.schema());
+      };
+      for (const Row& r : rows) {
+        batch.AppendRow(r);
+        if (batch.num_rows() == batch_rows) flush();
+      }
+      flush();
+      EXPECT_EQ(table.columnar(), n > 0) << context;
+      EXPECT_EQ(table.num_rows(), n) << context;
+      EXPECT_EQ(batch_sum, expected) << context;
+      EXPECT_EQ(TableBytes(table), expected) << context;
+
+      // CollectTable's drain bytes over a batch hand-over, and the bytes
+      // of the columnar table it keeps.
+      int64_t collected_bytes = 0;
+      TableSourceNode source(table);
+      Result<Table> collected =
+          CollectTable(&source, /*vectorized=*/true, &collected_bytes);
+      ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+      EXPECT_EQ(collected_bytes, expected) << context;
+      EXPECT_EQ(TableBytes(*collected), expected) << context;
+
+      // Materializing keeps bytes and rows exactly.
+      ASSERT_EQ(table.rows().size(), rows.size()) << context;
+      EXPECT_FALSE(table.columnar()) << context;
+      EXPECT_EQ(TableBytes(table), expected) << context;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_TRUE(table.rows()[i] == rows[i]) << context << " row " << i;
+      }
+    }
+  }
 }
 
 // ---------- End-to-end properties on TPC-H ----------
