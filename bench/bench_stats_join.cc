@@ -1,7 +1,7 @@
 // A/B benchmark for cost-driven planning from load-time statistics
 // (DESIGN.md §13): the perfect (dense-array) hash join against the generic
-// chained hash table, the build-side swap, the end-to-end cost_based
-// planner, and zone-map granule pruning on base scans.
+// chained hash table, the end-to-end cost_based planner, and zone-map
+// granule pruning on base scans.
 //
 // Series (each strictly interleaved, min-of-N, identity-checked on the
 // first iteration):
@@ -9,8 +9,6 @@
 //    dense o_orderkey key: default hints (generic table) versus the
 //    perfect-keying hints the estimator derives from column min/max. Same
 //    inputs, same output order; only the internal table layout differs.
-//  * StatsJoin/BuildSwap/row — default build on the 4x-larger right input
-//    versus the hinted left build with the right side streamed past it.
 //  * StatsJoin/EndToEnd/* — full SQL under cost_based=false vs. the
 //    default cost_based=true, so every gate (strategy hints, rewrites,
 //    pruning) participates.
@@ -281,14 +279,6 @@ void RegisterAll() {
                perfect, /*vectorized=*/false);
   RegisterJoin("StatsJoin/PerfectJoin/batch", *probe, *build, on_orderkey,
                perfect, /*vectorized=*/true);
-
-  // Swap: default plan builds on the 4x-larger right input; the hint
-  // builds left and streams the big side past it.
-  JoinBuildHints swap;
-  swap.build_left = true;
-  const std::vector<EquiPair> on_orderkey_rev = {{"o_orderkey", "l_orderkey"}};
-  RegisterJoin("StatsJoin/BuildSwap/row", *build, *probe, on_orderkey_rev,
-               swap, /*vectorized=*/false);
 
   // End-to-end: the full cost-based planner against the flag-only plan.
   // Fanout ~1 keeps the rewrite gates off (pure strategy-hint effect)...

@@ -146,54 +146,6 @@ void ExecNode::EnableTimingRecursive() {
   for (ExecNode* child : children()) child->EnableTimingRecursive();
 }
 
-namespace {
-Status DrainAllRowsImpl(ExecNode* node, bool vectorized,
-                        std::vector<Row>* rows) {
-  if (vectorized) {
-    // A TableSource already holds a materialized table; take its rows in
-    // bulk (a columnar body turns into rows once, moving its strings)
-    // rather than copying each one through a batch.
-    if (auto* source = dynamic_cast<TableSourceNode*>(node)) {
-      if (source->TakeAllRows(rows)) return Status::OK();
-    }
-    RowBatch batch;
-    bool eof = false;
-    while (true) {
-      NESTRA_RETURN_NOT_OK(node->NextBatch(&batch, &eof));
-      if (eof) break;
-      for (int64_t i = 0; i < batch.num_rows(); ++i) {
-        rows->push_back(batch.TakeRow(i));
-      }
-    }
-    return Status::OK();
-  }
-  Row row;
-  bool eof = false;
-  while (true) {
-    NESTRA_RETURN_NOT_OK(node->Next(&row, &eof));
-    if (eof) break;
-    rows->push_back(std::move(row));
-    row = Row();
-  }
-  return Status::OK();
-}
-}  // namespace
-
-Status DrainAllRows(ExecNode* node, bool vectorized, std::vector<Row>* rows,
-                    int64_t* bytes) {
-  const size_t before = rows->size();
-  Status s = DrainAllRowsImpl(node, vectorized, rows);
-  if (s.ok() && bytes != nullptr) {
-    // One suffix walk per drain (a materialization boundary, never a
-    // per-row path). RowBytes is a pure function of row content, so both
-    // engines report identical drain bytes.
-    for (size_t i = before; i < rows->size(); ++i) {
-      *bytes += RowBytes((*rows)[i]);
-    }
-  }
-  return s;
-}
-
 Status DrainAllBatches(ExecNode* node, bool vectorized,
                        std::vector<RowBatch>* batches, int64_t* bytes) {
   RowBatch batch;
@@ -258,13 +210,8 @@ Result<Table> CollectTable(ExecNode* node, bool vectorized, int64_t* bytes) {
 }
 
 Status TableSourceNode::OpenImpl() {
-  // TakeAllRows and the batch hand-over only ever run against an opened
-  // node, so an Open that sees either is a reopen — and the data is gone.
-  if (taken_) {
-    return Status::Internal(
-        "TableSource reopened after TakeAllRows moved its rows out; the "
-        "replay would be silently empty");
-  }
+  // The batch hand-over only ever runs against an opened node, so an Open
+  // that sees it is a reopen — and the data is gone.
   if (batches_out_ != 0) {
     return Status::Internal(
         "TableSource reopened after NextBatch handed its batches over; the "
@@ -282,9 +229,7 @@ Status TableSourceNode::OpenImpl() {
   return Status::OK();
 }
 
-void TableSourceNode::CloseImpl() { ReleaseCharge(); }
-
-void TableSourceNode::ReleaseCharge() {
+void TableSourceNode::CloseImpl() {
   if (charged_bytes_ == 0) return;
   if (QueryMemoryTracker* mem = CurrentQueryMemory()) {
     mem->Release(charged_bytes_);

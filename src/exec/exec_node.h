@@ -140,17 +140,6 @@ using ExecNodePtr = std::unique_ptr<ExecNode>;
 Result<Table> CollectTable(ExecNode* node, bool vectorized = false,
                            int64_t* bytes = nullptr);
 
-/// Appends the full output of an already-opened node to `rows`, identical
-/// rows in identical order for both engines. With `vectorized` the drain
-/// runs over NextBatch, and a TableSourceNode child is drained by moving
-/// its rows out in bulk instead of round-tripping them through a batch.
-/// Used by the materializing operators that keep rows (the parallel hash
-/// probe and the mirrored build). When `bytes` is non-null it accumulates
-/// the logical byte footprint of the rows appended by this call
-/// (identical for both engines — it is a pure function of row content).
-Status DrainAllRows(ExecNode* node, bool vectorized, std::vector<Row>* rows,
-                    int64_t* bytes = nullptr);
-
 /// Appends the full output of an already-opened node to `batches` as
 /// non-empty batches, the same rows in the same order for both engines.
 /// With `vectorized` the drain runs over NextBatch, so a columnar
@@ -179,47 +168,21 @@ class TableSourceNode final : public ExecNode {
   std::string name() const override { return "TableSource"; }
   PipelineRole role() const override { return PipelineRole::kSource; }
 
-  /// Moves the not-yet-emitted rows out in one bulk transfer, as if the
-  /// caller had drained them one call at a time (rows_out advances the
-  /// same way). Returns false — leaving the node untouched — when rows or
-  /// batches were already emitted through Next/NextBatch. One-shot
-  /// consumers that materialize the whole input anyway (the parallel hash
-  /// probe, the mirrored build) use this to skip a per-row deep copy.
-  bool TakeAllRows(std::vector<Row>* out) {
-    if (pos_ != 0 || batches_out_ != 0 || taken_) return false;
-    taken_ = true;
-    stats_.rows_out += table_.num_rows();
-    if (out->empty()) {
-      *out = std::move(table_.rows());
-    } else {
-      for (Row& row : table_.rows()) out->push_back(std::move(row));
-    }
-    table_.rows().clear();
-    // The rows (and their byte charge) now belong to the consumer, which
-    // accounts them through its own drain; releasing here keeps every byte
-    // charged exactly once.
-    ReleaseCharge();
-    return true;
-  }
-
  protected:
   /// Charges the table's logical bytes to the current query tracker (and
-  /// fails with ResourceExhausted past the soft limit). A reopen after
-  /// TakeAllRows or a batch hand-over fails loudly.
+  /// fails with ResourceExhausted past the soft limit). A reopen after a
+  /// batch hand-over fails loudly.
   Status OpenImpl() override;
   Status NextImpl(Row* out, bool* eof) override;
   Status NextBatchImpl(RowBatch* out, bool* eof) override;
   void CloseImpl() override;
 
  private:
-  void ReleaseCharge();
-
   Table table_;
   int64_t pos_ = 0;
   // Columnar batches handed over so far.
   size_t batches_out_ = 0;
   int64_t charged_bytes_ = 0;
-  bool taken_ = false;
 };
 
 }  // namespace nestra

@@ -44,13 +44,7 @@ HashJoinNode::HashJoinNode(ExecNodePtr left, ExecNodePtr right,
 }
 
 std::string HashJoinNode::detail() const {
-  std::string d;
-  if (hints_.build_left) d = "build=left";
-  if (hints_.perfect) {
-    if (!d.empty()) d += ",";
-    d += "perfect";
-  }
-  return d;
+  return hints_.perfect ? "perfect" : "";
 }
 
 Status HashJoinNode::ChargeMem(int64_t bytes) {
@@ -166,33 +160,23 @@ Status HashJoinNode::OpenImpl() {
   pending_.clear();
   pending_pos_ = 0;
   left_done_ = false;
-  materialized_ = false;
   probe_count_ = 0;
   probe_batch_.Clear();
   probe_pos_ = 0;
-
-  if (hints_.build_left) {
-    return MirroredBuildProbe();
-  }
-
-  NESTRA_RETURN_NOT_OK(BuildTable());
-  if (num_threads_ > 1) {
-    NESTRA_RETURN_NOT_OK(ParallelProbe());
-  }
-  return Status::OK();
+  return BuildTable();
 }
 
 Status HashJoinNode::BuildTable() {
   build_has_null_key_ = false;
   build_rows_ = 0;
-  flat_built_ = false;
   perfect_built_ = false;
   perfect_head_.clear();
+  flat_head_.clear();
   build_batches_.clear();
   build_refs_.clear();
 
   // Drain the child serially (Next/NextBatch is a serial protocol), then
-  // hash and partition the drained batches in parallel.
+  // hash the drained batches' key columns in parallel.
   int64_t build_bytes = 0;
   NESTRA_RETURN_NOT_OK(DrainAllBatches(right_.get(), vectorized_,
                                        &build_batches_, &build_bytes));
@@ -207,9 +191,6 @@ Status HashJoinNode::BuildTable() {
   build_rows_ = static_cast<int64_t>(build_refs_.size());
 
   const int64_t n = build_rows_;
-  const size_t num_parts = num_threads_ > 1 ? static_cast<size_t>(num_threads_)
-                                            : size_t{1};
-  partitions_.assign(num_parts, Buckets{});
   if (n == 0) return Status::OK();
 
   std::vector<size_t> hashes(static_cast<size_t>(n));
@@ -219,87 +200,38 @@ Status HashJoinNode::BuildTable() {
     HashKeyColumns(build_batches_[sb], right_key_idx_, /*nulls_only=*/false,
                    hashes.data() + offsets[sb], has_null.data() + offsets[sb]);
   });
-  // One serial pass: null-key detection for the null-aware antijoin, plus
-  // the logical size of the key copies the partitioned build will make
-  // (only that build duplicates keys out of the build rows).
-  int64_t key_bytes = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t si = static_cast<size_t>(i);
-    if (has_null[si] != 0) {
-      build_has_null_key_ = true;
-      continue;
-    }
-    for (const int idx : right_key_idx_) {
-      key_bytes += ValueBytes(BuildValue(static_cast<int32_t>(i), idx));
-    }
-  }
+  // NULL keys never match; the null-aware antijoin still needs to know
+  // whether the build side holds one.
+  build_has_null_key_ =
+      std::find(has_null.begin(), has_null.end(), uint8_t{1}) != has_null.end();
 
   // Perfect (dense-array) keying: single equality key over a hinted dense
   // int range. Validated against the actual rows, so a wrong hint falls
-  // through to the generic builds below instead of corrupting results.
+  // through to the flat build below instead of corrupting results.
   if (hints_.perfect && equi_.size() == 1 && TryPerfectBuild(has_null)) {
     return ChargeMem(
         static_cast<int64_t>(perfect_head_.size() * sizeof(int32_t) +
                              flat_next_.size() * sizeof(int32_t)));
   }
 
-  if (vectorized_ && num_threads_ == 1) {
-    // Serial vectorized build: index chains over the build rows.
-    // partitions_ would pay three allocations per insert (map node, key
-    // vector, bucket vector); the chains pay none.
-    flat_built_ = true;
-    flat_hash_ = std::move(hashes);
-    size_t num_buckets = 16;
-    while (num_buckets < static_cast<size_t>(n) * 2) num_buckets <<= 1;
-    flat_mask_ = num_buckets - 1;
-    flat_head_.assign(num_buckets, -1);
-    flat_next_.assign(static_cast<size_t>(n), -1);
-    // Reverse insertion order: each push-front then leaves every chain in
-    // arrival order, matching the bucketed build's candidate order.
-    for (int64_t i = n - 1; i >= 0; --i) {
-      const size_t si = static_cast<size_t>(i);
-      if (has_null[si] != 0) continue;
-      const size_t b = flat_hash_[si] & flat_mask_;
-      flat_next_[si] = flat_head_[b];
-      flat_head_[b] = static_cast<int32_t>(i);
-    }
-    return ChargeMem(
-        static_cast<int64_t>(flat_head_.size() * sizeof(int32_t) +
-                             flat_next_.size() * sizeof(int32_t) +
-                             flat_hash_.size() * sizeof(size_t)));
+  flat_hash_ = std::move(hashes);
+  size_t num_buckets = 16;
+  while (num_buckets < static_cast<size_t>(n) * 2) num_buckets <<= 1;
+  flat_mask_ = num_buckets - 1;
+  flat_head_.assign(num_buckets, -1);
+  flat_next_.assign(static_cast<size_t>(n), -1);
+  // Reverse insertion order: each push-front then leaves every chain in
+  // arrival order, so candidates enumerate in build arrival order.
+  for (int64_t i = n - 1; i >= 0; --i) {
+    const size_t si = static_cast<size_t>(i);
+    if (has_null[si] != 0) continue;
+    const size_t b = flat_hash_[si] & flat_mask_;
+    flat_next_[si] = flat_head_[b];
+    flat_head_[b] = static_cast<int32_t>(i);
   }
-
-  // Each partition owner scans the rows in arrival order and inserts the
-  // ones hashing to it, so bucket candidate order is identical to a serial
-  // build no matter how partitions are scheduled.
-  ParallelForEach(static_cast<int64_t>(num_parts), num_threads_,
-                  [&](int64_t p) {
-                    Buckets& buckets = partitions_[static_cast<size_t>(p)];
-                    // Size for the worst case (all keys distinct) up front
-                    // so large builds never rehash mid-insert.
-                    buckets.max_load_factor(0.7F);
-                    buckets.reserve(static_cast<size_t>(n) / num_parts + 1);
-                    for (int64_t i = 0; i < n; ++i) {
-                      const size_t si = static_cast<size_t>(i);
-                      if (has_null[si] != 0) continue;
-                      if (hashes[si] % num_parts !=
-                          static_cast<size_t>(p)) {
-                        continue;
-                      }
-                      const uint64_t ref = build_refs_[si];
-                      const RowBatch& batch = build_batches_[ref >> 32];
-                      const int64_t r =
-                          static_cast<int64_t>(ref & 0xffffffffU);
-                      std::vector<Value> key;
-                      key.reserve(right_key_idx_.size());
-                      for (const int idx : right_key_idx_) {
-                        key.push_back(batch.column(idx).GetValue(r));
-                      }
-                      buckets[std::move(key)].push_back(
-                          static_cast<int32_t>(i));
-                    }
-                  });
-  return ChargeMem(key_bytes);
+  return ChargeMem(static_cast<int64_t>(flat_head_.size() * sizeof(int32_t) +
+                                        flat_next_.size() * sizeof(int32_t) +
+                                        flat_hash_.size() * sizeof(size_t)));
 }
 
 bool HashJoinNode::TryPerfectBuild(const std::vector<uint8_t>& has_null) {
@@ -322,7 +254,7 @@ bool HashJoinNode::TryPerfectBuild(const std::vector<uint8_t>& has_null) {
   perfect_head_.assign(static_cast<size_t>(span), -1);
   flat_next_.assign(static_cast<size_t>(n), -1);
   // Reverse insertion order, like the flat build: push-front leaves every
-  // chain in arrival order, so candidate order matches the generic table.
+  // chain in arrival order, so candidate order matches the flat table.
   for (int64_t i = n - 1; i >= 0; --i) {
     const size_t si = static_cast<size_t>(i);
     if (has_null[si] != 0) continue;
@@ -376,14 +308,7 @@ void HashJoinNode::PerfectCandidates(int64_t key,
 
 void HashJoinNode::GatherCandidates(const std::vector<Value>& key, size_t h,
                                     std::vector<int32_t>* out) const {
-  if (!flat_built_) {
-    const Buckets& buckets = partitions_[h % partitions_.size()];
-    const auto it = buckets.find(key);
-    if (it != buckets.end()) {
-      out->insert(out->end(), it->second.begin(), it->second.end());
-    }
-    return;
-  }
+  if (flat_head_.empty()) return;  // empty build
   for (int32_t j = flat_head_[h & flat_mask_]; j >= 0;
        j = flat_next_[static_cast<size_t>(j)]) {
     // Equal keys always hash equal (SqlHash is consistent with
@@ -401,33 +326,30 @@ void HashJoinNode::GatherCandidates(const std::vector<Value>& key, size_t h,
   }
 }
 
-void HashJoinNode::ProbeRow(const Row& left_row,
-                            std::vector<int32_t>* scratch,
-                            std::vector<Row>* out) const {
-  scratch->clear();
+void HashJoinNode::ProbeRow(const Row& left_row, std::vector<Row>* out) {
+  flat_candidates_.clear();
   bool probe_null = false;
   if (perfect_built_) {
     const Value& v = left_row[left_key_idx_[0]];
     probe_null = v.is_null();
     int64_t key = 0;
-    if (!probe_null && DenseKeyOf(v, &key)) PerfectCandidates(key, scratch);
+    if (!probe_null && DenseKeyOf(v, &key)) {
+      PerfectCandidates(key, &flat_candidates_);
+    }
   } else {
-    std::vector<Value> key;
-    key.reserve(left_key_idx_.size());
+    scratch_key_.clear();
     for (const int idx : left_key_idx_) {
       if (left_row[idx].is_null()) probe_null = true;
-      key.push_back(left_row[idx]);
+      scratch_key_.push_back(left_row[idx]);
     }
-    if (!probe_null) GatherCandidates(key, SqlValueKeyHash{}(key), scratch);
+    if (!probe_null) {
+      GatherCandidates(scratch_key_, SqlValueKeyHash{}(scratch_key_),
+                       &flat_candidates_);
+    }
   }
-  EmitMatches(left_row, probe_null, *scratch, out);
-}
 
-void HashJoinNode::EmitMatches(const Row& left_row, bool probe_null,
-                               const std::vector<int32_t>& candidates,
-                               std::vector<Row>* out) const {
   bool matched = false;
-  for (const int32_t j : candidates) {
+  for (const int32_t j : flat_candidates_) {
     Row combined = ConcatBuildRow(left_row, j);
     if (!bound_residual_.Matches(combined)) continue;
     matched = true;
@@ -474,285 +396,6 @@ void HashJoinNode::EmitMatches(const Row& left_row, bool probe_null,
   }
 }
 
-Status HashJoinNode::ParallelProbe() {
-  std::vector<Row> probe_rows;
-  int64_t probe_bytes = 0;
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(left_.get(), vectorized_, &probe_rows, &probe_bytes));
-  NESTRA_RETURN_NOT_OK(ChargeMem(probe_bytes));
-  const int64_t n = static_cast<int64_t>(probe_rows.size());
-  probe_count_ = n;
-  left_done_ = true;
-
-  // Per-morsel output slots, concatenated in morsel order: morsels are
-  // contiguous input ranges, so the result equals the serial probe order.
-  std::vector<std::vector<Row>> slots(
-      static_cast<size_t>(MorselCount(n, num_threads_)));
-  ParallelForMorsels(n, num_threads_,
-                     [&](int64_t m, int64_t begin, int64_t end) {
-                       std::vector<Row>& out = slots[static_cast<size_t>(m)];
-                       // Per-morsel candidate scratch: the shared
-                       // flat_candidates_ buffer is serial-only.
-                       std::vector<int32_t> scratch;
-                       for (int64_t i = begin; i < end; ++i) {
-                         ProbeRow(probe_rows[static_cast<size_t>(i)],
-                                  &scratch, &out);
-                       }
-                     });
-
-  size_t total = 0;
-  for (const std::vector<Row>& s : slots) total += s.size();
-  pending_.clear();
-  pending_.reserve(total);
-  for (std::vector<Row>& s : slots) {
-    for (Row& r : s) pending_.push_back(std::move(r));
-  }
-  pending_pos_ = 0;
-  materialized_ = true;
-  // The materialized join result replaces the probe-side rows as live
-  // state: charge it, then return the drained probe rows' bytes (the
-  // vector dies with this frame). One RowBytes walk at a fold point.
-  int64_t pending_bytes = 0;
-  for (const Row& r : pending_) pending_bytes += RowBytes(r);
-  Status charged = ChargeMem(pending_bytes);
-  ReleaseMem(probe_bytes);
-  return charged;
-}
-
-Status HashJoinNode::MirroredBuildProbe() {
-  // Build-side swap: the estimator says the right input dwarfs the left,
-  // so hash the LEFT rows and stream the right input past them. Join
-  // semantics stay probe-side (left): matches are collected in right
-  // arrival order, then stably regrouped by left row, which reproduces the
-  // default plan's output — per left row in arrival order, that row's
-  // matches in right arrival order — byte for byte.
-  materialized_ = true;
-  left_done_ = true;
-  flat_built_ = false;
-  perfect_built_ = false;
-  build_has_null_key_ = false;
-  partitions_.clear();
-
-  // Drain right first, left second — the same child order as the default
-  // build+probe, so IoSim sees an identical scan sequence.
-  std::vector<Row> right_rows;
-  std::vector<Row> left_rows;
-  int64_t input_bytes = 0;
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(right_.get(), vectorized_, &right_rows, &input_bytes));
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(left_.get(), vectorized_, &left_rows, &input_bytes));
-  NESTRA_RETURN_NOT_OK(ChargeMem(input_bytes));
-  const int64_t nl = static_cast<int64_t>(left_rows.size());
-  const int64_t nr = static_cast<int64_t>(right_rows.size());
-  // The counters keep their logical meaning (build = right input, probe =
-  // left input) so EXPLAIN/bench numbers compare across strategies.
-  build_rows_ = nr;
-  probe_count_ = nl;
-
-  std::vector<uint8_t> left_null(static_cast<size_t>(nl), 0);
-  for (int64_t i = 0; i < nl; ++i) {
-    for (const int idx : left_key_idx_) {
-      if (left_rows[static_cast<size_t>(i)][idx].is_null()) {
-        left_null[static_cast<size_t>(i)] = 1;
-      }
-    }
-  }
-  std::vector<uint8_t> right_null(static_cast<size_t>(nr), 0);
-  for (int64_t j = 0; j < nr; ++j) {
-    for (const int idx : right_key_idx_) {
-      if (right_rows[static_cast<size_t>(j)][idx].is_null()) {
-        right_null[static_cast<size_t>(j)] = 1;
-      }
-    }
-  }
-  for (int64_t j = 0; j < nr; ++j) {
-    if (right_null[static_cast<size_t>(j)] != 0) build_has_null_key_ = true;
-  }
-
-  // Key table over the LEFT rows: key -> left indices in arrival order —
-  // a dense array chain when the perfect hint validates, a hash map
-  // otherwise. NULL left keys match nothing and are only tracked for the
-  // null-aware epilogue.
-  using LeftBuckets =
-      std::unordered_map<std::vector<Value>, std::vector<int64_t>,
-                         SqlValueKeyHash, SqlValueKeyEq>;
-  LeftBuckets left_map;
-  std::vector<int32_t> head;
-  std::vector<int32_t> next;
-  bool perfect = hints_.perfect && equi_.size() == 1 &&
-                 hints_.perfect_max >= hints_.perfect_min;
-  if (perfect) {
-    const int key_idx = left_key_idx_[0];
-    for (int64_t i = 0; i < nl && perfect; ++i) {
-      const size_t si = static_cast<size_t>(i);
-      if (left_null[si] != 0) continue;
-      const Value& v = left_rows[si][key_idx];
-      if (!v.is_int() || v.int64() < hints_.perfect_min ||
-          v.int64() > hints_.perfect_max) {
-        perfect = false;
-      }
-    }
-  }
-  if (perfect) {
-    const int key_idx = left_key_idx_[0];
-    const size_t span = static_cast<size_t>(hints_.perfect_max -
-                                            hints_.perfect_min + 1);
-    head.assign(span, -1);
-    next.assign(static_cast<size_t>(nl), -1);
-    for (int64_t i = nl - 1; i >= 0; --i) {
-      const size_t si = static_cast<size_t>(i);
-      if (left_null[si] != 0) continue;
-      const size_t slot = static_cast<size_t>(
-          left_rows[si][key_idx].int64() - hints_.perfect_min);
-      next[si] = head[slot];
-      head[slot] = static_cast<int32_t>(i);
-    }
-  } else {
-    left_map.max_load_factor(0.7F);
-    left_map.reserve(static_cast<size_t>(nl) + 1);
-    for (int64_t i = 0; i < nl; ++i) {
-      const size_t si = static_cast<size_t>(i);
-      if (left_null[si] != 0) continue;
-      std::vector<Value> key;
-      key.reserve(left_key_idx_.size());
-      for (const int idx : left_key_idx_) {
-        key.push_back(left_rows[si][idx]);
-      }
-      left_map[std::move(key)].push_back(i);
-    }
-  }
-
-  const bool combining = join_type_ == JoinType::kInner ||
-                         join_type_ == JoinType::kLeftOuter;
-
-  // Stream the right rows in morsels; per-morsel slots concatenated in
-  // morsel order keep the global match stream in right arrival order.
-  struct Match {
-    int64_t left;
-    Row combined;
-  };
-  const int64_t morsels = MorselCount(nr, num_threads_);
-  std::vector<std::vector<Match>> match_slots(static_cast<size_t>(morsels));
-  std::vector<std::vector<int64_t>> flag_slots(static_cast<size_t>(morsels));
-  ParallelForMorsels(nr, num_threads_, [&](int64_t m, int64_t begin,
-                                           int64_t end) {
-    std::vector<Match>& matches = match_slots[static_cast<size_t>(m)];
-    std::vector<int64_t>& flags = flag_slots[static_cast<size_t>(m)];
-    std::vector<Value> key;
-    for (int64_t j = begin; j < end; ++j) {
-      const size_t sj = static_cast<size_t>(j);
-      if (right_null[sj] != 0) continue;
-      const Row& right_row = right_rows[sj];
-      const std::vector<int64_t>* idx_list = nullptr;
-      int32_t chain = -1;
-      if (perfect) {
-        int64_t k = 0;
-        if (!DenseKeyOf(right_row[right_key_idx_[0]], &k)) continue;
-        chain = head[static_cast<size_t>(k - hints_.perfect_min)];
-      } else {
-        key.clear();
-        for (const int idx : right_key_idx_) key.push_back(right_row[idx]);
-        const auto it = left_map.find(key);
-        if (it == left_map.end()) continue;
-        idx_list = &it->second;
-      }
-      const auto probe_one = [&](int64_t li) {
-        Row combined =
-            Row::Concat(left_rows[static_cast<size_t>(li)], right_row);
-        if (!bound_residual_.Matches(combined)) return;
-        if (combining) {
-          matches.push_back(Match{li, std::move(combined)});
-        } else {
-          flags.push_back(li);
-        }
-      };
-      if (perfect) {
-        for (int32_t i = chain; i >= 0; i = next[static_cast<size_t>(i)]) {
-          probe_one(i);
-        }
-      } else {
-        for (const int64_t li : *idx_list) probe_one(li);
-      }
-    }
-  });
-
-  pending_.clear();
-  pending_pos_ = 0;
-  if (combining) {
-    // Stable regroup by left index (counting sort): per left row, its
-    // matches stay in right arrival order.
-    int64_t total = 0;
-    for (const std::vector<Match>& s : match_slots) {
-      total += static_cast<int64_t>(s.size());
-    }
-    std::vector<int64_t> offsets(static_cast<size_t>(nl) + 1, 0);
-    for (const std::vector<Match>& s : match_slots) {
-      for (const Match& m : s) ++offsets[static_cast<size_t>(m.left) + 1];
-    }
-    for (int64_t i = 0; i < nl; ++i) {
-      offsets[static_cast<size_t>(i) + 1] += offsets[static_cast<size_t>(i)];
-    }
-    std::vector<Row> ordered(static_cast<size_t>(total));
-    std::vector<int64_t> pos(offsets.begin(), offsets.end() - 1);
-    for (std::vector<Match>& s : match_slots) {
-      for (Match& m : s) {
-        ordered[static_cast<size_t>(pos[static_cast<size_t>(m.left)]++)] =
-            std::move(m.combined);
-      }
-    }
-    pending_.reserve(static_cast<size_t>(total));
-    for (int64_t li = 0; li < nl; ++li) {
-      const int64_t b = offsets[static_cast<size_t>(li)];
-      const int64_t e = offsets[static_cast<size_t>(li) + 1];
-      if (b == e) {
-        if (join_type_ == JoinType::kLeftOuter) {
-          pending_.push_back(Row::Concat(left_rows[static_cast<size_t>(li)],
-                                         Row::Nulls(right_width_)));
-        }
-        continue;
-      }
-      for (int64_t k = b; k < e; ++k) {
-        pending_.push_back(std::move(ordered[static_cast<size_t>(k)]));
-      }
-    }
-  } else {
-    std::vector<uint8_t> matched(static_cast<size_t>(nl), 0);
-    for (const std::vector<int64_t>& s : flag_slots) {
-      for (const int64_t li : s) matched[static_cast<size_t>(li)] = 1;
-    }
-    for (int64_t li = 0; li < nl; ++li) {
-      const size_t si = static_cast<size_t>(li);
-      const bool hit = matched[si] != 0;
-      bool emit = false;
-      switch (join_type_) {
-        case JoinType::kInner:
-        case JoinType::kLeftOuter:
-          break;  // handled above
-        case JoinType::kLeftSemi:
-          emit = hit;
-          break;
-        case JoinType::kLeftAnti:
-          emit = !hit;
-          break;
-        case JoinType::kLeftAntiNullAware:
-          // Same formula as the per-row epilogue in EmitMatches.
-          emit = !hit && (build_rows_ == 0 ||
-                          (left_null[si] == 0 && !build_has_null_key_));
-          break;
-      }
-      if (emit) pending_.push_back(std::move(left_rows[si]));
-    }
-  }
-  // Same hand-over as ParallelProbe: the pending result becomes the live
-  // state, the drained inputs die with this frame.
-  int64_t pending_bytes = 0;
-  for (const Row& r : pending_) pending_bytes += RowBytes(r);
-  Status charged = ChargeMem(pending_bytes);
-  ReleaseMem(input_bytes);
-  return charged;
-}
-
 Status HashJoinNode::NextImpl(Row* out, bool* eof) {
   while (pending_pos_ >= pending_.size()) {
     if (left_done_) {
@@ -769,7 +412,7 @@ Status HashJoinNode::NextImpl(Row* out, bool* eof) {
       continue;
     }
     ++probe_count_;
-    ProbeRow(left_row, &flat_candidates_, &pending_);
+    ProbeRow(left_row, &pending_);
   }
   *out = std::move(pending_[pending_pos_++]);
   *eof = false;
@@ -905,7 +548,7 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
     }
   }
 
-  // Per-row epilogue, mirroring EmitMatches exactly.
+  // Per-row epilogue, mirroring ProbeRow exactly.
   bool emit_left_only = false;
   switch (join_type_) {
     case JoinType::kInner:
@@ -946,17 +589,6 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
 }
 
 Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
-  if (materialized_) {
-    // The parallel probe (or mirrored build) already materialized the whole
-    // result; emit it in batch-sized slices.
-    size_t end = pending_pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity);
-    if (end > pending_.size()) end = pending_.size();
-    for (; pending_pos_ < end; ++pending_pos_) {
-      out->AppendRow(std::move(pending_[pending_pos_]));
-    }
-    *eof = out->empty();
-    return Status::OK();
-  }
   int64_t emitted = 0;
   while (emitted < RowBatch::kDefaultCapacity) {
     if (probe_pos_ >= probe_batch_.num_rows()) {
@@ -986,11 +618,9 @@ void HashJoinNode::CloseImpl() {
   stats_.build_rows = build_rows_;
   stats_.probe_rows = probe_count_;
   ReleaseMem(charged_mem_);
-  partitions_.clear();
   pending_.clear();
   build_batches_.clear();
   build_refs_.clear();
-  flat_built_ = false;
   flat_hash_.clear();
   flat_head_.clear();
   flat_next_.clear();
@@ -1000,7 +630,6 @@ void HashJoinNode::CloseImpl() {
   pair_begin_.clear();
   pair_build_.clear();
   pair_pass_.clear();
-  materialized_ = false;
   left_->Close();
   right_->Close();
 }

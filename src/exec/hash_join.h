@@ -2,7 +2,6 @@
 #define NESTRA_EXEC_HASH_JOIN_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash_key.h"
@@ -35,16 +34,17 @@ namespace nestra {
 /// int64 key matches a float64 key of equal numeric value, exactly as the
 /// nested-loop join's `Value::Apply(kEq)` would.
 ///
-/// The build side is drained as batches and stays columnar: every table
-/// layout indexes its rows by arrival ordinal, and the vectorized probe
-/// copies matched build cells straight from the build columns. With
-/// `num_threads > 1` the build hashes the batches in parallel and inserts
-/// into `num_threads` hash-partitioned tables (each partition scans rows in
-/// arrival order, so bucket candidate order — and therefore output order —
-/// matches the serial build exactly); the probe materializes the left input
-/// as rows and probes it in row-range morsels whose per-morsel outputs are
-/// concatenated in morsel order. Both sides are byte-identical to the
-/// serial `num_threads == 1` streaming path.
+/// The build side is drained as batches and stays columnar: build rows are
+/// indexed by arrival ordinal in one flat chained table (or, when the
+/// planner hints a dense integer key, a perfect array), and every chain
+/// lists its rows in arrival order. With `num_threads > 1` the build hashes
+/// its key columns batch-parallel; the table and the probe are the same at
+/// every thread count. The vectorized probe streams the left input a batch
+/// at a time and copies matched cells straight from the probe and build
+/// columns; the row probe (`Next`) is the same algorithm over one `Row` at a
+/// time and serves as its oracle. Output order is left arrival order, each
+/// left row's matches in build arrival order, whatever the engine or thread
+/// count.
 class HashJoinNode final : public ExecNode {
  public:
   /// With `vectorized` the build and probe inputs are drained via
@@ -52,10 +52,10 @@ class HashJoinNode final : public ExecNode {
   /// the streaming probe runs batch-at-a-time with one key-hash array per
   /// probe batch. Output order and content are identical either way.
   /// `hints` carries the planner's cost-based physical strategy
-  /// (exec/join_hints.h): build-side swap and/or perfect (dense-array)
-  /// keying. Default hints reproduce the pre-stats behaviour bit for bit;
-  /// non-default hints change only the internal table layout and work
-  /// order, never output rows or their order.
+  /// (exec/join_hints.h): perfect (dense-array) keying. Default hints
+  /// reproduce the pre-stats behaviour bit for bit; the perfect hint
+  /// changes only the internal table layout, never output rows or their
+  /// order.
   HashJoinNode(ExecNodePtr left, ExecNodePtr right, JoinType join_type,
                std::vector<EquiPair> equi, ExprPtr residual,
                int num_threads = 1, bool vectorized = false,
@@ -65,8 +65,8 @@ class HashJoinNode final : public ExecNode {
   std::string name() const override {
     return std::string("HashJoin[") + JoinTypeToString(join_type_) + "]";
   }
-  /// Physical strategy annotation for EXPLAIN ANALYZE ("build=left",
-  /// "perfect", comma separated); empty for the default plan.
+  /// Physical strategy annotation for EXPLAIN ANALYZE ("perfect"); empty
+  /// for the default plan.
   std::string detail() const override;
   // The build side is consumed entirely in Open (and probe output begins
   // only after), which is what pins joins to the breaker role.
@@ -85,11 +85,6 @@ class HashJoinNode final : public ExecNode {
   void CloseImpl() override;
 
  private:
-  // Build rows are addressed by arrival ordinal j; the partitioned table
-  // maps a key to the ordinals of its rows, in arrival order.
-  using Buckets = std::unordered_map<std::vector<Value>, std::vector<int32_t>,
-                                     SqlValueKeyHash, SqlValueKeyEq>;
-
   // Drains the right child as batches and builds the hash table over them.
   Status BuildTable();
   // Dense-array build over the single equality key; false (leaving the
@@ -109,25 +104,12 @@ class HashJoinNode final : public ExecNode {
   // Appends the build rows on `key`'s perfect-array chain to `out`.
   void PerfectCandidates(int64_t key, std::vector<int32_t>* out) const;
   // Appends the build rows whose key equals `key` (combined hash `h`) to
-  // `out`, in arrival order, from the flat or partitioned table.
+  // `out`, in arrival order.
   void GatherCandidates(const std::vector<Value>& key, size_t h,
                         std::vector<int32_t>* out) const;
-  // Emits every output row produced by one probe row (matches in build
-  // order, then the per-row outer/anti epilogue). Thread-safe: `scratch`
-  // holds the candidate list, so concurrent morsels never share state.
-  void ProbeRow(const Row& left_row, std::vector<int32_t>* scratch,
-                std::vector<Row>* out) const;
-  // The per-probe-row epilogue over an already-gathered candidate list
-  // (matches in candidate order, then outer/anti handling).
-  void EmitMatches(const Row& left_row, bool probe_null,
-                   const std::vector<int32_t>& candidates,
-                   std::vector<Row>* out) const;
-  // Materializes the left input and probes it with row-range morsels.
-  Status ParallelProbe();
-  // hints_.build_left: hashes the left input instead and streams the right
-  // past it, re-emitting in left order; fills pending_ with the whole
-  // result (byte-identical to the default build).
-  Status MirroredBuildProbe();
+  // Appends every output row produced by one probe row to `out`: matches
+  // in build order, then the per-row outer/anti epilogue.
+  void ProbeRow(const Row& left_row, std::vector<Row>* out);
   // Prepares the just-fetched probe batch: hashes its keys, gathers every
   // row's candidate build rows into the pair lists, and runs the compiled
   // residual once over all (probe row, build row) pairs.
@@ -137,7 +119,7 @@ class HashJoinNode final : public ExecNode {
   int64_t ProbeBatchRow(int64_t i, RowBatch* out);
   // Accounts `bytes` of build/probe state against OperatorStats and the
   // current query tracker (ResourceExhausted past the soft limit); called
-  // at serial fold points only, never inside morsel workers.
+  // serially, never from the parallel key hashing.
   Status ChargeMem(int64_t bytes);
   // Returns previously charged bytes (peak stays).
   void ReleaseMem(int64_t bytes);
@@ -169,22 +151,19 @@ class HashJoinNode final : public ExecNode {
   std::vector<RowBatch> build_batches_;
   std::vector<uint64_t> build_refs_;
 
-  std::vector<Buckets> partitions_;
   bool build_has_null_key_ = false;  // for kLeftAntiNullAware
   int64_t build_rows_ = 0;
 
-  // Flat chained hash table used by the serial vectorized build: buckets
-  // are index chains (flat_head_ per bucket, flat_next_ per build row) kept
-  // in arrival order, so candidate enumeration — and therefore output
-  // order — matches the bucketed build exactly, without a node/key/bucket
-  // allocation per insert. partitions_ stays empty while this is active.
-  bool flat_built_ = false;
+  // Flat chained hash table: buckets are index chains (flat_head_ per
+  // bucket, flat_next_ per build row) kept in arrival order, with no
+  // node/key/bucket allocation per insert. Empty when the build is empty
+  // or perfect.
   std::vector<size_t> flat_hash_;
   std::vector<int32_t> flat_head_;
   std::vector<int32_t> flat_next_;
   size_t flat_mask_ = 0;
-  // Serial-path scratch for one probe row's key-equal candidates.
-  mutable std::vector<int32_t> flat_candidates_;
+  // One probe row's key-equal candidates (row probe).
+  std::vector<int32_t> flat_candidates_;
 
   // Perfect (dense-array) table: each array slot heads an arrival-order
   // index chain through flat_next_ — direct indexing by key - perfect_min,
@@ -193,14 +172,11 @@ class HashJoinNode final : public ExecNode {
   bool perfect_built_ = false;
   std::vector<int32_t> perfect_head_;
 
-  // Probe state: pending_ holds the not-yet-emitted outputs — one probe
-  // row's worth when streaming serially, the whole join result when
-  // materialized_ is set (parallel probe or mirrored build; left_done_ is
-  // then already set).
+  // Row-probe state: pending_ holds one probe row's not-yet-emitted
+  // outputs.
   std::vector<Row> pending_;
   size_t pending_pos_ = 0;
   bool left_done_ = false;
-  bool materialized_ = false;
   int64_t probe_count_ = 0;
   // Bytes currently charged to the query tracker (released in CloseImpl).
   int64_t charged_mem_ = 0;

@@ -8,7 +8,8 @@ namespace nestra {
 /// \brief Planner-chosen physical strategy for one hash join, derived from
 /// table statistics (src/plan/stats/estimator.h). Plain data with inert
 /// defaults: a default-constructed hints object reproduces the pre-stats
-/// behaviour bit for bit (build right, generic chained table).
+/// behaviour bit for bit (the generic chained table). The build side is
+/// always the right input.
 ///
 /// The join treats every field as advisory-but-checked: `perfect` only
 /// engages when the single-equi-key precondition holds at Open, and the
@@ -16,13 +17,6 @@ namespace nestra {
 /// [perfect_min, perfect_max] — so a stale or wrong estimate can cost time,
 /// never correctness.
 struct JoinBuildHints {
-  /// Build the hash table on the LEFT (probe-semantic) input and stream the
-  /// right input past it, because the estimator says the right side is much
-  /// larger. Output order and join semantics are unchanged: results are
-  /// re-emitted in left arrival order with right matches in right arrival
-  /// order, byte-identical to the default right-build plan.
-  bool build_left = false;
-
   /// Use a dense direct-index array instead of a hash table: build keys are
   /// integers spanning [perfect_min, perfect_max]. Bounds come from exact
   /// load-time column min/max, so only re-registration (which bumps
@@ -36,7 +30,7 @@ struct JoinBuildHints {
   double est_left_rows = -1.0;
   double est_right_rows = -1.0;
 
-  bool IsDefault() const { return !build_left && !perfect; }
+  bool IsDefault() const { return !perfect; }
 };
 
 }  // namespace nestra

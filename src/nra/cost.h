@@ -52,9 +52,9 @@ inline bool TakesNestPushDown(const QueryBlock& child,
 }
 
 /// Physical hints for the JoinWithChild connecting `child` to the
-/// accumulated outer relation: build-side swap and perfect (dense-array)
-/// keying. Inert defaults when cost_based is off, so every flag-driven
-/// plan is byte-identical to the pre-stats executor.
+/// accumulated outer relation: perfect (dense-array) keying. Inert
+/// defaults when cost_based is off, so every flag-driven plan is
+/// byte-identical to the pre-stats executor.
 inline JoinBuildHints JoinStrategyFor(const QueryBlock& child,
                                       const std::vector<const QueryBlock*>& path,
                                       const Catalog& catalog,

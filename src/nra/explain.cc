@@ -37,10 +37,7 @@ bool LooksEquiCorrelated(const QueryBlock& child) {
 // default plan so pre-stats EXPLAIN output is unchanged. Computed through
 // the same JoinStrategyFor the executor passes to JoinWithChild.
 std::string JoinStrategySuffix(const JoinBuildHints& hints) {
-  std::string s;
-  if (hints.build_left) s += ", build=left (est swap)";
-  if (hints.perfect) s += ", perfect dense-array hash";
-  return s;
+  return hints.perfect ? ", perfect dense-array hash" : "";
 }
 
 void ExplainNode(const QueryBlock& node, const Catalog& catalog,

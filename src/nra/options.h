@@ -84,9 +84,9 @@ struct NraOptions {
   bool two_valued = true;
 
   /// Cost-driven planning from load-time table statistics (DESIGN.md §13):
-  /// hash-join build-side swap, the perfect (dense-array) hash join, zone-map
-  /// morsel pruning on base scans, and cardinality-gated §4.2.5 / §4.2.4
-  /// rewrites (the explicit flags above stay as unconditional overrides).
+  /// the perfect (dense-array) hash join, zone-map morsel pruning on base
+  /// scans, and cardinality-gated §4.2.5 / §4.2.4 rewrites (the explicit
+  /// flags above stay as unconditional overrides).
   /// Every decision routes through src/nra/cost.h so EXPLAIN, the verifier
   /// outline, and the executor agree; results are bit-identical either way —
   /// the gates only pick between semantics-preserving plans. Off = plan

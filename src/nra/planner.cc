@@ -565,17 +565,11 @@ Result<Table> FinalizeRootOutput(const QueryBlock& root, Table rel,
                                  const std::string& key_filter_attr,
                                  int num_threads, QueryProfile* profile,
                                  bool vectorized) {
-  // One "finish" stage regardless of thread count: the parallel key-filter
-  // pre-pass (when taken) is folded into the stage's wall time, and the
-  // stage's rows_out is the final output either way.
+  // One "finish" stage; the key filter runs over the columnar stage result
+  // at every thread count (num_threads only reaches the sort).
   StageTimer timer(profile, QueryPhase::kPostProcessing, "finish");
-  if (!key_filter_attr.empty() && num_threads > 1) {
-    const ExprPtr pred = IsNotNull(Col(key_filter_attr));
-    NESTRA_ASSIGN_OR_RETURN(
-        rel, ParallelFilterTable(std::move(rel), pred.get(), num_threads));
-  }
   ExecNodePtr node = std::make_unique<TableSourceNode>(std::move(rel));
-  if (!key_filter_attr.empty() && num_threads <= 1) {
+  if (!key_filter_attr.empty()) {
     node = std::make_unique<FilterNode>(std::move(node),
                                         IsNotNull(Col(key_filter_attr)));
   }

@@ -295,24 +295,14 @@ JoinBuildHints ChoosesJoinStrategy(const QueryBlock& child,
   hints.est_left_rows = outer.rows;
   hints.est_right_rows = base.rows;
 
-  // Build-side swap: the default builds on the child base (right). When the
-  // outer side is far smaller, build on it instead and stream the child.
-  if (base.rows > 2.0 * outer.rows && base.rows >= kCostMinBuildRows) {
-    hints.build_left = true;
-  }
-
-  // Perfect keying needs exactly one equality correlation — a second equi
-  // key (e.g. the IN rewrite's A = B term) keys on tuples, not integers.
+  // The build side is always the child base (right). Perfect keying needs
+  // exactly one equality correlation — a second equi key (e.g. the IN
+  // rewrite's A = B term) keys on tuples, not integers.
   std::vector<CorrelationPair> pairs;
   if (EquiCorrelationPairs(child, &pairs) && pairs.size() == 1) {
-    const std::map<std::string, ColumnEstimate>& build_cols =
-        hints.build_left ? outer.columns : base.columns;
-    const std::string& build_key =
-        hints.build_left ? pairs[0].outer_col : pairs[0].child_col;
-    const double build_rows = hints.build_left ? outer.rows : base.rows;
-    const auto it = build_cols.find(build_key);
-    if (it != build_cols.end() && build_rows >= kCostMinBuildRows) {
-      PerfectKeyEligible(it->second, build_rows, &hints);
+    const auto it = base.columns.find(pairs[0].child_col);
+    if (it != base.columns.end() && base.rows >= kCostMinBuildRows) {
+      PerfectKeyEligible(it->second, base.rows, &hints);
     }
   }
   return hints;

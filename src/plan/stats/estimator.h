@@ -124,18 +124,18 @@ bool CostGatesNestPushDown(const QueryBlock& child,
                            const Catalog& catalog);
 
 /// Physical strategy for JoinWithChild(outer_rel, child_base, child, ...):
-/// build-side swap when the default build input (the child base) is
-/// estimated much larger than the outer, and perfect (dense-array) keying
-/// when the single equality key's build-side column is integer-valued over
-/// a dense span. Returns inert default hints when stats are missing.
+/// perfect (dense-array) keying when the single equality key's child-side
+/// (build) column is integer-valued over a dense span. The build side is
+/// always the child base. Returns inert default hints when stats are
+/// missing.
 JoinBuildHints ChoosesJoinStrategy(const QueryBlock& child,
                                    const std::vector<const QueryBlock*>& path,
                                    const Catalog& catalog);
 
 /// Perfect-keying hints for an intra-block join inside EvalBlockBase, where
 /// the build side is the freshly scanned table `ref` and the single build
-/// key is `key_column` (unqualified). No build-side swap here — the
-/// left-deep chain shape is fixed. Returns inert defaults when ineligible.
+/// key is `key_column` (unqualified). Returns inert defaults when
+/// ineligible.
 JoinBuildHints ChoosesScanJoinStrategy(const Catalog& catalog,
                                        const QueryBlock::TableRef& ref,
                                        const std::string& key_column);

@@ -5,10 +5,9 @@
 // latch and the per-run counters are reset by ExecNode::Open, so a reopened
 // adapter-fallback operator (aggregate, distinct, the joins) drained via
 // NextBatch does not replay as instantly-empty and does not double-count
-// rows_out. The one deliberate exception — TableSourceNode after
-// TakeAllRows moved its rows out, or after NextBatch handed a columnar
-// table's batches over — must fail LOUDLY on reopen instead of silently
-// replaying an emptied table.
+// rows_out. The one deliberate exception — TableSourceNode after NextBatch
+// handed a columnar table's batches over — must fail LOUDLY on reopen
+// instead of silently replaying an emptied table.
 
 #include <gtest/gtest.h>
 
@@ -223,23 +222,6 @@ TEST_F(ExecReopenIndexJoinTest, IndexJoin) {
   });
 }
 
-// The deliberate exception: after TakeAllRows bulk-moved the rows out, a
-// reopen cannot replay them — it must fail loudly, never return an empty
-// result that looks like a legitimate run.
-TEST(ExecReopenTest, TableSourceAfterTakeAllRowsFailsLoudly) {
-  TableSourceNode node(LeftTable());
-  ASSERT_OK(node.Open());
-  std::vector<Row> rows;
-  ASSERT_TRUE(node.TakeAllRows(&rows));
-  EXPECT_EQ(rows.size(), 5u);
-  node.Close();
-
-  const Status reopen = node.Open();
-  EXPECT_FALSE(reopen.ok());
-  EXPECT_NE(reopen.ToString().find("TakeAllRows"), std::string::npos)
-      << reopen.ToString();
-}
-
 // LeftTable's rows as a columnar table of two batches (3 + 2 rows).
 Table ColumnarLeftTable() {
   const Table rows = LeftTable();
@@ -258,8 +240,8 @@ Table ColumnarLeftTable() {
   return table;
 }
 
-// A columnar TableSource hands its batches over by move, so — like
-// TakeAllRows — a reopen cannot replay them and must fail loudly.
+// A columnar TableSource hands its batches over by move, so a reopen
+// cannot replay them and must fail loudly.
 TEST(ExecReopenTest, TableSourceAfterBatchHandOverFailsLoudly) {
   TableSourceNode node(ColumnarLeftTable());
   RunSnapshot first;
@@ -289,58 +271,6 @@ TEST(ExecReopenTest, ColumnarTableSourceReplaysThroughRowProtocol) {
   expected.rows = LeftTable().rows();
   ExpectSameRows(expected, first, "first run");
   ExpectSameRows(expected, second, "reopened run");
-}
-
-// TakeAllRows on a columnar table returns exactly what it returns on the
-// row table, and leaves the node as unreopenable.
-TEST(ExecReopenTest, TakeAllRowsOnColumnarTableMatchesRowTable) {
-  std::vector<Row> from_rows;
-  std::vector<Row> from_batches;
-  TableSourceNode row_node(LeftTable());
-  TableSourceNode batch_node(ColumnarLeftTable());
-  ASSERT_OK(row_node.Open());
-  ASSERT_OK(batch_node.Open());
-  ASSERT_TRUE(row_node.TakeAllRows(&from_rows));
-  ASSERT_TRUE(batch_node.TakeAllRows(&from_batches));
-  EXPECT_EQ(batch_node.stats().rows_out, row_node.stats().rows_out);
-  RunSnapshot want;
-  RunSnapshot got;
-  want.rows = std::move(from_rows);
-  got.rows = std::move(from_batches);
-  ASSERT_EQ(got.rows.size(), 5u);
-  ExpectSameRows(want, got, "TakeAllRows");
-  batch_node.Close();
-  row_node.Close();
-  EXPECT_FALSE(batch_node.Open().ok());
-}
-
-// TakeAllRows after partial emission must refuse (the hybrid would drop the
-// already-emitted prefix), leaving plain iteration intact.
-TEST(ExecReopenTest, TakeAllRowsRefusesAfterPartialEmission) {
-  TableSourceNode node(LeftTable());
-  ASSERT_OK(node.Open());
-  Row row;
-  bool eof = false;
-  ASSERT_OK(node.Next(&row, &eof));
-  ASSERT_FALSE(eof);
-
-  std::vector<Row> rows;
-  EXPECT_FALSE(node.TakeAllRows(&rows));
-  EXPECT_TRUE(rows.empty());
-
-  int64_t remaining = 0;
-  while (true) {
-    ASSERT_OK(node.Next(&row, &eof));
-    if (eof) break;
-    ++remaining;
-  }
-  EXPECT_EQ(remaining, 4);
-  node.Close();
-
-  // Never taken, so reopen still works and replays everything.
-  RunSnapshot replay;
-  ASSERT_OK(DrainOnce(&node, /*use_batches=*/false, &replay));
-  EXPECT_EQ(replay.rows.size(), 5u);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "exec/batch_predicate.h"
 #include "exec/hash_join.h"
 #include "exec/index_join.h"
 #include "exec/nested_loop_join.h"
@@ -14,7 +20,75 @@ using testing_util::I;
 using testing_util::MakeTable;
 using testing_util::N;
 
-// Helper that builds the join over distinctly named columns.
+// One physical hash-join layout: thread count × engine × key hint.
+enum class KeyHint { kGeneric, kPerfect, kStalePerfect };
+
+struct Layout {
+  int threads;
+  bool vectorized;
+  KeyHint hint;
+};
+
+std::string LayoutName(const Layout& l) {
+  static const char* const kHints[] = {"generic", "perfect", "stale"};
+  return "t" + std::to_string(l.threads) +
+         (l.vectorized ? "_batch_" : "_row_") +
+         kHints[static_cast<int>(l.hint)];
+}
+
+std::vector<Layout> AllLayouts() {
+  std::vector<Layout> out;
+  for (const int threads : {1, 2, 8}) {
+    for (const bool vectorized : {false, true}) {
+      for (const KeyHint hint :
+           {KeyHint::kGeneric, KeyHint::kPerfect, KeyHint::kStalePerfect}) {
+        out.push_back({threads, vectorized, hint});
+      }
+    }
+  }
+  return out;
+}
+
+// Hints for a join whose build keys lie in [key_min, key_max]. The stale
+// hint is narrower than the data, so the build must fall back to the flat
+// table at Open.
+JoinBuildHints HintsFor(KeyHint hint, int64_t key_min, int64_t key_max) {
+  JoinBuildHints h;
+  if (hint == KeyHint::kGeneric) return h;
+  h.perfect = true;
+  h.perfect_min = key_min;
+  h.perfect_max = hint == KeyHint::kPerfect ? key_max : key_min;
+  return h;
+}
+
+// Runs the single-key hash join l.k = r.k under `layout`.
+Result<Table> RunHashJoin(const Table& left, const Table& right,
+                          JoinType type, const Expr* residual,
+                          const Layout& layout, int64_t key_min,
+                          int64_t key_max) {
+  HashJoinNode join(std::make_unique<TableSourceNode>(left),
+                    std::make_unique<TableSourceNode>(right), type,
+                    {{"l.k", "r.k"}},
+                    residual != nullptr ? residual->Clone() : nullptr,
+                    layout.threads, layout.vectorized,
+                    HintsFor(layout.hint, key_min, key_max));
+  return CollectTable(&join, layout.vectorized);
+}
+
+void ExpectRowExact(const Table& want, const Table& got,
+                    const std::string& context) {
+  ASSERT_EQ(want.num_rows(), got.num_rows()) << context;
+  for (int64_t i = 0; i < want.num_rows(); ++i) {
+    ASSERT_TRUE(want.rows()[static_cast<size_t>(i)] ==
+                got.rows()[static_cast<size_t>(i)])
+        << context << "\nfirst divergence at row " << i << ": want "
+        << want.rows()[static_cast<size_t>(i)].ToString() << ", got "
+        << got.rows()[static_cast<size_t>(i)].ToString();
+  }
+}
+
+// Helper that builds the join over distinctly named columns. Run executes
+// every layout and insists they agree row for row before returning one.
 struct JoinFixture {
   Table left = MakeTable({"l.k", "l.v"},
                          {{I(1), I(10)}, {I(2), I(20)}, {N(), I(30)},
@@ -24,11 +98,18 @@ struct JoinFixture {
                            {I(4), I(103)}});
 
   Result<Table> Run(JoinType type, ExprPtr residual = nullptr) {
-    auto l = std::make_unique<TableSourceNode>(left);
-    auto r = std::make_unique<TableSourceNode>(right);
-    HashJoinNode join(std::move(l), std::move(r), type, {{"l.k", "r.k"}},
-                      std::move(residual));
-    return CollectTable(&join);
+    std::optional<Table> first;
+    for (const Layout& layout : AllLayouts()) {
+      NESTRA_ASSIGN_OR_RETURN(
+          Table out, RunHashJoin(left, right, type, residual.get(), layout,
+                                 /*key_min=*/1, /*key_max=*/4));
+      if (!first.has_value()) {
+        first = std::move(out);
+        continue;
+      }
+      ExpectRowExact(*first, out, LayoutName(layout));
+    }
+    return std::move(*first);
   }
 };
 
@@ -110,6 +191,125 @@ TEST(HashJoinTest, NoEquiPairsIsCrossWithCondition) {
   ASSERT_OK_AND_ASSIGN(Table out, CollectTable(&join));
   EXPECT_EQ(out.num_rows(), 2);  // (1,3) and (1,4)
 }
+
+// ---------- every layout against the nested-loop oracle ----------
+
+// Keys 0..499 on the left and 0..399 on the right (two or three rows per
+// right key), with NULL keys on both sides and NULL residual inputs. Both
+// inputs span two batches.
+constexpr int64_t kRightKeyMax = 399;
+
+Table SweepLeft() {
+  Table t = MakeTable({"l.k", "l.v"}, {});
+  for (int64_t i = 0; i < 1100; ++i) {
+    t.AppendUnchecked(Row({i % 13 == 0 ? N() : I((i * 7) % 500), I(i)}));
+  }
+  return t;
+}
+
+Table SweepRight() {
+  Table t = MakeTable({"r.k", "r.w"}, {});
+  for (int64_t i = 0; i < 1100; ++i) {
+    t.AppendUnchecked(Row({i % 17 == 0 ? N() : I((i * 5) % 400),
+                           i % 11 == 0 ? N() : I((i * 3) % 1100)}));
+  }
+  return t;
+}
+
+// The nested-loop form of the hash join's semantics. The null-aware
+// antijoin (NOT IN) is the plain antijoin on a condition that also holds
+// whenever either key is NULL: a NULL probe key, or any NULL build key,
+// drops every probe row unless the build side is empty.
+Result<Table> RunOracle(const Table& left, const Table& right, JoinType type,
+                        const Expr* residual) {
+  std::vector<ExprPtr> conj;
+  conj.push_back(Eq(Col("l.k"), Col("r.k")));
+  if (residual != nullptr) conj.push_back(residual->Clone());
+  ExprPtr cond = MakeAnd(std::move(conj));
+  if (type == JoinType::kLeftAntiNullAware) {
+    std::vector<ExprPtr> disj;
+    disj.push_back(std::move(cond));
+    disj.push_back(IsNull(Col("l.k")));
+    disj.push_back(IsNull(Col("r.k")));
+    cond = MakeOr(std::move(disj));
+    type = JoinType::kLeftAnti;
+  }
+  NestedLoopJoinNode nlj(std::make_unique<TableSourceNode>(left),
+                         std::make_unique<TableSourceNode>(right), type,
+                         std::move(cond));
+  return CollectTable(&nlj);
+}
+
+class HashJoinLayoutTest : public ::testing::TestWithParam<Layout> {
+ protected:
+  // The oracle's answer for one (join type, residual, build) case, shared
+  // by every layout.
+  static const Table& Oracle(const std::string& key, const Table& left,
+                             const Table& right, JoinType type,
+                             const Expr* residual) {
+    static std::map<std::string, Table> cache;
+    auto it = cache.find(key);
+    if (it == cache.end()) {
+      Result<Table> want = RunOracle(left, right, type, residual);
+      EXPECT_TRUE(want.ok()) << want.status().ToString();
+      it = cache.emplace(key, want.ok() ? std::move(*want) : Table{}).first;
+    }
+    return it->second;
+  }
+};
+
+TEST_P(HashJoinLayoutTest, MatchesNestedLoopOracleRowForRow) {
+  const Layout& layout = GetParam();
+  const Table left = SweepLeft();
+  const Table full_right = SweepRight();
+  const Table empty_right = MakeTable({"r.k", "r.w"}, {});
+  struct NamedResidual {
+    const char* name;
+    ExprPtr expr;
+  };
+  std::vector<NamedResidual> residuals;
+  residuals.push_back({"none", nullptr});
+  // Column-column comparison: compiles to a batch kernel.
+  residuals.push_back({"compiled", Cmp(CmpOp::kGt, Col("r.w"), Col("l.v"))});
+  // A disjunction has no batch kernel: the probe judges concatenated rows.
+  {
+    std::vector<ExprPtr> disj;
+    disj.push_back(Cmp(CmpOp::kLt, Col("r.w"), LitInt(400)));
+    disj.push_back(Cmp(CmpOp::kGt, Col("l.v"), Col("r.w")));
+    residuals.push_back({"uncompiled", MakeOr(std::move(disj))});
+  }
+  const Schema joined = Schema::Concat(left.schema(), full_right.schema());
+  VectorizedPredicate scratch;
+  ASSERT_TRUE(VectorizedPredicate::Compile(residuals[1].expr.get(), joined,
+                                           &scratch));
+  ASSERT_FALSE(VectorizedPredicate::Compile(residuals[2].expr.get(), joined,
+                                            &scratch));
+
+  for (const Table* right : {&full_right, &empty_right}) {
+    for (const JoinType type :
+         {JoinType::kInner, JoinType::kLeftOuter, JoinType::kLeftSemi,
+          JoinType::kLeftAnti, JoinType::kLeftAntiNullAware}) {
+      for (const NamedResidual& res : residuals) {
+        const std::string join_case =
+            std::string(JoinTypeToString(type)) + " residual=" + res.name +
+            (right == &empty_right ? " empty build" : "");
+        const Table& want =
+            Oracle(join_case, left, *right, type, res.expr.get());
+        const std::string context = LayoutName(layout) + " " + join_case;
+        ASSERT_OK_AND_ASSIGN(
+            Table got, RunHashJoin(left, *right, type, res.expr.get(), layout,
+                                   /*key_min=*/0, kRightKeyMax));
+        ExpectRowExact(want, got, context);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayouts, HashJoinLayoutTest,
+                         ::testing::ValuesIn(AllLayouts()),
+                         [](const ::testing::TestParamInfo<Layout>& info) {
+                           return LayoutName(info.param);
+                         });
 
 TEST(NestedLoopJoinTest, MatchesHashJoinOnEquality) {
   JoinFixture f;

@@ -1,7 +1,7 @@
 // Table/column statistics and the cost-driven physical decisions built on
 // them (DESIGN.md §13): load-time stats collection, the bottom-up
-// estimator, zone-map granule pruning, the perfect (dense-array) hash join
-// and build-side swap, and the est-vs-actual stage estimates surfaced
+// estimator, zone-map granule pruning, the perfect (dense-array) hash join,
+// and the est-vs-actual stage estimates surfaced
 // through QueryProfile. The heart of the suite is identity: every
 // cost-based choice is a physical optimization, so results must stay
 // ROW-EXACTLY equal to the cost_based=false plan across num_threads
@@ -318,7 +318,8 @@ constexpr const char* kPerfectJoinSql =
     "select p.pk from probe p where p.p1 in "
     "(select d.d1 from dim d where d.dk = p.pk)";
 
-// Child base (2048 rows) > 2 × outer (400 rows): the build side swaps.
+// Child base (2048 rows) > 2 × outer (400 rows). The build side stays the
+// child base even though it dwarfs the outer input.
 constexpr const char* kBuildSwapSql =
     "select s.sk from small s where s.s1 in "
     "(select d.d1 from dim d where d.d2 = s.sk)";
@@ -332,13 +333,12 @@ TEST(CostDecisionTest, ChoosesPerfectKeyingForDenseChildKey) {
   const JoinBuildHints hints =
       ChoosesJoinStrategy(*root->children[0], path, catalog);
   EXPECT_TRUE(hints.perfect);
-  EXPECT_FALSE(hints.build_left);
   EXPECT_EQ(hints.perfect_min, 1);
   EXPECT_EQ(hints.perfect_max, 2048);
   EXPECT_EQ(hints.est_right_rows, 2048);
 }
 
-TEST(CostDecisionTest, SwapsBuildSideWhenChildDwarfsOuter) {
+TEST(CostDecisionTest, KeepsChildBuildWhenChildDwarfsOuter) {
   Catalog catalog;
   RegisterJoinTables(&catalog);
   ASSERT_OK_AND_ASSIGN(QueryBlockPtr root,
@@ -346,10 +346,13 @@ TEST(CostDecisionTest, SwapsBuildSideWhenChildDwarfsOuter) {
   const std::vector<const QueryBlock*> path{root.get()};
   const JoinBuildHints hints =
       ChoosesJoinStrategy(*root->children[0], path, catalog);
-  EXPECT_TRUE(hints.build_left);
-  // After the swap the build side is the 400-row outer — too small for
-  // dense-array keying (kCostMinBuildRows).
-  EXPECT_FALSE(hints.perfect);
+  EXPECT_EQ(hints.est_left_rows, 400);
+  EXPECT_EQ(hints.est_right_rows, 2048);
+  // Perfect keying is judged on the child key d.d2: 2048 build rows clear
+  // kCostMinBuildRows and its span [1, 400] is dense.
+  EXPECT_TRUE(hints.perfect);
+  EXPECT_EQ(hints.perfect_min, 1);
+  EXPECT_EQ(hints.perfect_max, 400);
 }
 
 TEST(CostDecisionTest, SparseOrMissingStatsStayGeneric) {
@@ -386,9 +389,11 @@ TEST(CostDecisionTest, ExplainShowsPerfectStrategyOnlyWhenChosen) {
                        ExplainSql(kPerfectJoinSql, catalog, opts));
   EXPECT_EQ(off.find("perfect dense-array hash"), std::string::npos) << off;
   opts.cost_based = true;
-  ASSERT_OK_AND_ASSIGN(std::string swap,
+  ASSERT_OK_AND_ASSIGN(std::string big_child,
                        ExplainSql(kBuildSwapSql, catalog, opts));
-  EXPECT_NE(swap.find("build=left"), std::string::npos) << swap;
+  EXPECT_NE(big_child.find("perfect dense-array hash"), std::string::npos)
+      << big_child;
+  EXPECT_EQ(big_child.find("build=left"), std::string::npos) << big_child;
 }
 
 // ---------- identity: cost-based plans change nothing but speed ----------

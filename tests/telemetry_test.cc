@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <fstream>
@@ -301,8 +302,16 @@ TEST(TelemetryTraceTest, TraceJsonIsWellFormedWithPoolTaskSpans) {
               "select a from r where exists (select e from s where e = a)")
           .status());
   // The tiny paper relations may not fan out; force pool-task spans so the
-  // worker-track assertion is deterministic.
-  ParallelForEach(16, 4, [](int64_t) {});
+  // worker-track assertion is deterministic. The first unit holds the
+  // calling thread until a second thread has entered the loop: the caller
+  // cannot run its own queued helpers meanwhile, so a pool worker must pick
+  // one up — freshly spawned workers would otherwise often lose the race to
+  // a caller that finishes every unit and drains its helpers inline.
+  std::atomic<int> entered{0};
+  ParallelForEach(16, 4, [&entered](int64_t) {
+    entered.fetch_add(1);
+    while (entered.load() < 2) std::this_thread::yield();
+  });
 
   telemetry::FlushTrace();
   telemetry::UninstallTraceSink();
