@@ -45,6 +45,77 @@ void ColumnVector::ConvertToGeneric() {
   generic_ = true;
 }
 
+void ColumnVector::AppendRefs(const std::vector<RowBatch>& batches, int col,
+                              const uint64_t* refs, int64_t n) {
+  if (n == 0) return;
+  // The source column of every batch, looked up once per call rather than
+  // through the batch once per cell.
+  std::vector<const ColumnVector*> srcs;
+  srcs.reserve(batches.size());
+  bool typed = !generic_;
+  for (const RowBatch& b : batches) {
+    const ColumnVector& src = b.column(col);
+    typed = typed && !src.generic_ && src.type_ == type_;
+    srcs.push_back(&src);
+  }
+  // A raw pointer: the byte stores below could alias the vector's own.
+  const ColumnVector* const* cols = srcs.data();
+  const auto src = [cols](uint64_t ref) -> const ColumnVector& {
+    return *cols[RefBatch(ref)];
+  };
+  if (!typed) {
+    for (int64_t k = 0; k < n; ++k) {
+      if (refs[k] == kNullRef) {
+        AppendNull();
+      } else {
+        AppendFrom(src(refs[k]), RefRow(refs[k]));
+      }
+    }
+    return;
+  }
+  // Typed to typed: a null slot carries a zero/empty placeholder, so
+  // copying source slots verbatim and writing a placeholder per pad keeps
+  // that invariant.
+  const size_t base = nulls_.size();
+  nulls_.resize(base + static_cast<size_t>(n));
+  uint8_t* nulls = nulls_.data() + base;
+  for (int64_t k = 0; k < n; ++k) {
+    const uint64_t ref = refs[k];
+    nulls[k] = ref == kNullRef ? 1 : src(ref).nulls_[RefRow(ref)];
+  }
+  switch (type_) {
+    case TypeId::kInt64:
+    case TypeId::kDate: {
+      ints_.resize(base + static_cast<size_t>(n));
+      int64_t* ints = ints_.data() + base;
+      for (int64_t k = 0; k < n; ++k) {
+        const uint64_t ref = refs[k];
+        ints[k] = ref == kNullRef ? 0 : src(ref).ints_[RefRow(ref)];
+      }
+      break;
+    }
+    case TypeId::kFloat64: {
+      doubles_.resize(base + static_cast<size_t>(n));
+      double* doubles = doubles_.data() + base;
+      for (int64_t k = 0; k < n; ++k) {
+        const uint64_t ref = refs[k];
+        doubles[k] = ref == kNullRef ? 0.0 : src(ref).doubles_[RefRow(ref)];
+      }
+      break;
+    }
+    case TypeId::kString:
+      for (int64_t k = 0; k < n; ++k) {
+        const uint64_t ref = refs[k];
+        if (ref == kNullRef) {
+          strings_.emplace_back();
+        } else {
+          strings_.push_back(src(ref).strings_[RefRow(ref)]);
+        }
+      }
+      break;
+  }
+}
+
 int64_t ColumnVector::ByteSize() const {
   int64_t bytes = static_cast<int64_t>(nulls_.size());  // null bytes
   if (generic_) {

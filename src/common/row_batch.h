@@ -1,6 +1,7 @@
 #ifndef NESTRA_COMMON_ROW_BATCH_H_
 #define NESTRA_COMMON_ROW_BATCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -11,6 +12,24 @@
 #include "common/value.h"
 
 namespace nestra {
+
+class RowBatch;
+
+/// Packed reference to row `r` of batch `b` in a list of batches:
+/// (b << 32) | r. Operators that keep drained batches (join build, sort)
+/// address their rows this way and gather output through
+/// ColumnVector::AppendRefs.
+inline uint64_t PackRowRef(size_t b, int64_t r) {
+  return (static_cast<uint64_t>(b) << 32) | static_cast<uint64_t>(r);
+}
+inline size_t RefBatch(uint64_t ref) { return static_cast<size_t>(ref >> 32); }
+inline int64_t RefRow(uint64_t ref) {
+  return static_cast<int64_t>(ref & 0xffffffffU);
+}
+
+/// A reference that appends a NULL instead of reading a batch (the outer
+/// join's padding).
+inline constexpr uint64_t kNullRef = ~uint64_t{0};
 
 /// \brief One column of a RowBatch: type-specialized storage plus a
 /// per-entry null byte.
@@ -159,21 +178,42 @@ class ColumnVector {
       return;
     }
     // Null slots carry a zero/empty placeholder in typed storage, so
-    // copying them verbatim keeps that invariant.
-    for (const int32_t i : sel) nulls_.push_back(src.nulls_[i]);
+    // copying them verbatim keeps that invariant. Numeric slots are sized
+    // once and written by index; reads stay bounds-checked under
+    // _GLIBCXX_ASSERTIONS.
+    const size_t base = nulls_.size();
+    const size_t n = sel.size();
+    nulls_.resize(base + n);
+    uint8_t* nulls = nulls_.data() + base;
+    for (size_t k = 0; k < n; ++k) nulls[k] = src.nulls_[sel[k]];
     switch (type_) {
       case TypeId::kInt64:
-      case TypeId::kDate:
-        for (const int32_t i : sel) ints_.push_back(src.ints_[i]);
+      case TypeId::kDate: {
+        ints_.resize(base + n);
+        int64_t* ints = ints_.data() + base;
+        for (size_t k = 0; k < n; ++k) ints[k] = src.ints_[sel[k]];
         break;
-      case TypeId::kFloat64:
-        for (const int32_t i : sel) doubles_.push_back(src.doubles_[i]);
+      }
+      case TypeId::kFloat64: {
+        doubles_.resize(base + n);
+        double* doubles = doubles_.data() + base;
+        for (size_t k = 0; k < n; ++k) doubles[k] = src.doubles_[sel[k]];
         break;
+      }
       case TypeId::kString:
         for (const int32_t i : sel) strings_.push_back(src.strings_[i]);
         break;
     }
   }
+
+  /// Appends column `col` of the rows `refs[0..n)` (packed with
+  /// PackRowRef into `batches`; kNullRef appends a NULL) — the gather for
+  /// operators that emit rows of several batches. Cell-for-cell identical
+  /// to AppendFrom per reference; the storage decision is made once per
+  /// call, and only a generic or mixed-storage source falls back to
+  /// AppendFrom.
+  void AppendRefs(const std::vector<RowBatch>& batches, int col,
+                  const uint64_t* refs, int64_t n);
 
   bool IsNull(int64_t i) const { return nulls_[i] != 0; }
   const std::vector<uint8_t>& nulls() const { return nulls_; }

@@ -1,5 +1,7 @@
 #include "exec/filter.h"
 
+#include <utility>
+
 namespace nestra {
 
 Status FilterNode::OpenImpl() {
@@ -30,11 +32,13 @@ Status FilterNode::NextBatchImpl(RowBatch* out, bool* eof) {
     vectorized_.Select(input_, &sel_);
     if (sel_.empty()) continue;
     const int ncols = out->num_columns();
+    // When every row survives, the input columns are the output.
+    const bool all = static_cast<int64_t>(sel_.size()) == input_.num_rows();
     for (int c = 0; c < ncols; ++c) {
-      const ColumnVector& in = input_.column(c);
-      ColumnVector& dst = out->column(c);
-      for (const int32_t i : sel_) {
-        dst.AppendFrom(in, i);
+      if (all) {
+        std::swap(out->column(c), input_.column(c));
+      } else {
+        out->column(c).AppendSelection(input_.column(c), sel_);
       }
     }
     out->set_num_rows(static_cast<int64_t>(sel_.size()));

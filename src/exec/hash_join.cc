@@ -71,11 +71,6 @@ void HashJoinNode::ReleaseMem(int64_t bytes) {
 
 namespace {
 
-// Packed reference to row `r` of batch `b`: (b << 32) | r.
-uint64_t BuildRef(size_t b, int64_t r) {
-  return (static_cast<uint64_t>(b) << 32) | static_cast<uint64_t>(r);
-}
-
 // Writes one SqlHash key combine per row of `batch` to hashes[0..n) and
 // the rows' NULL-key flags to nulls[0..n), column-at-a-time. Byte-identical
 // to SqlKeyHashOn over the materialized rows (kFnvOffsetBasis, then per key
@@ -186,7 +181,7 @@ Status HashJoinNode::BuildTable() {
   for (size_t b = 0; b < build_batches_.size(); ++b) {
     const int64_t rows = build_batches_[b].num_rows();
     offsets[b + 1] = offsets[b] + static_cast<size_t>(rows);
-    for (int64_t r = 0; r < rows; ++r) build_refs_.push_back(BuildRef(b, r));
+    for (int64_t r = 0; r < rows; ++r) build_refs_.push_back(PackRowRef(b, r));
   }
   build_rows_ = static_cast<int64_t>(build_refs_.size());
 
@@ -208,7 +203,7 @@ Status HashJoinNode::BuildTable() {
   // Perfect (dense-array) keying: single equality key over a hinted dense
   // int range. Validated against the actual rows, so a wrong hint falls
   // through to the flat build below instead of corrupting results.
-  if (hints_.perfect && equi_.size() == 1 && TryPerfectBuild(has_null)) {
+  if (hints_.perfect && equi_.size() == 1 && TryPerfectBuild()) {
     return ChargeMem(
         static_cast<int64_t>(perfect_head_.size() * sizeof(int32_t) +
                              flat_next_.size() * sizeof(int32_t)));
@@ -234,35 +229,48 @@ Status HashJoinNode::BuildTable() {
                                         flat_hash_.size() * sizeof(size_t)));
 }
 
-bool HashJoinNode::TryPerfectBuild(const std::vector<uint8_t>& has_null) {
-  const int64_t n = build_rows_;
+bool HashJoinNode::TryPerfectBuild() {
   const int64_t min = hints_.perfect_min;
   const int64_t max = hints_.perfect_max;
   if (max < min) return false;
   const int64_t span = max - min + 1;  // the estimator caps this at 2^22
   const int key_idx = right_key_idx_[0];
-  // Validate before committing: every non-NULL build key must be an int64
-  // inside the hinted range. Load-time stats guarantee this for immutable
-  // catalog tables; anything else (a stale hint) degrades to the generic
-  // build, never to wrong results.
-  for (int64_t i = 0; i < n; ++i) {
-    if (has_null[static_cast<size_t>(i)] != 0) continue;
-    const Value v = BuildValue(static_cast<int32_t>(i), key_idx);
-    if (!v.is_int() || v.int64() < min || v.int64() > max) return false;
+  perfect_head_.assign(static_cast<size_t>(span), -1);
+  flat_next_.assign(static_cast<size_t>(build_rows_), -1);
+  // One pass per build batch checks each key and inserts it: every
+  // non-NULL build key must be an int64 inside the hinted range. Load-time
+  // stats guarantee this for immutable catalog tables; anything else (a
+  // stale hint) degrades to the flat build, never to wrong results.
+  // Batches and rows run in reverse, like the flat build: push-front then
+  // leaves every chain in arrival order.
+  int64_t j = build_rows_;
+  for (size_t b = build_batches_.size(); b-- > 0;) {
+    const ColumnVector& col = build_batches_[b].column(key_idx);
+    const std::vector<uint8_t>& nulls = col.nulls();
+    const bool ints = !col.generic() && (col.type() == TypeId::kInt64 ||
+                                         col.type() == TypeId::kDate);
+    for (int64_t r = build_batches_[b].num_rows() - 1; r >= 0; --r) {
+      --j;
+      if (nulls[static_cast<size_t>(r)] != 0) continue;
+      bool is_int = ints;
+      int64_t key = 0;
+      if (ints) {
+        key = col.ints()[static_cast<size_t>(r)];
+      } else {
+        const Value v = col.GetValue(r);
+        is_int = v.is_int();
+        if (is_int) key = v.int64();
+      }
+      if (!is_int || key < min || key > max) {
+        perfect_head_ = std::vector<int32_t>();
+        return false;
+      }
+      const size_t slot = static_cast<size_t>(key - min);
+      flat_next_[static_cast<size_t>(j)] = perfect_head_[slot];
+      perfect_head_[slot] = static_cast<int32_t>(j);
+    }
   }
   perfect_built_ = true;
-  perfect_head_.assign(static_cast<size_t>(span), -1);
-  flat_next_.assign(static_cast<size_t>(n), -1);
-  // Reverse insertion order, like the flat build: push-front leaves every
-  // chain in arrival order, so candidate order matches the flat table.
-  for (int64_t i = n - 1; i >= 0; --i) {
-    const size_t si = static_cast<size_t>(i);
-    if (has_null[si] != 0) continue;
-    const size_t slot = static_cast<size_t>(
-        BuildValue(static_cast<int32_t>(i), key_idx).int64() - min);
-    flat_next_[si] = perfect_head_[slot];
-    perfect_head_[slot] = static_cast<int32_t>(i);
-  }
   return true;
 }
 
@@ -283,10 +291,9 @@ bool HashJoinNode::DenseKeyOf(const Value& v, int64_t* key) const {
   return true;
 }
 
-Row HashJoinNode::ConcatBuildRow(const Row& left_row, int32_t j) const {
-  const uint64_t ref = build_refs_[static_cast<size_t>(j)];
-  const RowBatch& batch = build_batches_[ref >> 32];
-  const int64_t r = static_cast<int64_t>(ref & 0xffffffffU);
+Row HashJoinNode::ConcatBuildRow(const Row& left_row, uint64_t ref) const {
+  const RowBatch& batch = build_batches_[RefBatch(ref)];
+  const int64_t r = RefRow(ref);
   std::vector<Value> values;
   values.reserve(static_cast<size_t>(left_row.size() + right_width_));
   values.insert(values.end(), left_row.values().begin(),
@@ -298,16 +305,16 @@ Row HashJoinNode::ConcatBuildRow(const Row& left_row, int32_t j) const {
 }
 
 void HashJoinNode::PerfectCandidates(int64_t key,
-                                     std::vector<int32_t>* out) const {
+                                     std::vector<uint64_t>* out) const {
   for (int32_t j = perfect_head_[static_cast<size_t>(key -
                                                      hints_.perfect_min)];
        j >= 0; j = flat_next_[static_cast<size_t>(j)]) {
-    out->push_back(j);
+    out->push_back(build_refs_[static_cast<size_t>(j)]);
   }
 }
 
 void HashJoinNode::GatherCandidates(const std::vector<Value>& key, size_t h,
-                                    std::vector<int32_t>* out) const {
+                                    std::vector<uint64_t>* out) const {
   if (flat_head_.empty()) return;  // empty build
   for (int32_t j = flat_head_[h & flat_mask_]; j >= 0;
        j = flat_next_[static_cast<size_t>(j)]) {
@@ -322,7 +329,7 @@ void HashJoinNode::GatherCandidates(const std::vector<Value>& key, size_t h,
         break;
       }
     }
-    if (equal) out->push_back(j);
+    if (equal) out->push_back(build_refs_[static_cast<size_t>(j)]);
   }
 }
 
@@ -349,8 +356,8 @@ void HashJoinNode::ProbeRow(const Row& left_row, std::vector<Row>* out) {
   }
 
   bool matched = false;
-  for (const int32_t j : flat_candidates_) {
-    Row combined = ConcatBuildRow(left_row, j);
+  for (const uint64_t ref : flat_candidates_) {
+    Row combined = ConcatBuildRow(left_row, ref);
     if (!bound_residual_.Matches(combined)) continue;
     matched = true;
     if (join_type_ == JoinType::kInner ||
@@ -431,10 +438,10 @@ void HashJoinNode::LoadProbeBatch() {
                  probe_hashes_.data(), probe_null_.data());
 
   pair_begin_.assign(sn + 1, 0);
-  pair_build_.clear();
+  pair_ref_.clear();
   for (int64_t i = 0; i < n; ++i) {
     const size_t si = static_cast<size_t>(i);
-    pair_begin_[si] = static_cast<int32_t>(pair_build_.size());
+    pair_begin_[si] = static_cast<int32_t>(pair_ref_.size());
     if (probe_null_[si] != 0) continue;
     if (perfect_built_) {
       const ColumnVector& col = probe_batch_.column(left_key_idx_[0]);
@@ -447,145 +454,119 @@ void HashJoinNode::LoadProbeBatch() {
       } else {
         in_range = DenseKeyOf(col.GetValue(i), &key);
       }
-      if (in_range) PerfectCandidates(key, &pair_build_);
+      if (in_range) PerfectCandidates(key, &pair_ref_);
       continue;
     }
     scratch_key_.clear();
     for (const int idx : left_key_idx_) {
       scratch_key_.push_back(probe_batch_.column(idx).GetValue(i));
     }
-    GatherCandidates(scratch_key_, probe_hashes_[si], &pair_build_);
+    GatherCandidates(scratch_key_, probe_hashes_[si], &pair_ref_);
   }
-  pair_begin_[sn] = static_cast<int32_t>(pair_build_.size());
-  if (!residual_compiled_ || pair_build_.empty()) return;
+  pair_begin_[sn] = static_cast<int32_t>(pair_ref_.size());
+  if (!residual_compiled_ || pair_ref_.empty()) return;
 
   // The residual runs once over every candidate pair of the batch: gather
   // the columns it reads (probe cells repeated per pair, build cells by
   // reference) into one combined batch and select the survivors.
+  pair_probe_.clear();
+  for (size_t i = 0; i < sn; ++i) {
+    pair_probe_.resize(static_cast<size_t>(pair_begin_[i + 1]),
+                       static_cast<int32_t>(i));
+  }
   const int left_width = probe_batch_.num_columns();
+  const int64_t num_pairs = static_cast<int64_t>(pair_ref_.size());
   pair_batch_.Reset(residual_schema_);
   for (const int c : residual_cols_) {
     ColumnVector& dst = pair_batch_.column(c);
     if (c < left_width) {
-      const ColumnVector& src = probe_batch_.column(c);
-      for (int64_t i = 0; i < n; ++i) {
-        const size_t si = static_cast<size_t>(i);
-        for (int32_t k = pair_begin_[si]; k < pair_begin_[si + 1]; ++k) {
-          dst.AppendFrom(src, i);
-        }
-      }
-      continue;
-    }
-    for (const int32_t j : pair_build_) {
-      const uint64_t ref = build_refs_[static_cast<size_t>(j)];
-      dst.AppendFrom(build_batches_[ref >> 32].column(c - left_width),
-                     static_cast<int64_t>(ref & 0xffffffffU));
+      dst.AppendSelection(probe_batch_.column(c), pair_probe_);
+    } else {
+      dst.AppendRefs(build_batches_, c - left_width, pair_ref_.data(),
+                     num_pairs);
     }
   }
-  pair_batch_.set_num_rows(static_cast<int64_t>(pair_build_.size()));
+  pair_batch_.set_num_rows(num_pairs);
   residual_vec_.Select(pair_batch_, &pair_sel_);
-  pair_pass_.assign(pair_build_.size(), 0);
+  pair_pass_.assign(pair_ref_.size(), 0);
   for (const int32_t k : pair_sel_) pair_pass_[static_cast<size_t>(k)] = 1;
 }
 
-int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
+int64_t HashJoinNode::ProbeBatchRow(int64_t i) {
   const size_t si = static_cast<size_t>(i);
-  const bool probe_null = probe_null_[si] != 0;
   const int32_t begin = pair_begin_[si];
   const int32_t end = pair_begin_[si + 1];
-
-  const int left_width = probe_batch_.num_columns();
-  int64_t emitted = 0;
-  bool matched = false;
+  const int32_t row = static_cast<int32_t>(i);
   const bool combining = join_type_ == JoinType::kInner ||
                          join_type_ == JoinType::kLeftOuter;
   const bool no_residual = bound_residual_.always_true();
-  if (begin < end) {
-    if (combining && (no_residual || residual_compiled_)) {
-      // Hot path: left cells copy from the probe batch, right cells from
-      // the build batches, typed storage to typed storage.
-      for (int32_t k = begin; k < end; ++k) {
-        if (!no_residual && pair_pass_[static_cast<size_t>(k)] == 0) continue;
-        matched = true;
-        const uint64_t ref =
-            build_refs_[static_cast<size_t>(pair_build_[static_cast<size_t>(k)])];
-        const RowBatch& build = build_batches_[ref >> 32];
-        const int64_t r = static_cast<int64_t>(ref & 0xffffffffU);
-        for (int c = 0; c < left_width; ++c) {
-          out->column(c).AppendFrom(probe_batch_.column(c), i);
-        }
-        for (int c = 0; c < right_width_; ++c) {
-          out->column(left_width + c).AppendFrom(build.column(c), r);
-        }
-        ++emitted;
-      }
-    } else if (combining) {
-      // Uncompiled residual: judge each candidate on the concatenated row.
-      const Row left_row = probe_batch_.MaterializeRow(i);
-      for (int32_t k = begin; k < end; ++k) {
-        Row combined =
-            ConcatBuildRow(left_row, pair_build_[static_cast<size_t>(k)]);
-        if (!bound_residual_.Matches(combined)) continue;
-        matched = true;
-        NESTRA_DCHECK(combined.size() == schema_.num_fields());
-        for (int c = 0; c < combined.size(); ++c) {
-          out->column(c).Append(std::move(combined[c]));
-        }
-        ++emitted;
-      }
-    } else if (no_residual) {
-      matched = true;
-    } else if (residual_compiled_) {
-      for (int32_t k = begin; k < end && !matched; ++k) {
-        matched = pair_pass_[static_cast<size_t>(k)] != 0;
-      }
-    } else {
-      const Row left_row = probe_batch_.MaterializeRow(i);
-      for (int32_t k = begin; k < end && !matched; ++k) {
-        matched = bound_residual_.Matches(
-            ConcatBuildRow(left_row, pair_build_[static_cast<size_t>(k)]));
-      }
-    }
+  const size_t before = emit_probe_.size();
+
+  // A residual without batch kernels is judged on the concatenated row;
+  // either way only the decision is made per pair, and FlushEmits gathers
+  // the output columns.
+  Row left_row;
+  if (!no_residual && !residual_compiled_ && begin < end) {
+    left_row = probe_batch_.MaterializeRow(i);
+  }
+  bool matched = false;
+  for (int32_t k = begin; k < end; ++k) {
+    const size_t sk = static_cast<size_t>(k);
+    const bool pass =
+        no_residual ||
+        (residual_compiled_ ? pair_pass_[sk] != 0
+                            : bound_residual_.Matches(
+                                  ConcatBuildRow(left_row, pair_ref_[sk])));
+    if (!pass) continue;
+    matched = true;
+    // Semi/anti flavors decide on the first residual-passing match.
+    if (!combining) break;
+    emit_probe_.push_back(row);
+    emit_ref_.push_back(pair_ref_[sk]);
   }
 
   // Per-row epilogue, mirroring ProbeRow exactly.
-  bool emit_left_only = false;
   switch (join_type_) {
     case JoinType::kInner:
       break;
     case JoinType::kLeftSemi:
-      emit_left_only = matched;
+      if (matched) emit_probe_.push_back(row);
       break;
     case JoinType::kLeftOuter:
       if (!matched) {
-        for (int c = 0; c < left_width; ++c) {
-          out->column(c).AppendFrom(probe_batch_.column(c), i);
-        }
-        for (int c = 0; c < right_width_; ++c) {
-          out->column(left_width + c).AppendNull();
-        }
-        ++emitted;
+        emit_probe_.push_back(row);
+        emit_ref_.push_back(kNullRef);
       }
       break;
     case JoinType::kLeftAnti:
-      emit_left_only = !matched;
+      if (!matched) emit_probe_.push_back(row);
       break;
     case JoinType::kLeftAntiNullAware:
       if (matched) break;
-      if (build_rows_ == 0) {
-        emit_left_only = true;
-        break;
+      if (build_rows_ == 0 ||
+          (probe_null_[si] == 0 && !build_has_null_key_)) {
+        emit_probe_.push_back(row);
       }
-      emit_left_only = !probe_null && !build_has_null_key_;
       break;
   }
-  if (emit_left_only) {
-    for (int c = 0; c < left_width; ++c) {
-      out->column(c).AppendFrom(probe_batch_.column(c), i);
-    }
-    ++emitted;
+  return static_cast<int64_t>(emit_probe_.size() - before);
+}
+
+void HashJoinNode::FlushEmits(RowBatch* out) {
+  if (emit_probe_.empty()) return;
+  const int left_width = probe_batch_.num_columns();
+  for (int c = 0; c < left_width; ++c) {
+    out->column(c).AppendSelection(probe_batch_.column(c), emit_probe_);
   }
-  return emitted;
+  // Right columns exist only for inner/outer joins, which record one
+  // reference per output row.
+  for (int c = left_width; c < out->num_columns(); ++c) {
+    out->column(c).AppendRefs(build_batches_, c - left_width,
+                              emit_ref_.data(),
+                              static_cast<int64_t>(emit_ref_.size()));
+  }
+  emit_probe_.clear();
+  emit_ref_.clear();
 }
 
 Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
@@ -593,6 +574,8 @@ Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
   while (emitted < RowBatch::kDefaultCapacity) {
     if (probe_pos_ >= probe_batch_.num_rows()) {
       if (left_done_) break;
+      // The recorded rows read the probe batch the next load overwrites.
+      FlushEmits(out);
       bool left_eof = false;
       NESTRA_RETURN_NOT_OK(left_->NextBatch(&probe_batch_, &left_eof));
       if (left_eof) {
@@ -605,10 +588,11 @@ Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
     }
     while (probe_pos_ < probe_batch_.num_rows() &&
            emitted < RowBatch::kDefaultCapacity) {
-      emitted += ProbeBatchRow(probe_pos_, out);
+      emitted += ProbeBatchRow(probe_pos_);
       ++probe_pos_;
     }
   }
+  FlushEmits(out);
   out->set_num_rows(emitted);
   *eof = out->empty();
   return Status::OK();
@@ -628,8 +612,11 @@ void HashJoinNode::CloseImpl() {
   perfect_built_ = false;
   perfect_head_.clear();
   pair_begin_.clear();
-  pair_build_.clear();
+  pair_ref_.clear();
+  pair_probe_.clear();
   pair_pass_.clear();
+  emit_probe_.clear();
+  emit_ref_.clear();
   left_->Close();
   right_->Close();
 }

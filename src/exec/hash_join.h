@@ -40,11 +40,12 @@ namespace nestra {
 /// lists its rows in arrival order. With `num_threads > 1` the build hashes
 /// its key columns batch-parallel; the table and the probe are the same at
 /// every thread count. The vectorized probe streams the left input a batch
-/// at a time and copies matched cells straight from the probe and build
-/// columns; the row probe (`Next`) is the same algorithm over one `Row` at a
-/// time and serves as its oracle. Output order is left arrival order, each
-/// left row's matches in build arrival order, whatever the engine or thread
-/// count.
+/// at a time in two passes: it first records which rows come out (probe
+/// row, build reference or NULL pad), then fills each output column with
+/// one gather from the probe and build columns. The row probe (`Next`) is
+/// the same algorithm over one `Row` at a time and serves as its oracle.
+/// Output order is left arrival order, each left row's matches in build
+/// arrival order, whatever the engine or thread count.
 class HashJoinNode final : public ExecNode {
  public:
   /// With `vectorized` the build and probe inputs are drained via
@@ -87,26 +88,26 @@ class HashJoinNode final : public ExecNode {
  private:
   // Drains the right child as batches and builds the hash table over them.
   Status BuildTable();
-  // Dense-array build over the single equality key; false (leaving the
-  // build untouched) when a key violates the hinted [min, max] int range.
-  bool TryPerfectBuild(const std::vector<uint8_t>& has_null);
+  // Dense-array build over the single equality key; false (no perfect
+  // table) when a key violates the hinted [min, max] int range.
+  bool TryPerfectBuild();
   // Maps a probe key value to its dense array key; false when the value
   // cannot equal any build key (NULL-free non-integral or out of range).
   bool DenseKeyOf(const Value& v, int64_t* key) const;
   // Cell `c` of build row j.
   Value BuildValue(int32_t j, int c) const {
     const uint64_t ref = build_refs_[static_cast<size_t>(j)];
-    return build_batches_[ref >> 32].column(c).GetValue(
-        static_cast<int64_t>(ref & 0xffffffffU));
+    return build_batches_[RefBatch(ref)].column(c).GetValue(RefRow(ref));
   }
-  // `left_row` ++ build row j.
-  Row ConcatBuildRow(const Row& left_row, int32_t j) const;
-  // Appends the build rows on `key`'s perfect-array chain to `out`.
-  void PerfectCandidates(int64_t key, std::vector<int32_t>* out) const;
-  // Appends the build rows whose key equals `key` (combined hash `h`) to
-  // `out`, in arrival order.
+  // `left_row` ++ the build row `ref` points at.
+  Row ConcatBuildRow(const Row& left_row, uint64_t ref) const;
+  // Appends the references of the build rows on `key`'s perfect-array
+  // chain to `out`.
+  void PerfectCandidates(int64_t key, std::vector<uint64_t>* out) const;
+  // Appends the references of the build rows whose key equals `key`
+  // (combined hash `h`) to `out`, in arrival order.
   void GatherCandidates(const std::vector<Value>& key, size_t h,
-                        std::vector<int32_t>* out) const;
+                        std::vector<uint64_t>* out) const;
   // Appends every output row produced by one probe row to `out`: matches
   // in build order, then the per-row outer/anti epilogue.
   void ProbeRow(const Row& left_row, std::vector<Row>* out);
@@ -114,9 +115,12 @@ class HashJoinNode final : public ExecNode {
   // row's candidate build rows into the pair lists, and runs the compiled
   // residual once over all (probe row, build row) pairs.
   void LoadProbeBatch();
-  // Probes row `i` of probe_batch_, appending outputs to `out` columns
-  // (without touching the batch row count); returns rows appended.
-  int64_t ProbeBatchRow(int64_t i, RowBatch* out);
+  // Probes row `i` of probe_batch_ and records its output rows in
+  // emit_probe_/emit_ref_; returns the number recorded.
+  int64_t ProbeBatchRow(int64_t i);
+  // Appends the recorded output rows to `out`'s columns, one gather per
+  // column (without touching the batch row count), and clears the record.
+  void FlushEmits(RowBatch* out);
   // Accounts `bytes` of build/probe state against OperatorStats and the
   // current query tracker (ResourceExhausted past the soft limit); called
   // serially, never from the parallel key hashing.
@@ -140,7 +144,8 @@ class HashJoinNode final : public ExecNode {
   Schema residual_schema_;         // left ++ right, unpadded
   BoundPredicate bound_residual_;  // over residual_schema_
   // The residual compiled to batch kernels (streaming vectorized probe);
-  // when it does not compile, that probe concatenates rows instead.
+  // when it does not compile, that probe judges each pair on the
+  // concatenated row instead.
   VectorizedPredicate residual_vec_;
   bool residual_compiled_ = false;
   std::vector<int> residual_cols_;
@@ -162,8 +167,8 @@ class HashJoinNode final : public ExecNode {
   std::vector<int32_t> flat_head_;
   std::vector<int32_t> flat_next_;
   size_t flat_mask_ = 0;
-  // One probe row's key-equal candidates (row probe).
-  std::vector<int32_t> flat_candidates_;
+  // One probe row's key-equal candidates (row probe), as build references.
+  std::vector<uint64_t> flat_candidates_;
 
   // Perfect (dense-array) table: each array slot heads an arrival-order
   // index chain through flat_next_ — direct indexing by key - perfect_min,
@@ -181,9 +186,10 @@ class HashJoinNode final : public ExecNode {
   // Bytes currently charged to the query tracker (released in CloseImpl).
   int64_t charged_mem_ = 0;
 
-  // Vectorized streaming-probe state. Probe row i's candidates are
-  // pair_build_[pair_begin_[i] .. pair_begin_[i + 1]); pair_pass_ flags
-  // the pairs the compiled residual accepted.
+  // Vectorized streaming-probe state. Probe row i's candidate build
+  // references are pair_ref_[pair_begin_[i] .. pair_begin_[i + 1]);
+  // pair_probe_ repeats i once per candidate for the residual's pair batch,
+  // and pair_pass_ flags the pairs the compiled residual accepted.
   bool vectorized_ = false;
   RowBatch probe_batch_;
   std::vector<size_t> probe_hashes_;
@@ -191,10 +197,15 @@ class HashJoinNode final : public ExecNode {
   int64_t probe_pos_ = 0;
   std::vector<Value> scratch_key_;
   std::vector<int32_t> pair_begin_;
-  std::vector<int32_t> pair_build_;
+  std::vector<uint64_t> pair_ref_;
+  std::vector<int32_t> pair_probe_;
   std::vector<uint8_t> pair_pass_;
   std::vector<int32_t> pair_sel_;
   RowBatch pair_batch_;
+  // Output rows recorded but not yet gathered: probe row per output row,
+  // and for inner/outer joins the build reference (kNullRef for a pad).
+  std::vector<int32_t> emit_probe_;
+  std::vector<uint64_t> emit_ref_;
 };
 
 }  // namespace nestra

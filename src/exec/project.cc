@@ -1,5 +1,7 @@
 #include "exec/project.h"
 
+#include <utility>
+
 namespace nestra {
 
 ProjectNode::ProjectNode(ExecNodePtr child, std::vector<std::string> columns,
@@ -25,6 +27,14 @@ Status ProjectNode::OpenImpl() {
     fields.push_back(std::move(f));
   }
   schema_ = Schema(std::move(fields));
+  // An input column is handed over to the last output column that reads
+  // it; earlier duplicates copy it.
+  last_use_.assign(indices_.size(), true);
+  for (size_t i = 0; i < indices_.size(); ++i) {
+    for (size_t j = i + 1; j < indices_.size(); ++j) {
+      if (indices_[j] == indices_[i]) last_use_[i] = false;
+    }
+  }
   return Status::OK();
 }
 
@@ -45,9 +55,13 @@ Status ProjectNode::NextBatchImpl(RowBatch* out, bool* eof) {
   }
   const int64_t n = input_.num_rows();
   for (size_t c = 0; c < indices_.size(); ++c) {
-    const ColumnVector& in = input_.column(indices_[c]);
+    ColumnVector& in = input_.column(indices_[c]);
     ColumnVector& dst = out->column(static_cast<int>(c));
-    for (int64_t i = 0; i < n; ++i) dst.AppendFrom(in, i);
+    if (last_use_[c]) {
+      std::swap(dst, in);
+    } else {
+      dst = in;
+    }
   }
   out->set_num_rows(n);
   *eof = out->empty();

@@ -33,6 +33,9 @@ class ProjectNode final : public ExecNode {
   std::vector<std::string> columns_;
   std::vector<std::string> output_names_;
   std::vector<int> indices_;
+  // last_use_[c]: no later output column reads input column indices_[c],
+  // so NextBatch moves that column instead of copying it.
+  std::vector<bool> last_use_;
   Schema schema_;
   RowBatch input_;
 };

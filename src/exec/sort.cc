@@ -10,11 +10,6 @@ namespace nestra {
 
 namespace {
 
-// Packed reference to row `r` of batch `b` (see SortNode::order_).
-uint64_t Ref(size_t b, int64_t r) {
-  return (static_cast<uint64_t>(b) << 32) | static_cast<uint64_t>(r);
-}
-
 int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
 
 // One sort key's cells gathered in input order, so the comparator indexes
@@ -154,7 +149,7 @@ Status SortNode::OpenImpl() {
   refs.reserve(static_cast<size_t>(n));
   for (size_t b = 0; b < batches_.size(); ++b) {
     for (int64_t r = 0; r < batches_[b].num_rows(); ++r) {
-      refs.push_back(Ref(b, r));
+      refs.push_back(PackRowRef(b, r));
     }
   }
   order_.reserve(perm.size());
@@ -189,7 +184,7 @@ Status SortNode::NextImpl(Row* out, bool* eof) {
   *eof = false;
   // Every reference is emitted exactly once, so its cells can move out.
   const uint64_t ref = order_[pos_++];
-  *out = batches_[ref >> 32].TakeRow(static_cast<int64_t>(ref & 0xffffffffU));
+  *out = batches_[RefBatch(ref)].TakeRow(RefRow(ref));
   return Status::OK();
 }
 
@@ -197,12 +192,8 @@ Status SortNode::NextBatchImpl(RowBatch* out, bool* eof) {
   size_t end = pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity);
   if (end > order_.size()) end = order_.size();
   for (int c = 0; c < out->num_columns(); ++c) {
-    ColumnVector& dst = out->column(c);
-    for (size_t k = pos_; k < end; ++k) {
-      const uint64_t ref = order_[k];
-      dst.AppendFrom(batches_[ref >> 32].column(c),
-                     static_cast<int64_t>(ref & 0xffffffffU));
-    }
+    out->column(c).AppendRefs(batches_, c, order_.data() + pos_,
+                              static_cast<int64_t>(end - pos_));
   }
   out->set_num_rows(static_cast<int64_t>(end - pos_));
   pos_ = end;

@@ -59,8 +59,8 @@ class SortNode final : public ExecNode {
   int num_threads_ = 1;
   bool vectorized_ = false;
   std::vector<RowBatch> batches_;
-  // The sorted permutation of packed row references: row r of batches_[b]
-  // is (b << 32) | r.
+  // The sorted permutation of packed row references into batches_
+  // (PackRowRef).
   std::vector<uint64_t> order_;
   size_t pos_ = 0;
   int64_t charged_bytes_ = 0;

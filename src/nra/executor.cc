@@ -822,7 +822,7 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
         return Status::OK();
       });
   NESTRA_RETURN_NOT_OK(dag.Run(num_threads_, stats, profile));
-  return std::move(out);
+  return out;
 }
 
 Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
@@ -913,7 +913,7 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
         });
   }
   NESTRA_RETURN_NOT_OK(dag.Run(num_threads_, stats, profile));
-  return std::move(out);
+  return out;
 }
 
 Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
@@ -1184,7 +1184,7 @@ Result<Table> NraExecutor::ExecutePipelinedRecursive(const QueryBlock& root,
                 return Status::OK();
               });
   NESTRA_RETURN_NOT_OK(dag.Run(num_threads_, stats, profile));
-  return std::move(out);
+  return out;
 }
 
 Result<Table> NraExecutor::EvalBase(const QueryBlock& block,

@@ -8,6 +8,10 @@
 //    int/double keys through the generic path, descending keys — for both
 //    engines and at threads 1/2/8 over inputs large enough to run the
 //    parallel merge.
+//  * Gathers: ColumnVector::AppendRefs and AppendSelection equal a
+//    per-cell AppendFrom, storage for storage, and the column hand-overs
+//    of ProjectNode (duplicated outputs) and FilterNode (every row kept)
+//    equal the row engine row for row.
 //  * Bit identity: the paper's queries at TPC-H scale 0.2 with 5% NULLs
 //    give row-identical results, identical NraStats row counts and
 //    identical EXPLAIN ANALYZE stage lists across threads {1, 2, 8} x
@@ -18,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,7 +30,10 @@
 #include <vector>
 
 #include "common/date.h"
+#include "common/row_batch.h"
 #include "exec/exec_node.h"
+#include "exec/filter.h"
+#include "exec/project.h"
 #include "exec/sort.h"
 #include "nra/executor.h"
 #include "nra/profile.h"
@@ -214,6 +222,204 @@ TEST(ColumnarSortTest, EmptyAndSingleRowInputs) {
   CheckSortParity({}, 1024, KeyLists(), "empty");
   CheckSortParity(SortRows(1, /*with_nan=*/true, 3), 1024, KeyLists(),
                   "one row");
+}
+
+// ---------- Column gathers ----------
+
+// Storage-exact equality of two columns: the same generic flag, null
+// bytes, typed slots (NULL placeholders included) and cells.
+void ExpectSameColumn(const ColumnVector& want, const ColumnVector& got,
+                      const std::string& context) {
+  ASSERT_EQ(want.size(), got.size()) << context;
+  ASSERT_EQ(want.generic(), got.generic()) << context;
+  ASSERT_EQ(want.type(), got.type()) << context;
+  EXPECT_EQ(want.nulls(), got.nulls()) << context;
+  EXPECT_EQ(want.ints(), got.ints()) << context;
+  EXPECT_EQ(want.strings(), got.strings()) << context;
+  ASSERT_EQ(want.doubles().size(), got.doubles().size()) << context;
+  if (!want.doubles().empty()) {
+    EXPECT_EQ(0, std::memcmp(want.doubles().data(), got.doubles().data(),
+                             want.doubles().size() * sizeof(double)))
+        << context;
+  }
+  for (int64_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(SameCell(want.GetValue(i), got.GetValue(i)))
+        << context << ": cell " << i << ": expected "
+        << want.GetValue(i).ToString() << ", got "
+        << got.GetValue(i).ToString();
+  }
+}
+
+// Three batches of SortSchema rows. k_gen (declared float64) holds only
+// doubles in batches 0 and 2, which stay typed, and int64 next to double
+// cells in batch 1, which goes generic.
+std::vector<RowBatch> GatherSources(const Schema& schema) {
+  std::vector<Row> rows = SortRows(300, /*with_nan=*/true, 5);
+  std::vector<RowBatch> batches(3);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    batches[b].Reset(schema);
+    for (size_t r = b * 100; r < (b + 1) * 100; ++r) {
+      Row row = rows[r];
+      if (b != 1 && row[3].is_int()) {
+        row[3] = Value::Float64(static_cast<double>(row[3].int64()));
+      }
+      batches[b].AppendRow(row);
+    }
+  }
+  return batches;
+}
+
+TEST(ColumnGatherTest, AppendRefsMatchesPerCellAppendFrom) {
+  const Schema schema = SortSchema();
+  const std::vector<RowBatch> batches = GatherSources(schema);
+  ASSERT_FALSE(batches[0].column(3).generic());
+  ASSERT_TRUE(batches[1].column(3).generic());
+  ASSERT_FALSE(batches[2].column(3).generic());
+  // Refs over all three batches in a scrambled order, with repeats and
+  // NULL pads; plus a list of pads only, one within a single (typed)
+  // batch, and an empty list.
+  Rng rng(17);
+  std::vector<uint64_t> spread;
+  for (int k = 0; k < 500; ++k) {
+    spread.push_back(rng.UniformInt(0, 6) == 0
+                         ? kNullRef
+                         : PackRowRef(static_cast<size_t>(rng.UniformInt(0, 2)),
+                                      rng.UniformInt(0, 99)));
+  }
+  std::vector<uint64_t> in_batch_two;
+  for (int64_t r = 99; r >= 0; r -= 3) in_batch_two.push_back(PackRowRef(2, r));
+  const std::vector<std::pair<const char*, std::vector<uint64_t>>> lists = {
+      {"spread", spread},
+      {"pads", std::vector<uint64_t>(7, kNullRef)},
+      {"batch 2", in_batch_two},
+      {"empty", {}}};
+  // Each column into a destination of its own type, a destination that
+  // already holds cells, and (for the date column) an int64 destination,
+  // whose storage differs from the source's.
+  for (int c = 0; c < schema.num_fields(); ++c) {
+    std::vector<TypeId> dst_types = {schema.field(c).type};
+    if (schema.field(c).type == TypeId::kDate) {
+      dst_types.push_back(TypeId::kInt64);
+    }
+    for (const TypeId dst_type : dst_types) {
+      for (const auto& [name, refs] : lists) {
+        for (const bool prefilled : {false, true}) {
+          const std::string ctx = schema.field(c).name + " " + name +
+                                  (prefilled ? " prefilled" : "") +
+                                  " into " + TypeIdToString(dst_type);
+          ColumnVector want;
+          want.Reset(dst_type);
+          if (prefilled) {
+            want.AppendFrom(batches[0].column(c), 0);
+            want.AppendNull();
+          }
+          ColumnVector got = want;
+          for (const uint64_t ref : refs) {
+            if (ref == kNullRef) {
+              want.AppendNull();
+            } else {
+              want.AppendFrom(batches[RefBatch(ref)].column(c), RefRow(ref));
+            }
+          }
+          got.AppendRefs(batches, c, refs.data(),
+                         static_cast<int64_t>(refs.size()));
+          ExpectSameColumn(want, got, ctx);
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnGatherTest, AppendSelectionMatchesPerCellAppendFrom) {
+  const Schema schema = SortSchema();
+  const std::vector<RowBatch> batches = GatherSources(schema);
+  const std::vector<int32_t> sel = {99, 0, 5, 5, 42, 17, 98, 0};
+  for (int c = 0; c < schema.num_fields(); ++c) {
+    for (size_t b = 0; b < batches.size(); ++b) {
+      for (const std::vector<int32_t>& s : {sel, std::vector<int32_t>{}}) {
+        const std::string ctx = schema.field(c).name + " batch " +
+                                std::to_string(b) +
+                                (s.empty() ? " empty" : "");
+        ColumnVector want;
+        want.Reset(schema.field(c).type);
+        // A string cell turns a non-string destination generic, so the
+        // per-cell fallback runs even over a typed source.
+        if (b == 2) want.Append(Value::String("x"));
+        ColumnVector got = want;
+        for (const int32_t i : s) want.AppendFrom(batches[b].column(c), i);
+        got.AppendSelection(batches[b].column(c), s);
+        ExpectSameColumn(want, got, ctx);
+      }
+    }
+  }
+}
+
+// The vectorized engine's output, from a columnar source and from a row
+// source, must equal the row engine's row for row. `make` wraps a source
+// in the operator under test.
+void CheckAgainstRowEngine(
+    const std::vector<Row>& rows,
+    const std::function<ExecNodePtr(ExecNodePtr)>& make,
+    const std::string& context) {
+  const Schema schema = SortSchema();
+  ExecNodePtr row_plan =
+      make(std::make_unique<TableSourceNode>(Table(schema, rows)));
+  Result<Table> want = CollectTable(row_plan.get(), /*vectorized=*/false);
+  ASSERT_TRUE(want.ok()) << context << ": " << want.status().ToString();
+  for (const bool columnar_source : {true, false}) {
+    const std::string ctx =
+        context + (columnar_source ? " columnar source" : " row source");
+    Table input = columnar_source ? ColumnarTable(schema, rows, 400)
+                                  : Table(schema, rows);
+    ExecNodePtr plan =
+        make(std::make_unique<TableSourceNode>(std::move(input)));
+    Result<Table> got = CollectTable(plan.get(), /*vectorized=*/true);
+    ASSERT_TRUE(got.ok()) << ctx << ": " << got.status().ToString();
+    ExpectSameRows(want->rows(), got->rows(), ctx);
+  }
+}
+
+TEST(ColumnGatherTest, ProjectHandsOverAndCopiesColumnsLikeRowEngine) {
+  const std::vector<Row> rows = SortRows(2500, /*with_nan=*/true, 13);
+  // Distinct indices (every column handed over), and duplicated ones
+  // (earlier duplicates copied, the last one handed over).
+  const std::vector<std::vector<std::string>> projections = {
+      {"id", "k_str", "k_gen", "k_dbl"},
+      {"k_str", "id", "k_str", "k_gen", "k_str", "k_gen"}};
+  for (const std::vector<std::string>& columns : projections) {
+    std::vector<std::string> names;
+    for (size_t i = 0; i < columns.size(); ++i) {
+      names.push_back("out" + std::to_string(i));
+    }
+    CheckAgainstRowEngine(
+        rows,
+        [&](ExecNodePtr source) -> ExecNodePtr {
+          return std::make_unique<ProjectNode>(std::move(source), columns,
+                                               names);
+        },
+        "project " + std::to_string(columns.size()));
+  }
+}
+
+TEST(ColumnGatherTest, FilterKeepingEveryRowMatchesRowEngine) {
+  const std::vector<Row> rows = SortRows(2500, /*with_nan=*/true, 19);
+  // `id` is never NULL: the first predicate keeps every row of every
+  // batch; the second drops one row, so the batch holding it gathers while
+  // the others swap.
+  CheckAgainstRowEngine(
+      rows,
+      [](ExecNodePtr source) -> ExecNodePtr {
+        return std::make_unique<FilterNode>(
+            std::move(source), Cmp(CmpOp::kGe, Col("id"), LitInt(0)));
+      },
+      "filter keeps all");
+  CheckAgainstRowEngine(
+      rows,
+      [](ExecNodePtr source) -> ExecNodePtr {
+        return std::make_unique<FilterNode>(
+            std::move(source), Cmp(CmpOp::kNe, Col("id"), LitInt(900)));
+      },
+      "filter drops one");
 }
 
 // ---------- Bit identity of the paper's queries ----------

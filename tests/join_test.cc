@@ -196,22 +196,40 @@ TEST(HashJoinTest, NoEquiPairsIsCrossWithCondition) {
 
 // Keys 0..499 on the left and 0..399 on the right (two or three rows per
 // right key), with NULL keys on both sides and NULL residual inputs. Both
-// inputs span two batches.
+// inputs span two batches. Besides int64 columns, each side carries a
+// string and a double payload (with NULLs), and the right side a column
+// declared float64 whose first batch mixes int64 and double cells (stored
+// generic) while its second batch holds doubles only (stored typed).
 constexpr int64_t kRightKeyMax = 399;
 
 Table SweepLeft() {
-  Table t = MakeTable({"l.k", "l.v"}, {});
+  Table t(Schema({Field("l.k", TypeId::kInt64), Field("l.v", TypeId::kInt64),
+                  Field("l.s", TypeId::kString),
+                  Field("l.d", TypeId::kFloat64)}));
   for (int64_t i = 0; i < 1100; ++i) {
-    t.AppendUnchecked(Row({i % 13 == 0 ? N() : I((i * 7) % 500), I(i)}));
+    t.AppendUnchecked(
+        Row({i % 13 == 0 ? N() : I((i * 7) % 500), I(i),
+             i % 9 == 0 ? N() : Value::String("s" + std::to_string(i % 7)),
+             i % 10 == 0 ? N() : Value::Float64(0.5 * (i % 9))}));
   }
   return t;
 }
 
-Table SweepRight() {
-  Table t = MakeTable({"r.k", "r.w"}, {});
-  for (int64_t i = 0; i < 1100; ++i) {
-    t.AppendUnchecked(Row({i % 17 == 0 ? N() : I((i * 5) % 400),
-                           i % 11 == 0 ? N() : I((i * 3) % 1100)}));
+Table SweepRight(int64_t rows = 1100) {
+  Table t(Schema({Field("r.k", TypeId::kInt64), Field("r.w", TypeId::kInt64),
+                  Field("r.s", TypeId::kString),
+                  Field("r.d", TypeId::kFloat64),
+                  Field("r.m", TypeId::kFloat64)}));
+  for (int64_t i = 0; i < rows; ++i) {
+    Value mixed = i < RowBatch::kDefaultCapacity && i % 2 == 0
+                      ? I(i % 10)
+                      : Value::Float64(0.5 + static_cast<double>(i % 10));
+    t.AppendUnchecked(
+        Row({i % 17 == 0 ? N() : I((i * 5) % 400),
+             i % 11 == 0 ? N() : I((i * 3) % 1100),
+             i % 8 == 0 ? N() : Value::String("s" + std::to_string(i % 5)),
+             i % 12 == 0 ? N() : Value::Float64(0.25 * (i % 11)),
+             i % 19 == 0 ? N() : std::move(mixed)}));
   }
   return t;
 }
@@ -262,7 +280,7 @@ TEST_P(HashJoinLayoutTest, MatchesNestedLoopOracleRowForRow) {
   const Layout& layout = GetParam();
   const Table left = SweepLeft();
   const Table full_right = SweepRight();
-  const Table empty_right = MakeTable({"r.k", "r.w"}, {});
+  const Table empty_right = SweepRight(/*rows=*/0);
   struct NamedResidual {
     const char* name;
     ExprPtr expr;
@@ -271,6 +289,15 @@ TEST_P(HashJoinLayoutTest, MatchesNestedLoopOracleRowForRow) {
   residuals.push_back({"none", nullptr});
   // Column-column comparison: compiles to a batch kernel.
   residuals.push_back({"compiled", Cmp(CmpOp::kGt, Col("r.w"), Col("l.v"))});
+  // Compiled over the string, double and mixed payloads, so the pair batch
+  // gathers every storage kind.
+  {
+    std::vector<ExprPtr> conj;
+    conj.push_back(Cmp(CmpOp::kNe, Col("r.s"), Col("l.s")));
+    conj.push_back(Cmp(CmpOp::kLe, Col("r.d"), Col("l.d")));
+    conj.push_back(Cmp(CmpOp::kGt, Col("r.m"), LitFloat(2.0)));
+    residuals.push_back({"compiled_payloads", MakeAnd(std::move(conj))});
+  }
   // A disjunction has no batch kernel: the probe judges concatenated rows.
   {
     std::vector<ExprPtr> disj;
@@ -282,7 +309,9 @@ TEST_P(HashJoinLayoutTest, MatchesNestedLoopOracleRowForRow) {
   VectorizedPredicate scratch;
   ASSERT_TRUE(VectorizedPredicate::Compile(residuals[1].expr.get(), joined,
                                            &scratch));
-  ASSERT_FALSE(VectorizedPredicate::Compile(residuals[2].expr.get(), joined,
+  ASSERT_TRUE(VectorizedPredicate::Compile(residuals[2].expr.get(), joined,
+                                           &scratch));
+  ASSERT_FALSE(VectorizedPredicate::Compile(residuals[3].expr.get(), joined,
                                             &scratch));
 
   for (const Table* right : {&full_right, &empty_right}) {
