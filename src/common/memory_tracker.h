@@ -82,8 +82,8 @@ class SessionMemoryTracker;
 ///  * `current()` — live accounted bytes, maintained by operator charges
 ///    and releases at drain boundaries (a handful of relaxed atomics per
 ///    stage). This is what the soft limit checks and what `\memory` shows;
-///    under the pipelined scheduler its instantaneous value depends on task
-///    interleaving.
+///    when the stage DAG runs on several threads its instantaneous value
+///    depends on task interleaving.
 ///  * `peak()` — the *deterministic* query peak: the largest single-stage
 ///    footprint, folded in with a CAS-max. Max is commutative, so the
 ///    result is independent of the order concurrent pipeline tasks fold
@@ -187,7 +187,7 @@ int64_t ProcessMemoryCumulative();
 std::string DumpMemoryHierarchy();
 
 /// The query tracker installed on this thread (null outside a query).
-/// Operators charge through this; the pipelined scheduler re-installs the
+/// Operators charge through this; the stage-DAG scheduler re-installs the
 /// owning query's tracker inside every DAG task body.
 QueryMemoryTracker* CurrentQueryMemory();
 

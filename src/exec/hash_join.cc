@@ -190,23 +190,31 @@ Status HashJoinNode::BuildTable() {
 
   std::vector<size_t> hashes(static_cast<size_t>(n));
   std::vector<uint8_t> has_null(static_cast<size_t>(n), 0);
-  ParallelForEach(num_batches, num_threads_, [&](int64_t b) {
-    const size_t sb = static_cast<size_t>(b);
-    HashKeyColumns(build_batches_[sb], right_key_idx_, /*nulls_only=*/false,
-                   hashes.data() + offsets[sb], has_null.data() + offsets[sb]);
-  });
+  const auto hash_keys = [&](bool nulls_only) {
+    ParallelForEach(num_batches, num_threads_, [&](int64_t b) {
+      const size_t sb = static_cast<size_t>(b);
+      HashKeyColumns(build_batches_[sb], right_key_idx_, nulls_only,
+                     hashes.data() + offsets[sb],
+                     has_null.data() + offsets[sb]);
+    });
+  };
+  // Perfect (dense-array) keying: single equality key over a hinted dense
+  // int range. It needs only the NULL flags; the hashes are computed only
+  // when a wrong hint makes it fall through to the flat build below
+  // (validated against the actual rows, never corrupting results).
+  const bool try_perfect = hints_.perfect && equi_.size() == 1;
+  hash_keys(/*nulls_only=*/try_perfect);
   // NULL keys never match; the null-aware antijoin still needs to know
   // whether the build side holds one.
   build_has_null_key_ =
       std::find(has_null.begin(), has_null.end(), uint8_t{1}) != has_null.end();
-
-  // Perfect (dense-array) keying: single equality key over a hinted dense
-  // int range. Validated against the actual rows, so a wrong hint falls
-  // through to the flat build below instead of corrupting results.
-  if (hints_.perfect && equi_.size() == 1 && TryPerfectBuild()) {
-    return ChargeMem(
-        static_cast<int64_t>(perfect_head_.size() * sizeof(int32_t) +
-                             flat_next_.size() * sizeof(int32_t)));
+  if (try_perfect) {
+    if (TryPerfectBuild()) {
+      return ChargeMem(
+          static_cast<int64_t>(perfect_head_.size() * sizeof(int32_t) +
+                               flat_next_.size() * sizeof(int32_t)));
+    }
+    hash_keys(/*nulls_only=*/false);
   }
 
   flat_hash_ = std::move(hashes);

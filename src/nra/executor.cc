@@ -201,8 +201,7 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
     if (options_.bottom_up_linear && root.IsLinearCorrelated()) {
       NESTRA_ASSIGN_OR_RETURN(std::vector<const QueryBlock*> chain,
                               LinearChain(root));
-      return options_.pipelined ? ExecuteBottomUpLinearDag(chain, stats, prof)
-                                : ExecuteBottomUpLinear(chain, stats, prof);
+      return ExecuteBottomUpLinearDag(chain, stats, prof);
     }
     // The single-sort fused path folds every level into one pass, but it
     // bypasses the per-child rewrites; when those are requested, route
@@ -230,23 +229,9 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
       if (FusedChainBypassesForCost(chain, catalog_, options_)) {
         all_correlated = false;
       }
-      if (all_correlated) {
-        return options_.pipelined
-                   ? ExecuteFusedLinearDag(chain, stats, prof)
-                   : ExecuteFusedLinear(chain, stats, prof);
-      }
+      if (all_correlated) return ExecuteFusedLinearDag(chain, stats, prof);
     }
-    if (options_.pipelined) {
-      return ExecutePipelinedRecursive(root, stats, prof);
-    }
-    const auto t0 = Clock::now();
-    NESTRA_ASSIGN_OR_RETURN(Table rel, EvalBase(root, prof));
-    stats->join_seconds += Seconds(t0);
-    std::vector<const QueryBlock*> path{&root};
-    NESTRA_ASSIGN_OR_RETURN(rel, ComputeNode(root, std::move(rel),
-                                             root.carried, &path, stats,
-                                             prof));
-    return FinishRoot(root, std::move(rel), prof);
+    return ExecuteRecursiveDag(root, stats, prof);
   }();
 
   // Peak is meaningful on every outcome (a memory-failed query reports how
@@ -435,295 +420,6 @@ Result<Table> NraExecutor::ExecuteStatementSql(const std::string& sql,
   return combined;
 }
 
-Result<Table> NraExecutor::ExecuteFusedLinear(
-    const std::vector<const QueryBlock*>& chain, NraStats* stats,
-    QueryProfile* profile) {
-  const int n = static_cast<int>(chain.size());
-
-  // Top-down join phase: one wide relation W over all blocks.
-  auto t0 = Clock::now();
-  NESTRA_ASSIGN_OR_RETURN(Table rel, EvalBase(*chain[0], profile));
-  for (int k = 1; k < n; ++k) {
-    NESTRA_ASSIGN_OR_RETURN(Table base, EvalBase(*chain[k], profile));
-    if (options_.magic_restriction) {
-      StageTimer magic_timer(profile, QueryPhase::kUnnestJoin,
-                             "magic[b" + std::to_string(chain[k]->id) + "]");
-      NESTRA_ASSIGN_OR_RETURN(base,
-                              MagicRestrict(rel, std::move(base), *chain[k]));
-      NESTRA_RETURN_NOT_OK(FoldStageMem(&magic_timer, TableBytes(base)));
-      magic_timer.Finish(base.num_rows());
-    }
-    const std::vector<const QueryBlock*> jpath(chain.begin(),
-                                               chain.begin() + k);
-    NESTRA_ASSIGN_OR_RETURN(
-        rel, JoinWithChild(std::move(rel), std::move(base), *chain[k],
-                           JoinType::kLeftOuter, /*extra_condition=*/nullptr,
-                           num_threads_, profile, options_.vectorized,
-                           JoinStrategyFor(*chain[k], jpath, catalog_,
-                                           options_)));
-  }
-  stats->join_seconds += Seconds(t0);
-  stats->intermediate_rows = rel.num_rows();
-
-  // Bottom-up phase: single sort + single streaming pass over all levels.
-  t0 = Clock::now();
-  std::vector<FusedLevelSpec> levels;
-  std::vector<std::string> prefix;
-  for (int k = 0; k + 1 < n; ++k) {
-    for (const std::string& a : chain[k]->carried) prefix.push_back(a);
-    FusedLevelSpec spec;
-    spec.nesting_attrs = prefix;
-    spec.pred = PredFor(*chain[k + 1], /*group=*/"");
-    spec.mode = k == 0 ? SelectionMode::kStrict : SelectionMode::kPseudo;
-    levels.push_back(std::move(spec));
-  }
-  auto sort = std::make_unique<SortNode>(
-      std::make_unique<TableSourceNode>(std::move(rel)),
-      SortKeysFor(levels.back().nesting_attrs), num_threads_,
-      options_.vectorized);
-  // Pre-tag the sort subtree as the nest phase: CollectProfiled only fills
-  // in still-unattributed nodes, so the fused evaluator itself lands in
-  // linking-selection while its sort input counts as nesting work.
-  sort->SetPhaseRecursive(QueryPhase::kNest);
-  auto fused =
-      std::make_unique<FusedNestSelectNode>(std::move(sort), std::move(levels));
-  NESTRA_ASSIGN_OR_RETURN(
-      Table reduced,
-      CollectProfiled(fused.get(), QueryPhase::kLinkingSelection,
-                      "fused nest+select", profile, options_.vectorized));
-  stats->nest_select_seconds += Seconds(t0);
-
-  return FinishRoot(*chain[0], std::move(reduced), profile);
-}
-
-Result<Table> NraExecutor::ExecuteBottomUpLinear(
-    const std::vector<const QueryBlock*>& chain, NraStats* stats,
-    QueryProfile* profile) {
-  const int n = static_cast<int>(chain.size());
-
-  auto t0 = Clock::now();
-  NESTRA_ASSIGN_OR_RETURN(Table cur, EvalBase(*chain[n - 1], profile));
-  stats->join_seconds += Seconds(t0);
-
-  for (int k = n - 2; k >= 0; --k) {
-    const QueryBlock& outer = *chain[k];
-    const QueryBlock& child = *chain[k + 1];
-    t0 = Clock::now();
-    NESTRA_ASSIGN_OR_RETURN(Table outer_base, EvalBase(outer, profile));
-    stats->join_seconds += Seconds(t0);
-
-    // In the bottom-up order only (outer, child) tuples exist when the
-    // linking predicate is computed, so the strict selection is always
-    // sound: a dropped outer tuple would fail anyway, and padding for an
-    // empty child set still happens via the outer join.
-    std::vector<std::string> okeys, ikeys;
-    if (AllEquiCorrelation(child, outer_base.schema(), cur.schema(), &okeys,
-                           &ikeys)) {
-      t0 = Clock::now();
-      StageTimer link_timer(profile, QueryPhase::kLinkingSelection,
-                            "link-select[b" + std::to_string(child.id) + "]");
-      NESTRA_ASSIGN_OR_RETURN(
-          cur, HashLinkSelect(std::move(outer_base), cur, okeys, ikeys, child,
-                              SelectionMode::kStrict, {}, num_threads_));
-      NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(cur)));
-      link_timer.Finish(cur.num_rows());
-      stats->nest_select_seconds += Seconds(t0);
-    } else {
-      t0 = Clock::now();
-      NESTRA_ASSIGN_OR_RETURN(
-          Table joined,
-          JoinWithChild(std::move(outer_base), std::move(cur), child,
-                        JoinType::kLeftOuter, /*extra_condition=*/nullptr,
-                        num_threads_, profile, options_.vectorized));
-      stats->join_seconds += Seconds(t0);
-      stats->intermediate_rows =
-          std::max(stats->intermediate_rows, joined.num_rows());
-      t0 = Clock::now();
-      StageTimer nest_timer(profile, QueryPhase::kNest,
-                            "nest[b" + std::to_string(child.id) + "]");
-      NESTRA_ASSIGN_OR_RETURN(
-          NestedRelation nested,
-          Nest(joined, outer.carried, NestedAttrsFor(child), "g",
-               options_.nest_method, num_threads_));
-      NESTRA_RETURN_NOT_OK(
-          FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
-      nest_timer.Finish(nested.num_tuples());
-      StageTimer select_timer(profile, QueryPhase::kLinkingSelection,
-                              "select[b" + std::to_string(child.id) + "]");
-      NESTRA_ASSIGN_OR_RETURN(
-          cur, LinkingSelect(nested, PredFor(child, "g"),
-                             SelectionMode::kStrict));
-      NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(cur)));
-      select_timer.Finish(cur.num_rows());
-      stats->nest_select_seconds += Seconds(t0);
-    }
-  }
-  return FinishRoot(*chain[0], std::move(cur), profile);
-}
-
-Result<Table> NraExecutor::ComputeNode(const QueryBlock& node, Table rel,
-                                       const std::vector<std::string>& retained,
-                                       std::vector<const QueryBlock*>* path,
-                                       NraStats* stats,
-                                       QueryProfile* profile) {
-  for (const auto& child_ptr : node.children) {
-    const QueryBlock& child = *child_ptr;
-    const std::string bid = std::to_string(child.id);
-
-    auto t0 = Clock::now();
-    NESTRA_ASSIGN_OR_RETURN(Table base, EvalBase(child, profile));
-    stats->join_seconds += Seconds(t0);
-
-    const bool strict_safe = StrictSafe(*path);
-    const SelectionMode mode =
-        strict_safe ? SelectionMode::kStrict : SelectionMode::kPseudo;
-
-    // §4.2.5: positive leaf link -> semijoin, when dropping is safe.
-    // Flag-forced, or cost-gated when the estimated join intermediate is
-    // large (nra/cost.h mirrors this predicate for EXPLAIN/verify).
-    if (TakesSemijoinRewrite(child, *path, strict_safe, catalog_, options_)) {
-      NESTRA_ASSIGN_OR_RETURN(ExprPtr extra, PositiveLinkJoinCondition(child));
-      t0 = Clock::now();
-      NESTRA_ASSIGN_OR_RETURN(
-          rel, JoinWithChild(std::move(rel), std::move(base), child,
-                             JoinType::kLeftSemi, std::move(extra),
-                             num_threads_, profile, options_.vectorized,
-                             JoinStrategyFor(child, *path, catalog_,
-                                             options_)));
-      stats->join_seconds += Seconds(t0);
-      continue;
-    }
-
-    // Proven-2VL fast path: a negative leaf link whose member comparison
-    // can never go UNKNOWN (or NOT EXISTS, which has none) runs as a plain
-    // antijoin — bit-identical to nest + pseudo-selection here because the
-    // path is strict-safe and no member comparison can be UNKNOWN.
-    if (TakesTwoValuedAntijoin(child, *path, catalog_, options_)) {
-      NESTRA_ASSIGN_OR_RETURN(ExprPtr extra, AntiLinkJoinCondition(child));
-      t0 = Clock::now();
-      NESTRA_ASSIGN_OR_RETURN(
-          rel, JoinWithChild(std::move(rel), std::move(base), child,
-                             JoinType::kLeftAnti, std::move(extra),
-                             num_threads_, profile, options_.vectorized,
-                             JoinStrategyFor(child, *path, catalog_,
-                                             options_)));
-      stats->join_seconds += Seconds(t0);
-      continue;
-    }
-
-    // Non-correlated leaf subquery: the paper's "virtual Cartesian
-    // product" — the subquery executes once and its (single, shared) value
-    // set is tested against every outer tuple, instead of materializing an
-    // actual cross join. HashLinkSelect with an empty key list is exactly
-    // that: one group holding the whole subquery result.
-    if (child.IsLeaf() && child.correlated_preds.empty()) {
-      t0 = Clock::now();
-      StageTimer link_timer(profile, QueryPhase::kLinkingSelection,
-                            "link-select[b" + bid + "]");
-      NESTRA_ASSIGN_OR_RETURN(
-          rel, HashLinkSelect(std::move(rel), base, /*outer_key_cols=*/{},
-                              /*inner_key_cols=*/{}, child, mode,
-                              node.carried, num_threads_));
-      NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(rel)));
-      link_timer.Finish(rel.num_rows());
-      stats->nest_select_seconds += Seconds(t0);
-      continue;
-    }
-
-    // §4.2.4: equi-correlated leaf -> nest pushed below the join.
-    {
-      std::vector<std::string> okeys, ikeys;
-      if (TakesNestPushDown(child, *path, catalog_, options_) &&
-          AllEquiCorrelation(child, rel.schema(), base.schema(), &okeys,
-                             &ikeys)) {
-        t0 = Clock::now();
-        StageTimer link_timer(profile, QueryPhase::kLinkingSelection,
-                              "link-select[b" + bid + "]");
-        NESTRA_ASSIGN_OR_RETURN(
-            rel, HashLinkSelect(std::move(rel), base, okeys, ikeys, child,
-                                mode, node.carried, num_threads_));
-        NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(rel)));
-        link_timer.Finish(rel.num_rows());
-        stats->nest_select_seconds += Seconds(t0);
-        continue;
-      }
-    }
-
-    // Algorithm 1, way down: outer join on the correlated predicates.
-    t0 = Clock::now();
-    if (options_.magic_restriction) {
-      StageTimer magic_timer(profile, QueryPhase::kUnnestJoin,
-                             "magic[b" + bid + "]");
-      NESTRA_ASSIGN_OR_RETURN(base, MagicRestrict(rel, std::move(base), child));
-      NESTRA_RETURN_NOT_OK(FoldStageMem(&magic_timer, TableBytes(base)));
-      magic_timer.Finish(base.num_rows());
-    }
-    NESTRA_ASSIGN_OR_RETURN(
-        rel, JoinWithChild(std::move(rel), std::move(base), child,
-                           JoinType::kLeftOuter, /*extra_condition=*/nullptr,
-                           num_threads_, profile, options_.vectorized,
-                           JoinStrategyFor(child, *path, catalog_,
-                                           options_)));
-    stats->join_seconds += Seconds(t0);
-    stats->intermediate_rows =
-        std::max(stats->intermediate_rows, rel.num_rows());
-
-    // Recurse into the child's own subqueries.
-    std::vector<std::string> retained_child = retained;
-    for (const std::string& a : child.carried) {
-      retained_child.push_back(a);
-    }
-    path->push_back(&child);
-    NESTRA_ASSIGN_OR_RETURN(
-        rel, ComputeNode(child, std::move(rel), retained_child, path, stats,
-                         profile));
-    path->pop_back();
-
-    // Algorithm 1, way up: nest by the retained prefix and apply the
-    // linking selection (padding the current node's attributes in pseudo
-    // mode).
-    t0 = Clock::now();
-    if (options_.fused) {
-      FusedLevelSpec spec;
-      spec.nesting_attrs = retained;
-      spec.pred = PredFor(child, /*group=*/"");
-      spec.mode = mode;
-      spec.pad_attrs = node.carried;
-      auto sort = std::make_unique<SortNode>(
-          std::make_unique<TableSourceNode>(std::move(rel)),
-          SortKeysFor(retained), num_threads_, options_.vectorized);
-      sort->SetPhaseRecursive(QueryPhase::kNest);
-      std::vector<FusedLevelSpec> levels;
-      levels.push_back(std::move(spec));
-      auto fused = std::make_unique<FusedNestSelectNode>(std::move(sort),
-                                                         std::move(levels));
-      NESTRA_ASSIGN_OR_RETURN(
-          rel,
-          CollectProfiled(fused.get(), QueryPhase::kLinkingSelection,
-                          "fused[b" + bid + "]", profile,
-                          options_.vectorized));
-    } else {
-      StageTimer nest_timer(profile, QueryPhase::kNest, "nest[b" + bid + "]");
-      NESTRA_ASSIGN_OR_RETURN(
-          NestedRelation nested,
-          Nest(rel, retained, NestedAttrsFor(child), "g",
-               options_.nest_method, num_threads_));
-      NESTRA_RETURN_NOT_OK(
-          FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
-      nest_timer.Finish(nested.num_tuples());
-      StageTimer select_timer(profile, QueryPhase::kLinkingSelection,
-                              "select[b" + bid + "]");
-      NESTRA_ASSIGN_OR_RETURN(
-          rel, LinkingSelect(nested, PredFor(child, "g"), mode,
-                             node.carried));
-      NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(rel)));
-      select_timer.Finish(rel.num_rows());
-    }
-    stats->nest_select_seconds += Seconds(t0);
-  }
-  return rel;
-}
-
 Result<Table> NraExecutor::ExecuteFusedLinearDag(
     const std::vector<const QueryBlock*>& chain, NraStats* stats,
     QueryProfile* profile) {
@@ -740,24 +436,9 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
   // block's scan+filter(+join tree) can run at once. The wide-join chain
   // and the single sort+fused pass stay sequential, each joining as soon
   // as its base (and the previous join) is ready.
-  int prev = dag.AddTask(
-      "base[b" + std::to_string(chain[0]->id) + "]", {},
-      [&](NraStats* s, QueryProfile* p) -> Status {
-        const auto t0 = Clock::now();
-        NESTRA_ASSIGN_OR_RETURN(rel, EvalBase(*chain[0], p));
-        s->join_seconds += Seconds(t0);
-        return Status::OK();
-      });
+  int prev = AddBaseTask(&dag, *chain[0], &rel);
   for (int k = 1; k < n; ++k) {
-    const std::string bid = std::to_string(chain[k]->id);
-    const int base_task = dag.AddTask(
-        "base[b" + bid + "]", {},
-        [&, k](NraStats* s, QueryProfile* p) -> Status {
-          const auto t0 = Clock::now();
-          NESTRA_ASSIGN_OR_RETURN(bases[k], EvalBase(*chain[k], p));
-          s->join_seconds += Seconds(t0);
-          return Status::OK();
-        });
+    const int base_task = AddBaseTask(&dag, *chain[k], &bases[k]);
     // Hints are plan+catalog functions, so they can be decided at DAG build
     // time and captured by value (chain is only borrowed until Run()).
     const JoinBuildHints hints = JoinStrategyFor(
@@ -765,31 +446,12 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
         std::vector<const QueryBlock*>(chain.begin(), chain.begin() + k),
         catalog_, options_);
     prev = dag.AddTask(
-        "join[b" + bid + "]", {prev, base_task},
-        [&, k, bid, hints](NraStats* s, QueryProfile* p) -> Status {
-          const auto t0 = Clock::now();
-          Table base = std::move(bases[k]);
-          if (options_.magic_restriction) {
-            StageTimer magic_timer(p, QueryPhase::kUnnestJoin,
-                                   "magic[b" + bid + "]");
-            NESTRA_ASSIGN_OR_RETURN(
-                base, MagicRestrict(rel, std::move(base), *chain[k]));
-            NESTRA_RETURN_NOT_OK(FoldStageMem(&magic_timer, TableBytes(base)));
-            magic_timer.Finish(base.num_rows());
-          }
-          NESTRA_ASSIGN_OR_RETURN(
-              rel, JoinWithChild(std::move(rel), std::move(base), *chain[k],
-                                 JoinType::kLeftOuter,
-                                 /*extra_condition=*/nullptr, num_threads_, p,
-                                 options_.vectorized, hints));
-          s->join_seconds += Seconds(t0);
-          // Left-outer joins never shrink rel, so the running max merged
-          // across tasks equals the staged path's final assignment.
-          s->intermediate_rows = std::max(s->intermediate_rows,
-                                          rel.num_rows());
-          return Status::OK();
+        "join[b" + std::to_string(chain[k]->id) + "]", {prev, base_task},
+        [&, k, hints](NraStats* s, QueryProfile* p) {
+          return OuterJoinChild(*chain[k], hints, &rel, &bases[k], s, p);
         });
   }
+  // Bottom-up phase: single sort + single streaming pass over all levels.
   dag.AddTask(
       "fused-finish", {prev}, [&](NraStats* s, QueryProfile* p) -> Status {
         const auto t0 = Clock::now();
@@ -805,17 +467,9 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
           spec.mode = k == 0 ? SelectionMode::kStrict : SelectionMode::kPseudo;
           levels.push_back(std::move(spec));
         }
-        auto sort = std::make_unique<SortNode>(
-            std::make_unique<TableSourceNode>(std::move(rel)),
-            SortKeysFor(levels.back().nesting_attrs), num_threads_,
-            options_.vectorized);
-        sort->SetPhaseRecursive(QueryPhase::kNest);
-        auto fused = std::make_unique<FusedNestSelectNode>(std::move(sort),
-                                                           std::move(levels));
         NESTRA_ASSIGN_OR_RETURN(
-            Table reduced,
-            CollectProfiled(fused.get(), QueryPhase::kLinkingSelection,
-                            "fused nest+select", p, options_.vectorized));
+            Table reduced, FusedNestSelect(std::move(rel), std::move(levels),
+                                           "fused nest+select", p));
         s->nest_select_seconds += Seconds(t0);
         NESTRA_ASSIGN_OR_RETURN(out,
                                 FinishRoot(*chain[0], std::move(reduced), p));
@@ -836,23 +490,9 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
 
   // Same independence structure as the fused shape: all base evaluations
   // fan out, the bottom-up reduction chain consumes them leaf to root.
-  int prev = dag.AddTask(
-      "base[b" + std::to_string(chain[n - 1]->id) + "]", {},
-      [&](NraStats* s, QueryProfile* p) -> Status {
-        const auto t0 = Clock::now();
-        NESTRA_ASSIGN_OR_RETURN(cur, EvalBase(*chain[n - 1], p));
-        s->join_seconds += Seconds(t0);
-        return Status::OK();
-      });
+  int prev = AddBaseTask(&dag, *chain[n - 1], &cur);
   for (int k = n - 2; k >= 0; --k) {
-    const int base_task = dag.AddTask(
-        "base[b" + std::to_string(chain[k]->id) + "]", {},
-        [&, k](NraStats* s, QueryProfile* p) -> Status {
-          const auto t0 = Clock::now();
-          NESTRA_ASSIGN_OR_RETURN(bases[k], EvalBase(*chain[k], p));
-          s->join_seconds += Seconds(t0);
-          return Status::OK();
-        });
+    const int base_task = AddBaseTask(&dag, *chain[k], &bases[k]);
     prev = dag.AddTask(
         "reduce[b" + std::to_string(chain[k + 1]->id) + "]",
         {prev, base_task}, [&, k](NraStats* s, QueryProfile* p) -> Status {
@@ -860,22 +500,19 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
           const QueryBlock& child = *chain[k + 1];
           const std::string bid = std::to_string(child.id);
           Table outer_base = std::move(bases[k]);
-          // §4.2.3's strict selection is always sound here; whether the
+          // In the bottom-up order only (outer, child) tuples exist when the
+          // linking predicate is computed, so the strict selection is always
+          // sound: a dropped outer tuple would fail anyway, and padding for
+          // an empty child set still happens via the outer join. Whether the
           // level runs as a pushed-down hash link-select needs both
           // materialized schemas, so the decision lives inside the task.
           std::vector<std::string> okeys, ikeys;
           if (AllEquiCorrelation(child, outer_base.schema(), cur.schema(),
                                  &okeys, &ikeys)) {
-            const auto t0 = Clock::now();
-            StageTimer link_timer(p, QueryPhase::kLinkingSelection,
-                                  "link-select[b" + bid + "]");
-            NESTRA_ASSIGN_OR_RETURN(
-                cur, HashLinkSelect(std::move(outer_base), cur, okeys, ikeys,
-                                    child, SelectionMode::kStrict, {},
-                                    num_threads_));
-            NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(cur)));
-            link_timer.Finish(cur.num_rows());
-            s->nest_select_seconds += Seconds(t0);
+            NESTRA_RETURN_NOT_OK(LinkSelect(std::move(outer_base), cur, okeys,
+                                            ikeys, child,
+                                            SelectionMode::kStrict, {}, &cur,
+                                            s, p));
           } else {
             auto t0 = Clock::now();
             NESTRA_ASSIGN_OR_RETURN(
@@ -916,11 +553,84 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
   return out;
 }
 
+int NraExecutor::AddBaseTask(StageDag* dag, const QueryBlock& block,
+                             Table* out) {
+  return dag->AddTask(
+      "base[b" + std::to_string(block.id) + "]", {},
+      [this, &block, out](NraStats* s, QueryProfile* p) -> Status {
+        const auto t0 = Clock::now();
+        NESTRA_ASSIGN_OR_RETURN(*out, EvalBase(block, p));
+        s->join_seconds += Seconds(t0);
+        return Status::OK();
+      });
+}
+
+Status NraExecutor::OuterJoinChild(const QueryBlock& child,
+                                   const JoinBuildHints& hints, Table* rel,
+                                   Table* base, NraStats* stats,
+                                   QueryProfile* profile) {
+  const auto t0 = Clock::now();
+  if (options_.magic_restriction) {
+    StageTimer magic_timer(profile, QueryPhase::kUnnestJoin,
+                           "magic[b" + std::to_string(child.id) + "]");
+    NESTRA_ASSIGN_OR_RETURN(*base,
+                            MagicRestrict(*rel, std::move(*base), child));
+    NESTRA_RETURN_NOT_OK(FoldStageMem(&magic_timer, TableBytes(*base)));
+    magic_timer.Finish(base->num_rows());
+  }
+  NESTRA_ASSIGN_OR_RETURN(
+      *rel, JoinWithChild(std::move(*rel), std::move(*base), child,
+                          JoinType::kLeftOuter, /*extra_condition=*/nullptr,
+                          num_threads_, profile, options_.vectorized, hints));
+  stats->join_seconds += Seconds(t0);
+  stats->intermediate_rows =
+      std::max(stats->intermediate_rows, rel->num_rows());
+  return Status::OK();
+}
+
+Status NraExecutor::LinkSelect(Table outer, const Table& inner,
+                               const std::vector<std::string>& outer_keys,
+                               const std::vector<std::string>& inner_keys,
+                               const QueryBlock& child, SelectionMode mode,
+                               const std::vector<std::string>& pad_attrs,
+                               Table* out, NraStats* stats,
+                               QueryProfile* profile) {
+  const auto t0 = Clock::now();
+  StageTimer link_timer(profile, QueryPhase::kLinkingSelection,
+                        "link-select[b" + std::to_string(child.id) + "]");
+  NESTRA_ASSIGN_OR_RETURN(
+      *out, HashLinkSelect(std::move(outer), inner, outer_keys, inner_keys,
+                           child, mode, pad_attrs, num_threads_));
+  NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(*out)));
+  link_timer.Finish(out->num_rows());
+  stats->nest_select_seconds += Seconds(t0);
+  return Status::OK();
+}
+
+Result<Table> NraExecutor::FusedNestSelect(Table rel,
+                                           std::vector<FusedLevelSpec> levels,
+                                           const std::string& label,
+                                           QueryProfile* profile) {
+  auto sort = std::make_unique<SortNode>(
+      std::make_unique<TableSourceNode>(std::move(rel)),
+      SortKeysFor(levels.back().nesting_attrs), num_threads_,
+      options_.vectorized);
+  // Pre-tag the sort subtree as the nest phase: CollectProfiled only fills
+  // in still-unattributed nodes, so the fused evaluator itself lands in
+  // linking-selection while its sort input counts as nesting work.
+  sort->SetPhaseRecursive(QueryPhase::kNest);
+  auto fused =
+      std::make_unique<FusedNestSelectNode>(std::move(sort), std::move(levels));
+  return CollectProfiled(fused.get(), QueryPhase::kLinkingSelection, label,
+                         profile, options_.vectorized);
+}
+
 Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
                                     const QueryBlock& child,
                                     const std::vector<std::string>& retained,
                                     SelectionMode mode, Table* rel,
-                                    QueryProfile* profile) {
+                                    NraStats* stats, QueryProfile* profile) {
+  const auto t0 = Clock::now();
   const std::string bid = std::to_string(child.id);
   if (options_.fused) {
     FusedLevelSpec spec;
@@ -928,18 +638,12 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
     spec.pred = PredFor(child, /*group=*/"");
     spec.mode = mode;
     spec.pad_attrs = node.carried;
-    auto sort = std::make_unique<SortNode>(
-        std::make_unique<TableSourceNode>(std::move(*rel)),
-        SortKeysFor(retained), num_threads_, options_.vectorized);
-    sort->SetPhaseRecursive(QueryPhase::kNest);
     std::vector<FusedLevelSpec> levels;
     levels.push_back(std::move(spec));
-    auto fused = std::make_unique<FusedNestSelectNode>(std::move(sort),
-                                                       std::move(levels));
-    NESTRA_ASSIGN_OR_RETURN(
-        *rel, CollectProfiled(fused.get(), QueryPhase::kLinkingSelection,
-                              "fused[b" + bid + "]", profile,
-                              options_.vectorized));
+    NESTRA_ASSIGN_OR_RETURN(*rel, FusedNestSelect(std::move(*rel),
+                                                  std::move(levels),
+                                                  "fused[b" + bid + "]",
+                                                  profile));
   } else {
     StageTimer nest_timer(profile, QueryPhase::kNest, "nest[b" + bid + "]");
     NESTRA_ASSIGN_OR_RETURN(
@@ -956,6 +660,7 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
     NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(*rel)));
     select_timer.Finish(rel->num_rows());
   }
+  stats->nest_select_seconds += Seconds(t0);
   return Status::OK();
 }
 
@@ -968,84 +673,63 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
     const QueryBlock& child = *child_ptr;
     const std::string bid = std::to_string(child.id);
     Table* base = &bases->emplace_back();
-    const int base_task = dag->AddTask(
-        "base[b" + bid + "]", {},
-        [this, &child, base](NraStats* s, QueryProfile* p) -> Status {
-          const auto t0 = Clock::now();
-          NESTRA_ASSIGN_OR_RETURN(*base, EvalBase(child, p));
-          s->join_seconds += Seconds(t0);
-          return Status::OK();
-        });
+    const int base_task = AddBaseTask(dag, child, base);
 
     // Everything but AllEquiCorrelation (which needs materialized schemas)
-    // is a function of the plan and catalog alone, so the branch ladder of
-    // ComputeNode resolves while *building* the DAG; `path` here holds the
-    // same chain the staged recursion would at this point.
+    // is a function of the plan and catalog alone, so the branch ladder
+    // below resolves while *building* the DAG; `path` holds the block chain
+    // root..node. Cost decisions (join strategy, rewrite gates) are
+    // plan+catalog functions too, so they resolve here and are captured by
+    // value — the borrowed `path` vector is only valid during construction.
     const bool strict_safe = StrictSafe(*path);
     const SelectionMode mode =
         strict_safe ? SelectionMode::kStrict : SelectionMode::kPseudo;
-    // Cost decisions (join strategy, rewrite gates) are plan+catalog
-    // functions too, so they resolve here and are captured by value — the
-    // borrowed `path` vector is only valid during DAG construction.
     const JoinBuildHints hints =
         JoinStrategyFor(child, *path, catalog_, options_);
 
-    if (TakesSemijoinRewrite(child, *path, strict_safe, catalog_,
-                             options_)) {
+    // §4.2.5: a positive leaf link runs as a semijoin when dropping is safe
+    // (flag-forced, or cost-gated when the estimated join intermediate is
+    // large). Proven-2VL: a negative leaf link whose member comparison can
+    // never go UNKNOWN (or NOT EXISTS, which has none) runs as a plain
+    // antijoin — bit-identical to nest + pseudo-selection because the path
+    // is strict-safe and no member comparison can be UNKNOWN.
+    const bool semijoin =
+        TakesSemijoinRewrite(child, *path, strict_safe, catalog_, options_);
+    if (semijoin || TakesTwoValuedAntijoin(child, *path, catalog_, options_)) {
       prev = dag->AddTask(
-          "semijoin[b" + bid + "]", {prev, base_task},
-          [this, &child, rel, base,
-           hints](NraStats* s, QueryProfile* p) -> Status {
+          (semijoin ? "semijoin[b" : "antijoin[b") + bid + "]",
+          {prev, base_task},
+          [this, &child, rel, base, hints,
+           semijoin](NraStats* s, QueryProfile* p) -> Status {
             NESTRA_ASSIGN_OR_RETURN(ExprPtr extra,
-                                    PositiveLinkJoinCondition(child));
+                                    semijoin ? PositiveLinkJoinCondition(child)
+                                             : AntiLinkJoinCondition(child));
             const auto t0 = Clock::now();
             NESTRA_ASSIGN_OR_RETURN(
                 *rel, JoinWithChild(std::move(*rel), std::move(*base), child,
-                                    JoinType::kLeftSemi, std::move(extra),
-                                    num_threads_, p, options_.vectorized,
-                                    hints));
+                                    semijoin ? JoinType::kLeftSemi
+                                             : JoinType::kLeftAnti,
+                                    std::move(extra), num_threads_, p,
+                                    options_.vectorized, hints));
             s->join_seconds += Seconds(t0);
             return Status::OK();
           });
       continue;
     }
 
-    if (TakesTwoValuedAntijoin(child, *path, catalog_, options_)) {
-      prev = dag->AddTask(
-          "antijoin[b" + bid + "]", {prev, base_task},
-          [this, &child, rel, base,
-           hints](NraStats* s, QueryProfile* p) -> Status {
-            NESTRA_ASSIGN_OR_RETURN(ExprPtr extra,
-                                    AntiLinkJoinCondition(child));
-            const auto t0 = Clock::now();
-            NESTRA_ASSIGN_OR_RETURN(
-                *rel, JoinWithChild(std::move(*rel), std::move(*base), child,
-                                    JoinType::kLeftAnti, std::move(extra),
-                                    num_threads_, p, options_.vectorized,
-                                    hints));
-            s->join_seconds += Seconds(t0);
-            return Status::OK();
-          });
-      continue;
-    }
-
+    // Non-correlated leaf subquery: the paper's "virtual Cartesian
+    // product" — the subquery executes once and its (single, shared) value
+    // set is tested against every outer tuple, instead of materializing an
+    // actual cross join. HashLinkSelect with an empty key list is exactly
+    // that: one group holding the whole subquery result.
     if (child.IsLeaf() && child.correlated_preds.empty()) {
       prev = dag->AddTask(
           "link-select[b" + bid + "]", {prev, base_task},
-          [this, &child, &node, rel, base, mode,
-           bid](NraStats* s, QueryProfile* p) -> Status {
-            const auto t0 = Clock::now();
-            StageTimer link_timer(p, QueryPhase::kLinkingSelection,
-                                  "link-select[b" + bid + "]");
-            NESTRA_ASSIGN_OR_RETURN(
-                *rel, HashLinkSelect(std::move(*rel), *base,
-                                     /*outer_key_cols=*/{},
-                                     /*inner_key_cols=*/{}, child, mode,
-                                     node.carried, num_threads_));
-            NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(*rel)));
-            link_timer.Finish(rel->num_rows());
-            s->nest_select_seconds += Seconds(t0);
-            return Status::OK();
+          [this, &child, &node, rel, base,
+           mode](NraStats* s, QueryProfile* p) -> Status {
+            return LinkSelect(std::move(*rel), *base, /*outer_keys=*/{},
+                              /*inner_keys=*/{}, child, mode, node.carried,
+                              rel, s, p);
           });
       continue;
     }
@@ -1059,78 +743,28 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
           TakesNestPushDown(child, *path, catalog_, options_);
       prev = dag->AddTask(
           "reduce[b" + bid + "]", {prev, base_task},
-          [this, &child, &node, rel, base, mode, bid, retained,
-           take_push_down, hints](NraStats* s, QueryProfile* p) -> Status {
-            if (take_push_down) {
-              std::vector<std::string> okeys, ikeys;
-              if (AllEquiCorrelation(child, rel->schema(), base->schema(),
-                                     &okeys, &ikeys)) {
-                const auto t0 = Clock::now();
-                StageTimer link_timer(p, QueryPhase::kLinkingSelection,
-                                      "link-select[b" + bid + "]");
-                NESTRA_ASSIGN_OR_RETURN(
-                    *rel, HashLinkSelect(std::move(*rel), *base, okeys, ikeys,
-                                         child, mode, node.carried,
-                                         num_threads_));
-                NESTRA_RETURN_NOT_OK(
-                    FoldStageMem(&link_timer, TableBytes(*rel)));
-                link_timer.Finish(rel->num_rows());
-                s->nest_select_seconds += Seconds(t0);
-                return Status::OK();
-              }
+          [this, &child, &node, rel, base, mode, retained, take_push_down,
+           hints](NraStats* s, QueryProfile* p) -> Status {
+            std::vector<std::string> okeys, ikeys;
+            if (take_push_down &&
+                AllEquiCorrelation(child, rel->schema(), base->schema(),
+                                   &okeys, &ikeys)) {
+              return LinkSelect(std::move(*rel), *base, okeys, ikeys, child,
+                                mode, node.carried, rel, s, p);
             }
-            const auto t0 = Clock::now();
-            if (options_.magic_restriction) {
-              StageTimer magic_timer(p, QueryPhase::kUnnestJoin,
-                                     "magic[b" + bid + "]");
-              NESTRA_ASSIGN_OR_RETURN(
-                  *base, MagicRestrict(*rel, std::move(*base), child));
-              NESTRA_RETURN_NOT_OK(
-                  FoldStageMem(&magic_timer, TableBytes(*base)));
-              magic_timer.Finish(base->num_rows());
-            }
-            NESTRA_ASSIGN_OR_RETURN(
-                *rel, JoinWithChild(std::move(*rel), std::move(*base), child,
-                                    JoinType::kLeftOuter,
-                                    /*extra_condition=*/nullptr, num_threads_,
-                                    p, options_.vectorized, hints));
-            s->join_seconds += Seconds(t0);
-            s->intermediate_rows =
-                std::max(s->intermediate_rows, rel->num_rows());
-            const auto t1 = Clock::now();
-            NESTRA_RETURN_NOT_OK(
-                ApplyNestSelect(node, child, retained, mode, rel, p));
-            s->nest_select_seconds += Seconds(t1);
-            return Status::OK();
+            NESTRA_RETURN_NOT_OK(OuterJoinChild(child, hints, rel, base, s, p));
+            return ApplyNestSelect(node, child, retained, mode, rel, s, p);
           });
       continue;
     }
 
-    // Non-leaf child: the staged recursion becomes join task -> the
-    // child's own task chain -> nest task.
+    // Non-leaf child, Algorithm 1: join task (way down) -> the child's own
+    // task chain -> nest task (way up: nest by the retained prefix and apply
+    // the linking selection, padding `node`'s attributes in pseudo mode).
     prev = dag->AddTask(
         "join[b" + bid + "]", {prev, base_task},
-        [this, &child, rel, base, bid, hints](NraStats* s,
-                                              QueryProfile* p) -> Status {
-          const auto t0 = Clock::now();
-          if (options_.magic_restriction) {
-            StageTimer magic_timer(p, QueryPhase::kUnnestJoin,
-                                   "magic[b" + bid + "]");
-            NESTRA_ASSIGN_OR_RETURN(
-                *base, MagicRestrict(*rel, std::move(*base), child));
-            NESTRA_RETURN_NOT_OK(
-                FoldStageMem(&magic_timer, TableBytes(*base)));
-            magic_timer.Finish(base->num_rows());
-          }
-          NESTRA_ASSIGN_OR_RETURN(
-              *rel, JoinWithChild(std::move(*rel), std::move(*base), child,
-                                  JoinType::kLeftOuter,
-                                  /*extra_condition=*/nullptr, num_threads_,
-                                  p, options_.vectorized, hints));
-          s->join_seconds += Seconds(t0);
-          s->intermediate_rows =
-              std::max(s->intermediate_rows, rel->num_rows());
-          return Status::OK();
+        [this, &child, rel, base, hints](NraStats* s, QueryProfile* p) {
+          return OuterJoinChild(child, hints, rel, base, s, p);
         });
 
     std::vector<std::string> retained_child = retained;
@@ -1144,21 +778,17 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
 
     prev = dag->AddTask(
         "nest[b" + bid + "]", {prev},
-        [this, &child, &node, rel, mode,
-         retained](NraStats* s, QueryProfile* p) -> Status {
-          const auto t0 = Clock::now();
-          NESTRA_RETURN_NOT_OK(
-              ApplyNestSelect(node, child, retained, mode, rel, p));
-          s->nest_select_seconds += Seconds(t0);
-          return Status::OK();
+        [this, &child, &node, rel, mode, retained](NraStats* s,
+                                                   QueryProfile* p) {
+          return ApplyNestSelect(node, child, retained, mode, rel, s, p);
         });
   }
   return prev;
 }
 
-Result<Table> NraExecutor::ExecutePipelinedRecursive(const QueryBlock& root,
-                                                     NraStats* stats,
-                                                     QueryProfile* profile) {
+Result<Table> NraExecutor::ExecuteRecursiveDag(const QueryBlock& root,
+                                               NraStats* stats,
+                                               QueryProfile* profile) {
   StageDag dag;
   // Base tables live in a deque so the pointers handed to task bodies stay
   // stable while the recursive builder keeps appending.
@@ -1166,14 +796,7 @@ Result<Table> NraExecutor::ExecutePipelinedRecursive(const QueryBlock& root,
   Table rel;
   Table out;
 
-  const int root_base = dag.AddTask(
-      "base[b" + std::to_string(root.id) + "]", {},
-      [&](NraStats* s, QueryProfile* p) -> Status {
-        const auto t0 = Clock::now();
-        NESTRA_ASSIGN_OR_RETURN(rel, EvalBase(root, p));
-        s->join_seconds += Seconds(t0);
-        return Status::OK();
-      });
+  const int root_base = AddBaseTask(&dag, root, &rel);
   std::vector<const QueryBlock*> path{&root};
   const int last = BuildComputeTaskDag(&dag, root, &path, root.carried,
                                        root_base, &rel, &bases);

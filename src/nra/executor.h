@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "exec/join_hints.h"
 #include "nested/linking_selection.h"
 #include "nra/options.h"
 #include "plan/query_block.h"
@@ -15,6 +16,7 @@ namespace nestra {
 
 class QueryProfile;
 class StageDag;
+struct FusedLevelSpec;
 
 /// \brief The nested relational approach (Algorithm 1) with the paper's
 /// optimizations, selected through NraOptions:
@@ -65,56 +67,67 @@ class NraExecutor {
   const NraOptions& options() const { return options_; }
 
  private:
-  Result<Table> ExecuteFusedLinear(const std::vector<const QueryBlock*>& chain,
-                                   NraStats* stats, QueryProfile* profile);
-  Result<Table> ExecuteBottomUpLinear(
-      const std::vector<const QueryBlock*>& chain, NraStats* stats,
-      QueryProfile* profile);
-
-  /// Pipelined (options_.pipelined) counterparts: the same stage sequences
-  /// decomposed into a StageDag whose independent tasks — base-table
-  /// evaluations of different blocks, most importantly — run concurrently
-  /// on the shared pool. Task creation order equals the staged path's
-  /// stage-emission order, so the merged profile (and the result, and
-  /// NraStats' deterministic fields) are bit-identical to the staged
-  /// functions above.
+  /// Every statement with a subquery runs as a StageDag (DESIGN.md §11):
+  /// one task per pipeline ending in a breaker, so independent pipelines —
+  /// base-table evaluations of different blocks, most importantly — run
+  /// concurrently on the shared pool. Results, the merged profile and
+  /// NraStats' deterministic fields are identical to the one-thread inline
+  /// run, which executes the tasks in creation order.
   Result<Table> ExecuteFusedLinearDag(
       const std::vector<const QueryBlock*>& chain, NraStats* stats,
       QueryProfile* profile);
   Result<Table> ExecuteBottomUpLinearDag(
       const std::vector<const QueryBlock*>& chain, NraStats* stats,
       QueryProfile* profile);
-  Result<Table> ExecutePipelinedRecursive(const QueryBlock& root,
-                                          NraStats* stats,
-                                          QueryProfile* profile);
+  Result<Table> ExecuteRecursiveDag(const QueryBlock& root, NraStats* stats,
+                                    QueryProfile* profile);
 
-  /// Recursive DAG builder behind ExecutePipelinedRecursive: appends the
-  /// tasks for `node`'s children (mirroring ComputeNode's traversal) to
-  /// `dag` and returns the id of the last transform task. `prev` is the
-  /// task producing the incoming `rel`; `bases` owns the per-block base
-  /// tables (deque: stable addresses across emplace_back).
+  /// Recursive DAG builder behind ExecuteRecursiveDag (Algorithm 1 over a
+  /// tree query): appends the tasks for `node`'s children to `dag`
+  /// and returns the id of the last transform task. `retained` lists the
+  /// carried attributes of blocks root..node; `path` is the block chain
+  /// root..node for strict/pseudo decisions. `prev` is the task producing
+  /// the incoming `rel`; `bases` owns the per-block base tables (deque:
+  /// stable addresses across emplace_back).
   int BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
                           std::vector<const QueryBlock*>* path,
                           const std::vector<std::string>& retained, int prev,
                           Table* rel, std::deque<Table>* bases);
 
-  /// The "way up" of Algorithm 1 for one child link, shared by the
-  /// pipelined task bodies: nest `*rel` by `retained` and apply the linking
-  /// selection (one fused pass when options_.fused), padding `node`'s
-  /// carried attributes in pseudo mode. Same stages, timers, and labels as the
-  /// corresponding ComputeNode block.
+  /// Adds the task `base[b<id>]` evaluating `block`'s base table into
+  /// `*out`, and returns its id.
+  int AddBaseTask(StageDag* dag, const QueryBlock& block, Table* out);
+
+  /// The "way down" of Algorithm 1 for one child link: the optional magic
+  /// restriction of `*base` (options_.magic_restriction), then the
+  /// left-outer join of `*rel` with it, into `*rel`.
+  Status OuterJoinChild(const QueryBlock& child, const JoinBuildHints& hints,
+                        Table* rel, Table* base, NraStats* stats,
+                        QueryProfile* profile);
+
+  /// One `link-select[b<child>]` stage: HashLinkSelect of `outer` against
+  /// `inner` on the key columns (none: the virtual Cartesian product),
+  /// into `*out`.
+  Status LinkSelect(Table outer, const Table& inner,
+                    const std::vector<std::string>& outer_keys,
+                    const std::vector<std::string>& inner_keys,
+                    const QueryBlock& child, SelectionMode mode,
+                    const std::vector<std::string>& pad_attrs, Table* out,
+                    NraStats* stats, QueryProfile* profile);
+
+  /// Sorts `rel` by the last level's nesting attributes and runs the fused
+  /// nest+linking selection over `levels` as the stage `label`.
+  Result<Table> FusedNestSelect(Table rel, std::vector<FusedLevelSpec> levels,
+                                const std::string& label,
+                                QueryProfile* profile);
+
+  /// The "way up" of Algorithm 1 for one child link: nest `*rel` by
+  /// `retained` and apply the linking selection (one fused pass when
+  /// options_.fused), padding `node`'s carried attributes in pseudo mode.
   Status ApplyNestSelect(const QueryBlock& node, const QueryBlock& child,
                          const std::vector<std::string>& retained,
-                         SelectionMode mode, Table* rel,
+                         SelectionMode mode, Table* rel, NraStats* stats,
                          QueryProfile* profile);
-
-  /// The recursive body of Algorithm 1 (original / tree-query path).
-  /// `retained` lists the carried attributes of blocks root..node;
-  /// `path` is the block chain root..node for strict/pseudo decisions.
-  Result<Table> ComputeNode(const QueryBlock& node, Table rel,
-                            const std::vector<std::string>& retained,
-                            std::vector<const QueryBlock*>* path,
-                            NraStats* stats, QueryProfile* profile);
 
   /// T_i of `block` under the executor's engine options, projected onto
   /// the block's carried columns.

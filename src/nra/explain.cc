@@ -167,7 +167,7 @@ std::string ExplainQuery(const QueryBlock& root, const Catalog& catalog,
       const QueryBlock* node = &root;
       while (!node->children.empty()) {
         const QueryBlock& child = *node->children[0];
-        // Same build-time hints ExecuteFusedLinear passes to JoinWithChild
+        // Same build-time hints ExecuteFusedLinearDag passes to JoinWithChild
         // at this level (path = the chain prefix above the child).
         oss << "  - level: " << LinkingLabel(child) << " ("
             << (StrictSafe(path) ? "strict" : "pseudo") << ")"

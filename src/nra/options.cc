@@ -20,7 +20,6 @@ std::string NraOptions::ToString() const {
     oss << num_threads;
   }
   oss << ", vectorized=" << (vectorized ? "true" : "false")
-      << ", pipelined=" << (pipelined ? "true" : "false")
       << ", two_valued=" << (two_valued ? "true" : "false")
       << ", cost_based=" << (cost_based ? "true" : "false")
       << ", profile=" << (profile ? "true" : "false")

@@ -61,19 +61,6 @@ struct NraOptions {
   /// identical for either setting.
   bool vectorized = true;
 
-  /// Push-based pipeline scheduling (DESIGN.md §11): the planner's stage
-  /// DAG — base-table evaluations, hash-join builds, nests, the final sort —
-  /// is decomposed into tasks with explicit dependencies and scheduled as
-  /// events on the shared ThreadPool, so independent pipelines of one query
-  /// (e.g. the base tables of different blocks) run concurrently. Results,
-  /// EXPLAIN ANALYZE stage lists, and NraStats are bit-identical to the
-  /// staged path (morsel-index-ordered concatenation holds inside every
-  /// task; the DAG only reorders *when* whole stages run, never what they
-  /// produce). Off = the original staged execution, retained for A/B.
-  /// At num_threads == 1 the DAG degrades to running its tasks inline in
-  /// creation order, which is exactly the staged schedule.
-  bool pipelined = true;
-
   /// Proven-2VL fast path: when the static property analyzer
   /// (src/verify/properties.h) proves a predicate or negative linking
   /// operator can never evaluate to UNKNOWN, skip the 3VL machinery —

@@ -340,11 +340,12 @@ void MergeStage(std::map<std::string, StageEstimate>* out,
   e.bound = std::max(e.bound, bound);
 }
 
-// Walks the block tree the way ComputeNode does, emitting candidate stage
-// estimates for every label each child might get. `outer` estimates the
-// accumulated relation entering `node`'s child loop; its max_rows is sound
-// for the relation at every point of that loop (each child's nest/select/
-// link-select restores the row bound to the pre-join value).
+// Walks the block tree the way NraExecutor::BuildComputeTaskDag does,
+// emitting candidate stage estimates for every label each child might get.
+// `outer` estimates the accumulated relation entering `node`'s child loop;
+// its max_rows is sound for the relation at every point of that loop (each
+// child's nest/select/link-select restores the row bound to the pre-join
+// value).
 void WalkStages(const QueryBlock& node, const RelEstimate& outer,
                 const Catalog& catalog,
                 std::map<std::string, StageEstimate>* out) {
@@ -367,7 +368,7 @@ void WalkStages(const QueryBlock& node, const RelEstimate& outer,
     // the join's output is bounded by the outer-join result either way
     // (semi/anti emit subsets of the outer input).
     MergeStage(out, "join[b" + bid + "]", joined.rows, joined.max_rows);
-    // The pipelined DAG labels the rewrite joins distinctly.
+    // The executor labels the rewrite joins distinctly.
     MergeStage(out, "semijoin[b" + bid + "]", outer.rows, outer.max_rows);
     MergeStage(out, "antijoin[b" + bid + "]", outer.rows, outer.max_rows);
     // Push-down / virtual-cross link selection filters (or pads) the outer

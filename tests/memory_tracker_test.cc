@@ -5,8 +5,7 @@
 //  * accounted logical bytes are a proven lower bound for what the
 //    materialized containers actually hold live at spot-check points;
 //  * the reported query peak is run-to-run deterministic at fixed
-//    (engine, threads, options), for {row, vectorized} x threads {1,2,8}
-//    and both the staged and pipelined schedulers;
+//    (engine, threads, options), for {row, vectorized} x threads {1,2,8};
 //  * EXPLAIN ANALYZE shows per-stage mem=/peak= for hash join, sort, and
 //    nest stages, and those numbers match the profile JSON;
 //  * with the limit off, accounting changes no observable behavior; with a
@@ -277,27 +276,23 @@ TEST_F(MemoryTpchTest, PeakIsRunToRunDeterministic) {
   const std::string sql = Query1Sql();
   for (const bool vectorized : {false, true}) {
     for (const int threads : {1, 2, 8}) {
-      for (const bool pipelined : {false, true}) {
-        NraOptions opts;
-        opts.vectorized = vectorized;
-        opts.num_threads = threads;
-        opts.pipelined = pipelined;
-        int64_t ref_peak = -1;
-        for (int run = 0; run < 3; ++run) {
-          NraExecutor exec(catalog_, opts);
-          NraStats stats;
-          ASSERT_OK_AND_ASSIGN(Table result, exec.ExecuteSql(sql, &stats));
-          ASSERT_GT(result.num_rows(), 0);
-          EXPECT_GT(stats.peak_mem_bytes, 0)
+      NraOptions opts;
+      opts.vectorized = vectorized;
+      opts.num_threads = threads;
+      int64_t ref_peak = -1;
+      for (int run = 0; run < 3; ++run) {
+        NraExecutor exec(catalog_, opts);
+        NraStats stats;
+        ASSERT_OK_AND_ASSIGN(Table result, exec.ExecuteSql(sql, &stats));
+        ASSERT_GT(result.num_rows(), 0);
+        EXPECT_GT(stats.peak_mem_bytes, 0)
+            << "vec=" << vectorized << " threads=" << threads;
+        if (run == 0) {
+          ref_peak = stats.peak_mem_bytes;
+        } else {
+          EXPECT_EQ(stats.peak_mem_bytes, ref_peak)
               << "vec=" << vectorized << " threads=" << threads
-              << " pipelined=" << pipelined;
-          if (run == 0) {
-            ref_peak = stats.peak_mem_bytes;
-          } else {
-            EXPECT_EQ(stats.peak_mem_bytes, ref_peak)
-                << "vec=" << vectorized << " threads=" << threads
-                << " pipelined=" << pipelined << " run=" << run;
-          }
+              << " run=" << run;
         }
       }
     }
@@ -319,7 +314,6 @@ TEST_F(MemoryTpchTest, RowAndVectorizedEnginesAccountComparably) {
     NraOptions opts;
     opts.vectorized = vectorized;
     opts.num_threads = 1;
-    opts.pipelined = false;
     opts.profile = true;
     NraExecutor exec(catalog_, opts);
     QueryProfile profile;
@@ -434,14 +428,16 @@ TEST_F(MemoryTpchTest, LimitOffChangesNothing) {
 }
 
 TEST_F(MemoryTpchTest, TinyLimitFailsWithResourceExhausted) {
-  for (const bool pipelined : {false, true}) {
+  // One thread runs the stage DAG inline, two run it on the pool: both
+  // must surface the limit error.
+  for (const int threads : {1, 2}) {
     NraOptions opts;
-    opts.pipelined = pipelined;
+    opts.num_threads = threads;
     opts.max_query_mem = 64;  // no real query fits in 64 accounted bytes
     NraExecutor exec(catalog_, opts);
     NraStats stats;
     const Result<Table> result = exec.ExecuteSql(Query1Sql(), &stats);
-    ASSERT_FALSE(result.ok()) << "pipelined=" << pipelined;
+    ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
         << result.status().ToString();
     EXPECT_NE(result.status().message().find("max_query_mem"),

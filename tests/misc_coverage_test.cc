@@ -82,7 +82,6 @@ TEST(OptionsTest, ToStringMentionsEveryFlag) {
   EXPECT_NE(s.find("push_down_nest=true"), std::string::npos);
   EXPECT_NE(s.find("magic_restriction=true"), std::string::npos);
   EXPECT_NE(s.find("rewrite_positive=false"), std::string::npos);
-  EXPECT_NE(s.find("pipelined=true"), std::string::npos);
 
   NraStats stats;
   stats.intermediate_rows = 42;

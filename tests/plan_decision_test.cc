@@ -98,7 +98,7 @@ class PlanDecisionTest : public ::testing::Test {
   // The three layers for one (query, options) pair:
   //  1. EXPLAIN's antijoin-phrase count equals the outline's kAntijoin
   //     step count.
-  //  2. Executing the query (staged AND pipelined) yields a profile where
+  //  2. Executing the query yields a profile where
   //     every kAntijoin step ran join-only and every nest-bearing step
   //     actually nested.
   void CheckLayersAgree(const std::string& sql, const std::string& set_name,
@@ -120,33 +120,29 @@ class PlanDecisionTest : public ::testing::Test {
         << context << "\nEXPLAIN and Outline() disagree:\n"
         << explain;
 
-    for (const bool pipelined : {false, true}) {
-      NraOptions exec_opts = options;
-      exec_opts.pipelined = pipelined;
-      exec_opts.profile = true;
-      NraExecutor exec(catalog_, exec_opts);
-      QueryProfile profile;
-      Result<Table> result = exec.ExecuteSql(sql, nullptr, &profile);
-      ASSERT_TRUE(result.ok())
-          << context << ": " << result.status().ToString();
+    NraOptions exec_opts = options;
+    exec_opts.profile = true;
+    NraExecutor exec(catalog_, exec_opts);
+    QueryProfile profile;
+    Result<Table> result = exec.ExecuteSql(sql, nullptr, &profile);
+    ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
 
-      for (const PlanStep& s : steps) {
-        const int id = s.child->id;
-        const std::string join_label = "join[b" + std::to_string(id) + "]";
-        if (s.kind == PlanStepKind::kAntijoin ||
-            s.kind == PlanStepKind::kSemijoin) {
-          EXPECT_TRUE(HasStage(profile, join_label))
-              << context << ": outline promised a join-only fast path for "
-              << "block " << id << " but no " << join_label << " stage ran";
-          EXPECT_FALSE(RanNestSelect(profile, id))
-              << context << ": outline promised a join-only fast path for "
-              << "block " << id
-              << " but the executed plan ran nest/selection stages";
-        } else {
-          EXPECT_TRUE(RanNestSelect(profile, id))
-              << context << ": outline step for block " << id
-              << " requires a nest/selection, but none ran";
-        }
+    for (const PlanStep& s : steps) {
+      const int id = s.child->id;
+      const std::string join_label = "join[b" + std::to_string(id) + "]";
+      if (s.kind == PlanStepKind::kAntijoin ||
+          s.kind == PlanStepKind::kSemijoin) {
+        EXPECT_TRUE(HasStage(profile, join_label))
+            << context << ": outline promised a join-only fast path for "
+            << "block " << id << " but no " << join_label << " stage ran";
+        EXPECT_FALSE(RanNestSelect(profile, id))
+            << context << ": outline promised a join-only fast path for "
+            << "block " << id
+            << " but the executed plan ran nest/selection stages";
+      } else {
+        EXPECT_TRUE(RanNestSelect(profile, id))
+            << context << ": outline step for block " << id
+            << " requires a nest/selection, but none ran";
       }
     }
   }

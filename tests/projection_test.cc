@@ -165,7 +165,6 @@ std::vector<std::pair<std::string, NraOptions>> OptionSets() {
     o->nest_method = NestMethod::kHash;
   });
   with("unfused", [](NraOptions* o) { o->fused = false; });
-  with("staged", [](NraOptions* o) { o->pipelined = false; });
   with("3vl", [](NraOptions* o) { o->two_valued = false; });
   with("no-cost", [](NraOptions* o) { o->cost_based = false; });
   return sets;

@@ -3,8 +3,8 @@
 
 The bench binaries and CI merge steps each emit their own schema
 (nestra-bench-trajectory-v1, nestra-bench-compare-v1,
-nestra-two-valued-compare-v1, nestra-pipeline-compare-v1,
-nestra-concurrent-v1, nestra-stats-join-compare-v1, ...). Every schema
+nestra-two-valued-compare-v1, nestra-concurrent-v1,
+nestra-stats-join-compare-v1, ...). Every schema
 shares the envelope {"schema": ..., "meta": {...}, "entries": [{...}]}
 with a "name" per entry, so this report is schema-agnostic: it renders
 each file as one markdown table (columns = union of entry keys, in
