@@ -184,6 +184,18 @@ Status HashJoinNode::BuildTable() {
     for (int64_t r = 0; r < rows; ++r) build_refs_.push_back(PackRowRef(b, r));
   }
   build_rows_ = static_cast<int64_t>(build_refs_.size());
+  build_key_storage_.assign(right_key_idx_.size(), KeyStorage::kMixed);
+  for (size_t k = 0; k < right_key_idx_.size(); ++k) {
+    for (size_t b = 0; b < build_batches_.size(); ++b) {
+      const KeyStorage st =
+          StorageOf(build_batches_[b].column(right_key_idx_[k]));
+      if (b > 0 && st != build_key_storage_[k]) {
+        build_key_storage_[k] = KeyStorage::kMixed;
+        break;
+      }
+      build_key_storage_[k] = st;
+    }
+  }
 
   const int64_t n = build_rows_;
   if (n == 0) return Status::OK();
@@ -323,22 +335,68 @@ void HashJoinNode::PerfectCandidates(int64_t key,
 
 void HashJoinNode::GatherCandidates(const std::vector<Value>& key, size_t h,
                                     std::vector<uint64_t>* out) const {
-  if (flat_head_.empty()) return;  // empty build
-  for (int32_t j = flat_head_[h & flat_mask_]; j >= 0;
-       j = flat_next_[static_cast<size_t>(j)]) {
-    // Equal keys always hash equal (SqlHash is consistent with
-    // TotalOrderCompare), so a hash mismatch can never hide a match.
-    if (flat_hash_[static_cast<size_t>(j)] != h) continue;
-    bool equal = true;
-    for (size_t k = 0; k < right_key_idx_.size(); ++k) {
-      const Value cell = BuildValue(j, right_key_idx_[k]);
-      if (Value::TotalOrderCompare(key[k], cell) != 0) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) out->push_back(build_refs_[static_cast<size_t>(j)]);
+  WalkChain(
+      h,
+      [&](uint64_t ref) {
+        const RowBatch& batch = build_batches_[RefBatch(ref)];
+        for (size_t k = 0; k < right_key_idx_.size(); ++k) {
+          const Value cell = batch.column(right_key_idx_[k]).GetValue(
+              RefRow(ref));
+          if (Value::TotalOrderCompare(key[k], cell) != 0) return false;
+        }
+        return true;
+      },
+      out);
+}
+
+void HashJoinNode::GatherCandidatesTyped(int64_t i, size_t h,
+                                         std::vector<uint64_t>* out) const {
+  const size_t si = static_cast<size_t>(i);
+  WalkChain(
+      h,
+      [&](uint64_t ref) {
+        const RowBatch& batch = build_batches_[RefBatch(ref)];
+        const size_t r = static_cast<size_t>(RefRow(ref));
+        // NULL keys are never chained nor looked up, so every slot read
+        // here holds a value.
+        for (size_t k = 0; k < right_key_idx_.size(); ++k) {
+          const ColumnVector& pc = probe_batch_.column(left_key_idx_[k]);
+          const ColumnVector& bc = batch.column(right_key_idx_[k]);
+          switch (build_key_storage_[k]) {
+            case KeyStorage::kInt:
+              if (pc.ints()[si] != bc.ints()[r]) return false;
+              break;
+            case KeyStorage::kFloat: {
+              // A NaN ties with everything, as in TotalOrderCompare.
+              const double x = pc.doubles()[si];
+              const double y = bc.doubles()[r];
+              if (x < y || x > y) return false;
+              break;
+            }
+            case KeyStorage::kString:
+              if (pc.strings()[si] != bc.strings()[r]) return false;
+              break;
+            case KeyStorage::kMixed:
+              return false;  // excluded by the caller
+          }
+        }
+        return true;
+      },
+      out);
+}
+
+HashJoinNode::KeyStorage HashJoinNode::StorageOf(const ColumnVector& col) {
+  if (col.generic()) return KeyStorage::kMixed;
+  switch (col.type()) {
+    case TypeId::kInt64:
+    case TypeId::kDate:
+      return KeyStorage::kInt;
+    case TypeId::kFloat64:
+      return KeyStorage::kFloat;
+    case TypeId::kString:
+      return KeyStorage::kString;
   }
+  return KeyStorage::kMixed;
 }
 
 void HashJoinNode::ProbeRow(const Row& left_row, std::vector<Row>* out) {
@@ -445,6 +503,14 @@ void HashJoinNode::LoadProbeBatch() {
   HashKeyColumns(probe_batch_, left_key_idx_, /*nulls_only=*/perfect_built_,
                  probe_hashes_.data(), probe_null_.data());
 
+  // The flat probe compares keys on the typed arrays when each probe key
+  // column shares its build column's typed storage class.
+  bool typed = true;
+  for (size_t k = 0; k < left_key_idx_.size(); ++k) {
+    typed = typed && build_key_storage_[k] != KeyStorage::kMixed &&
+            StorageOf(probe_batch_.column(left_key_idx_[k])) ==
+                build_key_storage_[k];
+  }
   pair_begin_.assign(sn + 1, 0);
   pair_ref_.clear();
   for (int64_t i = 0; i < n; ++i) {
@@ -463,6 +529,10 @@ void HashJoinNode::LoadProbeBatch() {
         in_range = DenseKeyOf(col.GetValue(i), &key);
       }
       if (in_range) PerfectCandidates(key, &pair_ref_);
+      continue;
+    }
+    if (typed) {
+      GatherCandidatesTyped(i, probe_hashes_[si], &pair_ref_);
       continue;
     }
     scratch_key_.clear();

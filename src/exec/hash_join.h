@@ -94,20 +94,40 @@ class HashJoinNode final : public ExecNode {
   // Maps a probe key value to its dense array key; false when the value
   // cannot equal any build key (NULL-free non-integral or out of range).
   bool DenseKeyOf(const Value& v, int64_t* key) const;
-  // Cell `c` of build row j.
-  Value BuildValue(int32_t j, int c) const {
-    const uint64_t ref = build_refs_[static_cast<size_t>(j)];
-    return build_batches_[RefBatch(ref)].column(c).GetValue(RefRow(ref));
-  }
   // `left_row` ++ the build row `ref` points at.
   Row ConcatBuildRow(const Row& left_row, uint64_t ref) const;
   // Appends the references of the build rows on `key`'s perfect-array
   // chain to `out`.
   void PerfectCandidates(int64_t key, std::vector<uint64_t>* out) const;
+  // Appends the references of the build rows on hash `h`'s flat chain
+  // whose key `key_equal(ref)` accepts to `out`, in arrival order.
+  template <typename KeyEqual>
+  void WalkChain(size_t h, const KeyEqual& key_equal,
+                 std::vector<uint64_t>* out) const {
+    if (flat_head_.empty()) return;  // empty build
+    for (int32_t j = flat_head_[h & flat_mask_]; j >= 0;
+         j = flat_next_[static_cast<size_t>(j)]) {
+      // Equal keys always hash equal (SqlHash is consistent with
+      // TotalOrderCompare), so a hash mismatch can never hide a match.
+      if (flat_hash_[static_cast<size_t>(j)] != h) continue;
+      const uint64_t ref = build_refs_[static_cast<size_t>(j)];
+      if (key_equal(ref)) out->push_back(ref);
+    }
+  }
   // Appends the references of the build rows whose key equals `key`
   // (combined hash `h`) to `out`, in arrival order.
   void GatherCandidates(const std::vector<Value>& key, size_t h,
                         std::vector<uint64_t>* out) const;
+  // The same for row `i` of probe_batch_, comparing on the typed arrays;
+  // every key column pair must share a typed KeyStorage.
+  void GatherCandidatesTyped(int64_t i, size_t h,
+                             std::vector<uint64_t>* out) const;
+  // Storage class of a key column's cells, for the typed probe compare:
+  // int64/date, double and string storage compare as Value::TotalOrderCompare
+  // does within one class; a generic column, or a pair of columns of
+  // different classes (int = double), compares as Values.
+  enum class KeyStorage : uint8_t { kInt, kFloat, kString, kMixed };
+  static KeyStorage StorageOf(const ColumnVector& col);
   // Appends every output row produced by one probe row to `out`: matches
   // in build order, then the per-row outer/anti epilogue.
   void ProbeRow(const Row& left_row, std::vector<Row>* out);
@@ -155,6 +175,10 @@ class HashJoinNode final : public ExecNode {
   // layout below indexes build rows by that ordinal j.
   std::vector<RowBatch> build_batches_;
   std::vector<uint64_t> build_refs_;
+
+  // Per equality key, the KeyStorage every build batch shares (kMixed when
+  // they differ, are generic, or there are none).
+  std::vector<KeyStorage> build_key_storage_;
 
   bool build_has_null_key_ = false;  // for kLeftAntiNullAware
   int64_t build_rows_ = 0;

@@ -1,5 +1,7 @@
 #include "exec/sort.h"
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -8,48 +10,8 @@
 
 namespace nestra {
 
-namespace {
-
-int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
-
-// One sort key's cells gathered in input order, so the comparator indexes
-// contiguous arrays by input ordinal. Typed when every batch stores the
-// key column in its declared typed storage; otherwise (mixed or generic
-// cells) the cells are kept as Values for Value::TotalOrderCompare.
-struct KeyColumn {
-  enum class Kind { kInt, kFloat, kString, kValue };
-  Kind kind = Kind::kValue;
-  bool ascending = true;
-  std::vector<uint8_t> nulls;
-  std::vector<int64_t> ints;
-  std::vector<double> doubles;
-  std::vector<const std::string*> strings;  // into the drained batches
-  std::vector<Value> values;
-
-  // Value::TotalOrderCompare of input rows a and b: NULLs first; int/date
-  // and double by < and > (a NaN ties with everything); strings by
-  // compare.
-  int Compare(uint32_t a, uint32_t b) const {
-    const bool an = nulls[a] != 0;
-    const bool bn = nulls[b] != 0;
-    if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
-    switch (kind) {
-      case Kind::kInt:
-        return ints[a] < ints[b] ? -1 : (ints[a] > ints[b] ? 1 : 0);
-      case Kind::kFloat:
-        return doubles[a] < doubles[b] ? -1
-                                       : (doubles[a] > doubles[b] ? 1 : 0);
-      case Kind::kString:
-        return Sign(strings[a]->compare(*strings[b]));
-      case Kind::kValue:
-        return Value::TotalOrderCompare(values[a], values[b]);
-    }
-    return 0;
-  }
-};
-
-KeyColumn GatherKey(const std::vector<RowBatch>& batches, int idx,
-                    TypeId type, bool ascending, int64_t n) {
+KeyColumn GatherKeyColumn(const std::vector<RowBatch>& batches, int idx,
+                          TypeId type, bool ascending, int64_t n) {
   KeyColumn key;
   key.ascending = ascending;
   bool typed = true;
@@ -95,25 +57,29 @@ KeyColumn GatherKey(const std::vector<RowBatch>& batches, int idx,
         break;
     }
   }
+  // A NaN ties with every number, and a generic column may tie an int64
+  // with a double that is not equal to a tying int64; both break the
+  // transitivity of equality. NULL slots hold 0.0.
+  key.weak_order =
+      key.kind != KeyColumn::Kind::kValue &&
+      std::none_of(key.doubles.begin(), key.doubles.end(),
+                   [](double d) { return std::isnan(d); });
   return key;
 }
-
-}  // namespace
 
 Status SortNode::OpenImpl() {
   NESTRA_RETURN_NOT_OK(child_->Open());
   const Schema& schema = child_->output_schema();
-  std::vector<int> key_indices;
+  run_ = SortedRun();
   for (const SortKey& k : keys_) {
     NESTRA_ASSIGN_OR_RETURN(int idx, schema.Resolve(k.column));
-    key_indices.push_back(idx);
+    run_.key_indices.push_back(idx);
   }
-  batches_.clear();
-  order_.clear();
+  std::vector<RowBatch>& batches = run_.batches;
   pos_ = 0;
   charged_bytes_ = 0;
   NESTRA_RETURN_NOT_OK(
-      DrainAllBatches(child_.get(), vectorized_, &batches_, &charged_bytes_));
+      DrainAllBatches(child_.get(), vectorized_, &batches, &charged_bytes_));
   // Always-on byte accounting for the sort buffer: the drain already
   // computed the logical footprint, so this is just bookkeeping.
   stats_.mem_bytes = charged_bytes_;
@@ -123,37 +89,45 @@ Status SortNode::OpenImpl() {
   }
 
   int64_t n = 0;
-  for (const RowBatch& b : batches_) n += b.num_rows();
-  std::vector<KeyColumn> keys;
+  for (const RowBatch& b : batches) n += b.num_rows();
+  std::vector<KeyColumn>& keys = run_.keys;
   for (size_t k = 0; k < keys_.size(); ++k) {
-    const int idx = key_indices[k];
-    keys.push_back(GatherKey(batches_, idx, schema.field(idx).type,
-                             keys_[k].ascending, n));
+    const int idx = run_.key_indices[k];
+    keys.push_back(GatherKeyColumn(batches, idx, schema.field(idx).type,
+                                   keys_[k].ascending, n));
   }
   // Stable sort of input ordinals keeps input order within equal keys,
   // which makes nested groups deterministic for tests — and makes the
   // parallel sort's output identical to the serial one.
-  std::vector<uint32_t> perm(static_cast<size_t>(n));
+  std::vector<uint32_t>& perm = run_.perm;
+  perm.resize(static_cast<size_t>(n));
   for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<uint32_t>(i);
-  ParallelStableSort(
-      &perm,
-      [&keys](uint32_t a, uint32_t b) {
-        for (const KeyColumn& key : keys) {
-          const int c = key.Compare(a, b);
-          if (c != 0) return key.ascending ? c < 0 : c > 0;
-        }
-        return false;
-      },
-      num_threads_);
+  const auto less = [&keys](uint32_t a, uint32_t b) {
+    for (const KeyColumn& key : keys) {
+      const int c = key.Compare(a, b);
+      if (c != 0) return key.ascending ? c < 0 : c > 0;
+    }
+    return false;
+  };
+  // Under a strict weak order the stable order is unique, so an input
+  // already in key order (the unnest join's output usually is: it probes
+  // in the outer block's order) is its own stable sort. A NaN or mixed
+  // int/double key has no such guarantee and is always sorted.
+  const bool weak_order =
+      std::all_of(keys.begin(), keys.end(),
+                  [](const KeyColumn& key) { return key.weak_order; });
+  if (!weak_order || !std::is_sorted(perm.begin(), perm.end(), less)) {
+    ParallelStableSort(&perm, less, num_threads_);
+  }
   std::vector<uint64_t> refs;
   refs.reserve(static_cast<size_t>(n));
-  for (size_t b = 0; b < batches_.size(); ++b) {
-    for (int64_t r = 0; r < batches_[b].num_rows(); ++r) {
+  for (size_t b = 0; b < batches.size(); ++b) {
+    for (int64_t r = 0; r < batches[b].num_rows(); ++r) {
       refs.push_back(PackRowRef(b, r));
     }
   }
-  order_.reserve(perm.size());
-  for (const uint32_t i : perm) order_.push_back(refs[i]);
+  run_.order.reserve(perm.size());
+  for (const uint32_t i : perm) run_.order.push_back(refs[i]);
   stats_.sort_rows += n;
   if (timing_) {
     // The sorted payload: the drained bytes without the row headers.
@@ -163,9 +137,14 @@ Status SortNode::OpenImpl() {
   return Status::OK();
 }
 
+const SortedRun& SortNode::HandOff() {
+  stats_.rows_out += static_cast<int64_t>(run_.order.size() - pos_);
+  pos_ = run_.order.size();
+  return run_;
+}
+
 void SortNode::CloseImpl() {
-  batches_.clear();
-  order_.clear();
+  run_ = SortedRun();
   if (charged_bytes_ != 0) {
     if (QueryMemoryTracker* mem = CurrentQueryMemory()) {
       mem->Release(charged_bytes_);
@@ -177,22 +156,22 @@ void SortNode::CloseImpl() {
 }
 
 Status SortNode::NextImpl(Row* out, bool* eof) {
-  if (pos_ >= order_.size()) {
+  if (pos_ >= run_.order.size()) {
     *eof = true;
     return Status::OK();
   }
   *eof = false;
   // Every reference is emitted exactly once, so its cells can move out.
-  const uint64_t ref = order_[pos_++];
-  *out = batches_[RefBatch(ref)].TakeRow(RefRow(ref));
+  const uint64_t ref = run_.order[pos_++];
+  *out = run_.batches[RefBatch(ref)].TakeRow(RefRow(ref));
   return Status::OK();
 }
 
 Status SortNode::NextBatchImpl(RowBatch* out, bool* eof) {
   size_t end = pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity);
-  if (end > order_.size()) end = order_.size();
+  if (end > run_.order.size()) end = run_.order.size();
   for (int c = 0; c < out->num_columns(); ++c) {
-    out->column(c).AppendRefs(batches_, c, order_.data() + pos_,
+    out->column(c).AppendRefs(run_.batches, c, run_.order.data() + pos_,
                               static_cast<int64_t>(end - pos_));
   }
   out->set_num_rows(static_cast<int64_t>(end - pos_));

@@ -16,6 +16,82 @@ struct SortKey {
   bool ascending = true;
 };
 
+/// \brief One column's cells gathered in input order (concatenated over a
+/// list of batches), so comparisons index contiguous arrays by input
+/// ordinal. Typed when every batch stores the column in its declared typed
+/// storage; otherwise (mixed or generic cells) the cells are kept as Values
+/// for Value::TotalOrderCompare.
+struct KeyColumn {
+  enum class Kind { kInt, kFloat, kString, kValue };
+  Kind kind = Kind::kValue;
+  bool ascending = true;
+  /// True when Compare is a strict weak order over the cells: typed, with
+  /// no NaN.
+  bool weak_order = false;
+  std::vector<uint8_t> nulls;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<const std::string*> strings;  // into the gathered batches
+  std::vector<Value> values;
+
+  // Value::TotalOrderCompare of input rows a and b: NULLs first; int/date
+  // and double by < and > (a NaN ties with everything); strings by
+  // compare.
+  int Compare(uint32_t a, uint32_t b) const {
+    const bool an = nulls[a] != 0;
+    const bool bn = nulls[b] != 0;
+    if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
+    switch (kind) {
+      case Kind::kInt:
+        return ints[a] < ints[b] ? -1 : (ints[a] > ints[b] ? 1 : 0);
+      case Kind::kFloat:
+        return doubles[a] < doubles[b] ? -1
+                                       : (doubles[a] > doubles[b] ? 1 : 0);
+      case Kind::kString: {
+        const int c = strings[a]->compare(*strings[b]);
+        return c < 0 ? -1 : (c > 0 ? 1 : 0);
+      }
+      case Kind::kValue:
+        return Value::TotalOrderCompare(values[a], values[b]);
+    }
+    return 0;
+  }
+
+  /// Input row i's cell as a Value, bit-identical to
+  /// ColumnVector::GetValue on the batch it came from.
+  Value Get(uint32_t i) const {
+    if (nulls[i] != 0) return Value::Null();
+    switch (kind) {
+      case Kind::kInt:
+        return Value::Int64(ints[i]);
+      case Kind::kFloat:
+        return Value::Float64(doubles[i]);
+      case Kind::kString:
+        return Value::String(*strings[i]);
+      case Kind::kValue:
+        return values[i];
+    }
+    return Value::Null();
+  }
+};
+
+/// Gathers column `idx` (declared `type`) of `batches`, `n` rows in all,
+/// in input order. String cells are referenced, not copied: the batches
+/// must outlive the result.
+KeyColumn GatherKeyColumn(const std::vector<RowBatch>& batches, int idx,
+                          TypeId type, bool ascending, int64_t n);
+
+/// \brief A sort's result, readable in place: the drained input batches,
+/// the stable sorted permutation (as input ordinals and as packed row
+/// references into `batches`), and every sort key gathered in input order.
+struct SortedRun {
+  std::vector<RowBatch> batches;
+  std::vector<uint32_t> perm;    // perm[i]: input ordinal of sorted row i
+  std::vector<uint64_t> order;   // order[i]: PackRowRef of sorted row i
+  std::vector<KeyColumn> keys;   // one per SortKey, indexed by ordinal
+  std::vector<int> key_indices;  // the schema column of each SortKey
+};
+
 /// \brief Pipeline-breaking multi-key sort. This is the operator the
 /// sort-based nest rides on: the "only the deepest nesting involves true
 /// physical reordering" optimization (§4.2.1) is one SortNode for all levels.
@@ -24,8 +100,12 @@ struct SortKey {
 /// its batches over by move), each key column is gathered into one typed
 /// array, and a permutation of the input rows is stable-sorted over those
 /// arrays — the order std::stable_sort with Value::TotalOrderCompare gives
-/// the rows. NextBatch gathers the permuted rows column by column;
-/// Next materializes one row. With `num_threads > 1` the permutation is
+/// the rows. When every key is typed and NaN-free (a strict weak order) and
+/// the input is already in key order, the permutation stays the identity
+/// without a sort: the stable order is unique. NextBatch gathers the permuted rows column by column;
+/// Next materializes one row; HandOff gives the whole SortedRun to a
+/// consumer that reads it in place (FusedNestSelectNode's batch pass), so
+/// no output batch is built. With `num_threads > 1` the permutation is
 /// sorted by a parallel stable merge sort; the stable order is unique, so
 /// the result is element-for-element identical to the serial sort.
 class SortNode final : public ExecNode {
@@ -47,6 +127,11 @@ class SortNode final : public ExecNode {
   PipelineRole role() const override { return PipelineRole::kBreaker; }
   std::vector<ExecNode*> children() const override { return {child_.get()}; }
 
+  /// The sorted result, for a parent that reads it in place instead of
+  /// calling Next or NextBatch. Valid from Open to Close; counts every row
+  /// as emitted, after which Next and NextBatch report end of stream.
+  const SortedRun& HandOff();
+
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* out, bool* eof) override;
@@ -58,10 +143,7 @@ class SortNode final : public ExecNode {
   std::vector<SortKey> keys_;
   int num_threads_ = 1;
   bool vectorized_ = false;
-  std::vector<RowBatch> batches_;
-  // The sorted permutation of packed row references into batches_
-  // (PackRowRef).
-  std::vector<uint64_t> order_;
+  SortedRun run_;
   size_t pos_ = 0;
   int64_t charged_bytes_ = 0;
 };

@@ -8,29 +8,43 @@
 namespace nestra {
 
 namespace {
-// Group-boundary test between two cells of the same column, matching
-// Value::TotalOrderCompare equality (double equality is !(x<y) && !(x>y),
-// so NaNs compare "equal"; int cells compare exactly).
-bool CellsDiffer(const ColumnVector& col, int64_t a, int64_t b) {
-  const bool an = col.IsNull(a);
-  const bool bn = col.IsNull(b);
-  if (an || bn) return an != bn;
-  if (col.generic()) {
-    return Value::TotalOrderCompare(col.values()[a], col.values()[b]) != 0;
+// Value::Apply(op, lhs, cell `i` of `col`), comparing on the typed arrays
+// when `lhs` has the column's storage class (int/date, double, string);
+// a NaN ties with everything, as in Value::TotalOrderCompare.
+TriBool ApplyToCell(CmpOp op, const Value& lhs, const KeyColumn& col,
+                    uint32_t i) {
+  if (lhs.is_null() || col.nulls[i] != 0) return TriBool::kUnknown;
+  int c = 0;
+  if (col.kind == KeyColumn::Kind::kInt && lhs.is_int()) {
+    const int64_t x = lhs.int64();
+    const int64_t y = col.ints[i];
+    c = x < y ? -1 : (x > y ? 1 : 0);
+  } else if (col.kind == KeyColumn::Kind::kFloat && lhs.is_float()) {
+    const double x = lhs.float64();
+    const double y = col.doubles[i];
+    c = x < y ? -1 : (x > y ? 1 : 0);
+  } else if (col.kind == KeyColumn::Kind::kString && lhs.is_string()) {
+    c = lhs.string().compare(*col.strings[i]);
+  } else if (col.kind == KeyColumn::Kind::kValue) {
+    return Value::Apply(op, lhs, col.values[i]);
+  } else {
+    return Value::Apply(op, lhs, col.Get(i));  // cross-type
   }
-  switch (col.type()) {
-    case TypeId::kInt64:
-    case TypeId::kDate:
-      return col.ints()[a] != col.ints()[b];
-    case TypeId::kFloat64: {
-      const double x = col.doubles()[a];
-      const double y = col.doubles()[b];
-      return x < y || x > y;
-    }
-    case TypeId::kString:
-      return col.strings()[a] != col.strings()[b];
+  switch (op) {
+    case CmpOp::kEq:
+      return MakeTriBool(c == 0);
+    case CmpOp::kNe:
+      return MakeTriBool(c != 0);
+    case CmpOp::kLt:
+      return MakeTriBool(c < 0);
+    case CmpOp::kLe:
+      return MakeTriBool(c <= 0);
+    case CmpOp::kGt:
+      return MakeTriBool(c > 0);
+    case CmpOp::kGe:
+      return MakeTriBool(c >= 0);
   }
-  return false;
+  return TriBool::kUnknown;
 }
 }  // namespace
 
@@ -48,6 +62,12 @@ FusedNestSelectNode::FusedNestSelectNode(ExecNodePtr child,
     }
   }
   schema_ = Schema(std::move(fields));
+}
+
+FusedNestSelectNode::FusedNestSelectNode(std::unique_ptr<SortNode> sort,
+                                         std::vector<FusedLevelSpec> levels)
+    : FusedNestSelectNode(ExecNodePtr(std::move(sort)), std::move(levels)) {
+  sort_ = static_cast<SortNode*>(child_.get());
 }
 
 Status FusedNestSelectNode::OpenImpl() {
@@ -107,27 +127,14 @@ Status FusedNestSelectNode::OpenImpl() {
   has_prev_ = false;
   input_done_ = false;
   pending_valid_ = false;
-
-  // Batched consumption: map each level's key columns to their position in
-  // the innermost key list (a superset of every level's keys, per the
-  // containment check above), so cross-batch boundary state is just the
-  // innermost key values of the last row seen.
-  prev_keys_.clear();
-  key_slot_.assign(levels_.size(), {});
-  const std::vector<int>& inner_keys = levels_.back().key_idx;
-  for (size_t i = 0; i < levels_.size(); ++i) {
-    for (const int k : levels_[i].key_idx) {
-      const auto it = std::find(inner_keys.begin(), inner_keys.end(), k);
-      NESTRA_DCHECK(it != inner_keys.end());
-      key_slot_[i].push_back(static_cast<size_t>(it - inner_keys.begin()));
-    }
-  }
+  run_ = nullptr;
+  pos_ = 0;
+  own_cols_.clear();
   return Status::OK();
 }
 
 void FusedNestSelectNode::OpenLevel(int i, const Row& row) {
   LevelState& st = levels_[i];
-  st.open = true;
   st.rep = row;
   st.acc.Reset(st.linking_idx >= 0 ? row[st.linking_idx]
                                    : specs_[i].pred.linking_const);
@@ -135,7 +142,6 @@ void FusedNestSelectNode::OpenLevel(int i, const Row& row) {
 
 bool FusedNestSelectNode::FinalizeLevel(int i) {
   LevelState& st = levels_[i];
-  st.open = false;
   ++groups_closed_[i];
   const TriBool r = st.acc.Result();
   if (i == 0) {
@@ -223,111 +229,146 @@ Status FusedNestSelectNode::NextImpl(Row* out, bool* eof) {
   }
 }
 
-void FusedNestSelectNode::OpenLevelBatch(int i, int64_t r) {
-  LevelState& st = levels_[i];
-  st.open = true;
-  st.acc.Reset(st.linking_idx >= 0 ? input_.column(st.linking_idx).GetValue(r)
-                                   : specs_[i].pred.linking_const);
-  if (i == 0) {
-    st.rep_out.clear();
-    for (const int k : output_idx_) {
-      st.rep_out.push_back(input_.column(k).GetValue(r));
-    }
-    return;
-  }
-  const LevelState& parent = levels_[i - 1];
-  st.rep_member = input_.column(parent.member_key_idx).GetValue(r);
-  st.rep_linked = parent.linked_idx >= 0
-                      ? input_.column(parent.linked_idx).GetValue(r)
-                      : Value::Null();
+void FusedNestSelectNode::CloseImpl() {
+  // own_cols_ points into the sort's batches, which Close frees.
+  own_cols_.clear();
+  run_ = nullptr;
+  child_->Close();
 }
 
-void FusedNestSelectNode::FinalizeLevelBatch(int i, RowBatch* out) {
-  LevelState& st = levels_[i];
-  st.open = false;
-  ++groups_closed_[i];
-  const TriBool r = st.acc.Result();
-  if (i == 0) {
-    const bool pass = IsTrue(r);
-    if (!pass && specs_[0].mode != SelectionMode::kPseudo) return;
-    Row row(std::vector<Value>(st.rep_out.begin(), st.rep_out.end()));
-    if (!pass) {
-      for (const int k : st.pad_idx) row[k] = Value::Null();
-    }
-    out->AppendRow(std::move(row));
-    return;
+const KeyColumn* FusedNestSelectNode::ColumnFor(int idx) {
+  for (size_t k = 0; k < run_->key_indices.size(); ++k) {
+    if (run_->key_indices[k] == idx) return &run_->keys[k];
   }
-  LevelState& parent = levels_[i - 1];
-  if (IsTrue(r)) parent.acc.Add(st.rep_member, st.rep_linked);
+  auto [it, inserted] = own_cols_.try_emplace(idx);
+  if (inserted) {
+    it->second = GatherKeyColumn(
+        run_->batches, idx, child_->output_schema().field(idx).type,
+        /*ascending=*/true, static_cast<int64_t>(run_->perm.size()));
+  }
+  return &it->second;
 }
 
-bool FusedNestSelectNode::KeyChangedBatch(int i, int64_t r) const {
-  const LevelState& st = levels_[i];
-  if (r > 0) {
+void FusedNestSelectNode::BindRun() {
+  run_ = &sort_->HandOff();
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    LevelState& st = levels_[i];
+    st.new_keys.clear();
     for (const int k : st.key_idx) {
-      if (CellsDiffer(input_.column(k), r - 1, r)) return true;
+      const bool outer_has =
+          i > 0 && std::find(levels_[i - 1].key_idx.begin(),
+                             levels_[i - 1].key_idx.end(),
+                             k) != levels_[i - 1].key_idx.end();
+      if (!outer_has) st.new_keys.push_back(ColumnFor(k));
     }
-    return false;
+    st.linking_col = st.linking_idx >= 0 ? ColumnFor(st.linking_idx) : nullptr;
+    st.linked_col = st.linked_idx >= 0 ? ColumnFor(st.linked_idx) : nullptr;
+    st.member_key_col = ColumnFor(st.member_key_idx);
   }
-  // First row of a batch: compare against the saved innermost key values
-  // of the previous batch's last row.
-  for (size_t j = 0; j < st.key_idx.size(); ++j) {
-    const Value& prev = prev_keys_[key_slot_[i][j]];
-    if (Value::TotalOrderCompare(prev,
-                                 input_.column(st.key_idx[j]).GetValue(r)) !=
-        0) {
-      return true;
-    }
-  }
-  return false;
 }
 
-void FusedNestSelectNode::ProcessBatchRow(int64_t r, RowBatch* out) {
+void FusedNestSelectNode::OpenGroup(int i, size_t p) {
+  LevelState& st = levels_[i];
+  st.rep_pos = p;
+  st.linking = st.linking_col != nullptr
+                   ? st.linking_col->Get(run_->perm[p])
+                   : specs_[i].pred.linking_const;
+  st.acc.Reset(st.linking);
+}
+
+void FusedNestSelectNode::AddMember(int i, uint32_t ordinal) {
+  LevelState& st = levels_[i];
+  if (st.member_key_col->nulls[ordinal] != 0) return;  // padding
+  const LinkingPredicate& pred = specs_[i].pred;
+  if (pred.kind == LinkingPredicate::Kind::kQuantified &&
+      st.linked_col != nullptr) {
+    st.acc.AddComparison(
+        ApplyToCell(pred.op, st.linking, *st.linked_col, ordinal));
+    return;
+  }
+  st.acc.AddMember(st.linked_col != nullptr ? st.linked_col->Get(ordinal)
+                                            : Value::Null());
+}
+
+void FusedNestSelectNode::CloseGroup(int i) {
+  LevelState& st = levels_[i];
+  ++groups_closed_[i];
+  const bool pass = IsTrue(st.acc.Result());
+  if (i > 0) {
+    if (pass) AddMember(i - 1, run_->perm[st.rep_pos]);
+    return;
+  }
+  if (!pass && specs_[0].mode != SelectionMode::kPseudo) return;
+  emit_ref_.push_back(run_->order[st.rep_pos]);
+  emit_pad_.push_back(pass ? 0 : 1);
+}
+
+void FusedNestSelectNode::StepPosition(size_t p) {
   const int m = static_cast<int>(levels_.size());
-  if (!has_prev_) {
-    for (int i = 0; i < m; ++i) OpenLevelBatch(i, r);
-    has_prev_ = true;
+  const uint32_t cur = run_->perm[p];
+  if (p == 0) {
+    for (int i = 0; i < m; ++i) OpenGroup(i, p);
   } else {
+    // Outermost level whose group key changed. The enclosing levels' keys
+    // compared equal, so only each level's added keys need a compare.
+    const uint32_t prev = run_->perm[p - 1];
     int boundary = m;
-    for (int i = 0; i < m; ++i) {
-      if (KeyChangedBatch(i, r)) {
-        boundary = i;
-        break;
+    for (int i = 0; i < m && boundary == m; ++i) {
+      for (const KeyColumn* key : levels_[i].new_keys) {
+        if (key->Compare(prev, cur) != 0) {
+          boundary = i;
+          break;
+        }
       }
     }
     if (boundary < m) {
-      for (int i = m - 1; i >= boundary; --i) FinalizeLevelBatch(i, out);
-      for (int i = boundary; i < m; ++i) OpenLevelBatch(i, r);
+      for (int i = m - 1; i >= boundary; --i) CloseGroup(i);
+      for (int i = boundary; i < m; ++i) OpenGroup(i, p);
     }
   }
-  LevelState& inner = levels_[m - 1];
-  inner.acc.Add(input_.column(inner.member_key_idx).GetValue(r),
-                inner.linked_idx >= 0
-                    ? input_.column(inner.linked_idx).GetValue(r)
-                    : Value::Null());
+  // The innermost level's members are the stream rows themselves.
+  AddMember(m - 1, cur);
+}
+
+void FusedNestSelectNode::EmitGroups(RowBatch* out) {
+  const int64_t g = static_cast<int64_t>(emit_ref_.size());
+  if (g == 0) return;
+  const std::vector<int>& pads = levels_[0].pad_idx;
+  for (int k = 0; k < static_cast<int>(output_idx_.size()); ++k) {
+    const uint64_t* refs = emit_ref_.data();
+    if (std::find(pads.begin(), pads.end(), k) != pads.end()) {
+      pad_refs_ = emit_ref_;
+      for (size_t j = 0; j < pad_refs_.size(); ++j) {
+        if (emit_pad_[j] != 0) pad_refs_[j] = kNullRef;
+      }
+      refs = pad_refs_.data();
+    }
+    out->column(k).AppendRefs(run_->batches, output_idx_[k], refs, g);
+  }
+  out->set_num_rows(out->num_rows() + g);
+  emit_ref_.clear();
+  emit_pad_.clear();
 }
 
 Status FusedNestSelectNode::NextBatchImpl(RowBatch* out, bool* eof) {
-  const int m = static_cast<int>(levels_.size());
-  while (out->empty()) {
-    if (input_done_) break;
-    bool child_eof = false;
-    NESTRA_RETURN_NOT_OK(child_->NextBatch(&input_, &child_eof));
-    if (child_eof) {
+  if (sort_ == nullptr) return ExecNode::NextBatchImpl(out, eof);
+  if (run_ == nullptr) BindRun();
+  const size_t n = run_->perm.size();
+  // One window of the permutation per round until a round emits.
+  while (out->empty() && !input_done_) {
+    if (pos_ == n) {
       input_done_ = true;
-      if (has_prev_) {
-        for (int i = m - 1; i >= 0; --i) FinalizeLevelBatch(i, out);
+      if (n > 0) {
+        for (int i = static_cast<int>(levels_.size()) - 1; i >= 0; --i) {
+          CloseGroup(i);
+        }
       }
-      break;
+    } else {
+      const size_t end =
+          std::min(n, pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity));
+      for (; pos_ < end; ++pos_) StepPosition(pos_);
     }
-    const int64_t n = input_.num_rows();
-    for (int64_t r = 0; r < n; ++r) ProcessBatchRow(r, out);
-    // Boundary state for the next batch's first row.
-    const LevelState& inner = levels_[m - 1];
-    prev_keys_.clear();
-    for (const int k : inner.key_idx) {
-      prev_keys_.push_back(input_.column(k).GetValue(n - 1));
-    }
+    EmitGroups(out);
   }
   *eof = out->empty();
   return Status::OK();

@@ -1,10 +1,13 @@
 #ifndef NESTRA_NESTED_FUSED_NEST_SELECT_H_
 #define NESTRA_NESTED_FUSED_NEST_SELECT_H_
 
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/exec_node.h"
+#include "exec/sort.h"
 #include "nested/linking_predicate.h"
 #include "nested/linking_selection.h"
 
@@ -52,10 +55,35 @@ struct FusedLevelSpec {
 ///
 /// The outermost level emits its nesting-attribute prefix for groups whose
 /// predicate is TRUE. Output schema = outermost nesting attributes.
+///
+/// Two protocols, one result. Next pulls sorted rows from the child and
+/// keeps each open group's representative row (the row oracle). NextBatch,
+/// when the child is the SortNode, takes the sort's SortedRun by
+/// SortNode::HandOff and walks its permutation once, in place (late
+/// materialization, §4.2.1–4.2.2): a group boundary is a KeyColumn::Compare
+/// of adjacent permuted ordinals on the keys the level adds to its
+/// enclosing level's; the linking, linked and member-key cells are read
+/// from typed input-order columns (the sort's key columns, or gathered
+/// here once for columns that are not sort keys); only a generic or
+/// mixed-storage column goes through Values. An open group holds just its
+/// representative's sorted position; an emitted root group records that
+/// row's reference (and, in pseudo mode, whether it is padded), and each
+/// output column is one ColumnVector::AppendRefs gather over those
+/// references, a padded cell being a kNullRef. The permutation is walked in
+/// RowBatch::kDefaultCapacity windows, one window per round until a round
+/// emits a row, so the output batches are exactly those of a pass over the
+/// sort's NextBatch stream. Accounting: the stage's bytes are the sort's
+/// drained input (charged once, at the sort's Open) plus this node's
+/// largest output batch and the result; the sort builds no output batch.
+/// With any other child, NextBatch runs the row protocol through the row
+/// adapter.
 class FusedNestSelectNode final : public ExecNode {
  public:
   /// `child` must produce rows sorted by `levels.back().nesting_attrs`.
   FusedNestSelectNode(ExecNodePtr child, std::vector<FusedLevelSpec> levels);
+  /// The same over a SortNode, whose result NextBatch reads in place.
+  FusedNestSelectNode(std::unique_ptr<SortNode> sort,
+                      std::vector<FusedLevelSpec> levels);
 
   const Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "FusedNestSelect"; }
@@ -72,7 +100,7 @@ class FusedNestSelectNode final : public ExecNode {
   Status OpenImpl() override;
   Status NextImpl(Row* out, bool* eof) override;
   Status NextBatchImpl(RowBatch* out, bool* eof) override;
-  void CloseImpl() override { child_->Close(); }
+  void CloseImpl() override;
 
  private:
   struct LevelState {
@@ -83,15 +111,17 @@ class FusedNestSelectNode final : public ExecNode {
     std::vector<int> pad_idx;    // output positions to null on pseudo fail
     LinkingAccumulator acc;
     Row rep;                     // representative (first) row of open group
-    bool open = false;
 
-    // Batched form: instead of copying the full (wide) representative row,
-    // each open group keeps only the values FinalizeLevel actually reads —
-    // the level-0 output prefix, or the member key/linked value fed to the
-    // enclosing accumulator.
-    std::vector<Value> rep_out;  // level 0: values at output_idx_
-    Value rep_member;            // level > 0: value at parent member_key_idx
-    Value rep_linked;            // level > 0: value at parent linked_idx
+    // Batch pass: the typed input-order columns of this level's new group
+    // keys (those its enclosing level lacks), linking, linked and member
+    // key attributes (null when absent), the open group's linking value
+    // and its representative's position in the permutation.
+    std::vector<const KeyColumn*> new_keys;
+    const KeyColumn* linking_col = nullptr;
+    const KeyColumn* linked_col = nullptr;
+    const KeyColumn* member_key_col = nullptr;
+    Value linking;
+    size_t rep_pos = 0;
   };
 
   // Closes level `i`, feeding the member upward or emitting at level 0.
@@ -101,15 +131,23 @@ class FusedNestSelectNode final : public ExecNode {
   // Opens a group at level `i` with `row` as representative.
   void OpenLevel(int i, const Row& row);
 
-  // Batched equivalents, reading cells of input_ / emitting into `out`.
-  void FinalizeLevelBatch(int i, RowBatch* out);
-  void OpenLevelBatch(int i, int64_t r);
-  // True when level `i`'s group key differs between row `r` of input_ and
-  // the previous stream row (row r-1, or prev_keys_ across batches).
-  bool KeyChangedBatch(int i, int64_t r) const;
-  void ProcessBatchRow(int64_t r, RowBatch* out);
+  // Batch pass over the sort's SortedRun (see the class comment).
+  // Takes the run from the sort and resolves every level's columns.
+  void BindRun();
+  // The typed input-order column of flat column `idx`: the sort's key
+  // column when `idx` is a sort key, else gathered once into own_cols_.
+  const KeyColumn* ColumnFor(int idx);
+  // Steps the pass over sorted position `p`.
+  void StepPosition(size_t p);
+  void OpenGroup(int i, size_t p);
+  void CloseGroup(int i);
+  // Feeds input row `ordinal` as a member of level `i`'s open group.
+  void AddMember(int i, uint32_t ordinal);
+  // Gathers the root groups recorded by CloseGroup into `out`.
+  void EmitGroups(RowBatch* out);
 
   ExecNodePtr child_;
+  SortNode* sort_ = nullptr;  // child_ when it is the sort, else null
   std::vector<FusedLevelSpec> specs_;
   Schema schema_;
   std::vector<int> output_idx_;  // outermost nesting attrs in flat schema
@@ -122,14 +160,15 @@ class FusedNestSelectNode final : public ExecNode {
   Row pending_;
   std::vector<int64_t> groups_closed_;
 
-  // Batched-consumption state. The innermost level's nesting attributes
-  // contain every level's (§4.2.1 prefix property), so prev_keys_ holds
-  // just those columns' values for the last row of the previous batch;
-  // per-level key compares go through key_slot_ (position of each level
-  // key in the innermost key list).
-  RowBatch input_;
-  std::vector<Value> prev_keys_;
-  std::vector<std::vector<size_t>> key_slot_;
+  // Batch-pass state: the sort's run, the next permuted position, columns
+  // gathered here, and the emitted root groups (reference of the
+  // representative row; pad flag) not yet gathered into output columns.
+  const SortedRun* run_ = nullptr;
+  size_t pos_ = 0;
+  std::map<int, KeyColumn> own_cols_;
+  std::vector<uint64_t> emit_ref_;
+  std::vector<uint8_t> emit_pad_;
+  std::vector<uint64_t> pad_refs_;
 };
 
 }  // namespace nestra

@@ -200,46 +200,37 @@ void LinkingAccumulator::Reset(const Value& linking_value) {
   extreme_ = Value::Null();
 }
 
-void LinkingAccumulator::Add(const Value& key, const Value& linked) {
-  if (key.is_null()) return;  // outer-join padding: not a real member
+void LinkingAccumulator::AddMember(const Value& linked) {
+  if (kind_ == LinkingPredicate::Kind::kQuantified) {
+    AddComparison(Value::Apply(op_, linking_value_, linked));
+    return;
+  }
   ++member_count_;
-  switch (kind_) {
-    case LinkingPredicate::Kind::kEmpty:
-    case LinkingPredicate::Kind::kNotEmpty:
-      return;
-    case LinkingPredicate::Kind::kQuantified: {
-      const TriBool cmp = Value::Apply(op_, linking_value_, linked);
-      acc_ = quant_ == Quantifier::kAll ? And(acc_, cmp) : Or(acc_, cmp);
-      return;
-    }
-    case LinkingPredicate::Kind::kAggregate: {
-      if (agg_ == LinkAgg::kCountStar) return;  // counts members, above
-      if (linked.is_null()) return;             // aggregates ignore NULLs
-      ++agg_inputs_;
-      switch (agg_) {
-        case LinkAgg::kCount:
-        case LinkAgg::kCountStar:
-          break;
-        case LinkAgg::kSum:
-        case LinkAgg::kAvg:
-          if (!linked.is_int()) sum_is_int_ = false;
-          sum_ += linked.AsDouble().value_or(0);
-          break;
-        case LinkAgg::kMin:
-          if (extreme_.is_null() ||
-              Value::TotalOrderCompare(linked, extreme_) < 0) {
-            extreme_ = linked;
-          }
-          break;
-        case LinkAgg::kMax:
-          if (extreme_.is_null() ||
-              Value::TotalOrderCompare(linked, extreme_) > 0) {
-            extreme_ = linked;
-          }
-          break;
+  if (kind_ != LinkingPredicate::Kind::kAggregate) return;  // emptiness
+  if (agg_ == LinkAgg::kCountStar) return;  // counts members, above
+  if (linked.is_null()) return;             // aggregates ignore NULLs
+  ++agg_inputs_;
+  switch (agg_) {
+    case LinkAgg::kCount:
+    case LinkAgg::kCountStar:
+      break;
+    case LinkAgg::kSum:
+    case LinkAgg::kAvg:
+      if (!linked.is_int()) sum_is_int_ = false;
+      sum_ += linked.AsDouble().value_or(0);
+      break;
+    case LinkAgg::kMin:
+      if (extreme_.is_null() ||
+          Value::TotalOrderCompare(linked, extreme_) < 0) {
+        extreme_ = linked;
       }
-      return;
-    }
+      break;
+    case LinkAgg::kMax:
+      if (extreme_.is_null() ||
+          Value::TotalOrderCompare(linked, extreme_) > 0) {
+        extreme_ = linked;
+      }
+      break;
   }
 }
 

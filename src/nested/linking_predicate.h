@@ -120,7 +120,19 @@ class LinkingAccumulator {
   /// Adds one member: `key` the member's primary-key value, `linked` the
   /// member's linked-attribute value. NULL-key members are padding and do
   /// not count.
-  void Add(const Value& key, const Value& linked);
+  void Add(const Value& key, const Value& linked) {
+    if (!key.is_null()) AddMember(linked);
+  }
+
+  /// Add for a member whose key is known to be non-NULL.
+  void AddMember(const Value& linked);
+
+  /// AddMember for a quantified predicate whose member comparison
+  /// Value::Apply(op, linking value, linked) is already known to be `cmp`.
+  void AddComparison(TriBool cmp) {
+    ++member_count_;
+    acc_ = quant_ == Quantifier::kAll ? And(acc_, cmp) : Or(acc_, cmp);
+  }
 
   TriBool Result() const;
 

@@ -498,7 +498,6 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
         {prev, base_task}, [&, k](NraStats* s, QueryProfile* p) -> Status {
           const QueryBlock& outer = *chain[k];
           const QueryBlock& child = *chain[k + 1];
-          const std::string bid = std::to_string(child.id);
           Table outer_base = std::move(bases[k]);
           // In the bottom-up order only (outer, child) tuples exist when the
           // linking predicate is computed, so the strict selection is always
@@ -525,21 +524,9 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
             s->intermediate_rows =
                 std::max(s->intermediate_rows, joined.num_rows());
             t0 = Clock::now();
-            StageTimer nest_timer(p, QueryPhase::kNest, "nest[b" + bid + "]");
-            NESTRA_ASSIGN_OR_RETURN(
-                NestedRelation nested,
-                Nest(joined, outer.carried, NestedAttrsFor(child), "g",
-                     options_.nest_method, num_threads_));
-            NESTRA_RETURN_NOT_OK(
-                FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
-            nest_timer.Finish(nested.num_tuples());
-            StageTimer select_timer(p, QueryPhase::kLinkingSelection,
-                                    "select[b" + bid + "]");
-            NESTRA_ASSIGN_OR_RETURN(
-                cur, LinkingSelect(nested, PredFor(child, "g"),
-                                   SelectionMode::kStrict));
-            NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(cur)));
-            select_timer.Finish(cur.num_rows());
+            NESTRA_RETURN_NOT_OK(NestThenSelect(joined, outer.carried, child,
+                                                SelectionMode::kStrict, {},
+                                                &cur, p));
             s->nest_select_seconds += Seconds(t0);
           }
           if (k == 0) {
@@ -607,6 +594,28 @@ Status NraExecutor::LinkSelect(Table outer, const Table& inner,
   return Status::OK();
 }
 
+Status NraExecutor::NestThenSelect(const Table& rel,
+                                   const std::vector<std::string>& nest_by,
+                                   const QueryBlock& child, SelectionMode mode,
+                                   const std::vector<std::string>& pad_attrs,
+                                   Table* out, QueryProfile* profile) {
+  const std::string bid = std::to_string(child.id);
+  StageTimer nest_timer(profile, QueryPhase::kNest, "nest[b" + bid + "]");
+  NESTRA_ASSIGN_OR_RETURN(
+      NestedRelation nested,
+      Nest(rel, nest_by, NestedAttrsFor(child), "g", options_.nest_method,
+           num_threads_));
+  NESTRA_RETURN_NOT_OK(FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
+  nest_timer.Finish(nested.num_tuples());
+  StageTimer select_timer(profile, QueryPhase::kLinkingSelection,
+                          "select[b" + bid + "]");
+  NESTRA_ASSIGN_OR_RETURN(
+      *out, LinkingSelect(nested, PredFor(child, "g"), mode, pad_attrs));
+  NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(*out)));
+  select_timer.Finish(out->num_rows());
+  return Status::OK();
+}
+
 Result<Table> NraExecutor::FusedNestSelect(Table rel,
                                            std::vector<FusedLevelSpec> levels,
                                            const std::string& label,
@@ -645,20 +654,9 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
                                                   "fused[b" + bid + "]",
                                                   profile));
   } else {
-    StageTimer nest_timer(profile, QueryPhase::kNest, "nest[b" + bid + "]");
-    NESTRA_ASSIGN_OR_RETURN(
-        NestedRelation nested,
-        Nest(*rel, retained, NestedAttrsFor(child), "g", options_.nest_method,
-             num_threads_));
     NESTRA_RETURN_NOT_OK(
-        FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
-    nest_timer.Finish(nested.num_tuples());
-    StageTimer select_timer(profile, QueryPhase::kLinkingSelection,
-                            "select[b" + bid + "]");
-    NESTRA_ASSIGN_OR_RETURN(*rel, LinkingSelect(nested, PredFor(child, "g"),
-                                                mode, node.carried));
-    NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(*rel)));
-    select_timer.Finish(rel->num_rows());
+        NestThenSelect(*rel, retained, child, mode, node.carried, rel,
+                       profile));
   }
   stats->nest_select_seconds += Seconds(t0);
   return Status::OK();

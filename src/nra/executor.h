@@ -115,6 +115,15 @@ class NraExecutor {
                     const std::vector<std::string>& pad_attrs, Table* out,
                     NraStats* stats, QueryProfile* profile);
 
+  /// The unfused "way up" for one child link: the stage `nest[b<child>]`
+  /// nests `rel` by `nest_by`, then `select[b<child>]` applies the linking
+  /// selection in `mode` (padding `pad_attrs`), into `*out`.
+  Status NestThenSelect(const Table& rel,
+                        const std::vector<std::string>& nest_by,
+                        const QueryBlock& child, SelectionMode mode,
+                        const std::vector<std::string>& pad_attrs, Table* out,
+                        QueryProfile* profile);
+
   /// Sorts `rel` by the last level's nesting attributes and runs the fused
   /// nest+linking selection over `levels` as the stage `label`.
   Result<Table> FusedNestSelect(Table rel, std::vector<FusedLevelSpec> levels,

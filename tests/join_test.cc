@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -339,6 +341,142 @@ INSTANTIATE_TEST_SUITE_P(AllLayouts, HashJoinLayoutTest,
                          [](const ::testing::TestParamInfo<Layout>& info) {
                            return LayoutName(info.param);
                          });
+
+// ---------- Typed flat-probe key compare ----------
+//
+// The vectorized flat probe compares keys on the typed arrays when a probe
+// key column and its build column share a storage class, and as Values
+// otherwise; the row probe always compares Values. Every key storage pair
+// must give the row probe's answer, row for row, including NaN keys (equal
+// to the same NaN: one hash, a tie) and -0.0 = 0.0.
+
+// Cell-exact row equality (NaN bits compare equal; Value == does not).
+bool SameRow(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (int c = 0; c < a.size(); ++c) {
+    const Value& x = a[c];
+    const Value& y = b[c];
+    if (x.is_float() && y.is_float()) {
+      const double dx = x.float64();
+      const double dy = y.float64();
+      if (std::memcmp(&dx, &dy, sizeof(double)) != 0) return false;
+    } else if (!(x == y)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Key cell `i` of one storage kind: int64, date, double (NaN, -0.0, 0.0,
+// 1.5 and integral values), string, or a float64 column holding int64
+// cells too (generic).
+enum class KeyKind { kInt, kDate, kDouble, kString, kGeneric };
+
+TypeId KeyType(KeyKind kind) {
+  switch (kind) {
+    case KeyKind::kInt:
+      return TypeId::kInt64;
+    case KeyKind::kDate:
+      return TypeId::kDate;
+    case KeyKind::kString:
+      return TypeId::kString;
+    case KeyKind::kDouble:
+    case KeyKind::kGeneric:
+      return TypeId::kFloat64;
+  }
+  return TypeId::kInt64;
+}
+
+Value KeyCell(KeyKind kind, int64_t i) {
+  if (i % 11 == 0) return N();
+  const int64_t v = (i * 7) % 24;
+  switch (kind) {
+    case KeyKind::kInt:
+      return I(v);
+    case KeyKind::kDate:
+      return Value::Date(v);
+    case KeyKind::kString:
+      return Value::String("k" + std::to_string(v));
+    case KeyKind::kDouble: {
+      const double ds[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                           0.0, 1.0, 1.5, 2.0};
+      return Value::Float64(v < 6 ? ds[v] : static_cast<double>(v));
+    }
+    case KeyKind::kGeneric:
+      return v % 2 == 0 ? I(v) : Value::Float64(static_cast<double>(v));
+  }
+  return N();
+}
+
+Table KeyTable(const std::string& prefix, KeyKind k1, KeyKind k2,
+               int64_t rows) {
+  Table t(Schema({Field(prefix + ".k", KeyType(k1)),
+                  Field(prefix + ".j", KeyType(k2)),
+                  Field(prefix + ".v", TypeId::kInt64)}));
+  for (int64_t i = 0; i < rows; ++i) {
+    t.AppendUnchecked(Row({KeyCell(k1, i), KeyCell(k2, i / 3), I(i)}));
+  }
+  return t;
+}
+
+TEST(HashJoinKeyStorageTest, TypedProbeMatchesRowProbeOnEveryKeyStorage) {
+  struct Case {
+    KeyKind left;
+    KeyKind right;
+  };
+  // Typed pairs first, then the pairs that must stay on Values.
+  const Case cases[] = {
+      {KeyKind::kInt, KeyKind::kInt},         {KeyKind::kInt, KeyKind::kDate},
+      {KeyKind::kDouble, KeyKind::kDouble},   {KeyKind::kString, KeyKind::kString},
+      {KeyKind::kInt, KeyKind::kDouble},      {KeyKind::kGeneric, KeyKind::kInt},
+      {KeyKind::kDouble, KeyKind::kGeneric},  {KeyKind::kString, KeyKind::kInt},
+  };
+  for (const Case& c : cases) {
+    // Two equality keys: the case's pair, and the same pair swapped.
+    // The build side spans two batches; a generic key column is generic
+    // in both.
+    const Table left = KeyTable("l", c.left, c.right, 400);
+    const Table right = KeyTable("r", c.right, c.left, 1100);
+    const bool comparable = (c.left == KeyKind::kString) ==
+                            (c.right == KeyKind::kString);
+    for (const JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+      for (const size_t keys : {size_t{1}, size_t{2}}) {
+        std::vector<EquiPair> equi = {{"l.k", "r.k"}, {"l.j", "r.j"}};
+        equi.resize(keys);
+        const std::string context =
+            "left kind " + std::to_string(static_cast<int>(c.left)) +
+            " right kind " + std::to_string(static_cast<int>(c.right)) +
+            " " + JoinTypeToString(type) + " keys=" + std::to_string(keys);
+        std::optional<Table> want;
+        for (const Layout layout :
+             {Layout{1, false, KeyHint::kGeneric},
+              Layout{1, true, KeyHint::kGeneric},
+              Layout{2, true, KeyHint::kGeneric}}) {
+          HashJoinNode join(std::make_unique<TableSourceNode>(left),
+                            std::make_unique<TableSourceNode>(right), type,
+                            equi, nullptr, layout.threads, layout.vectorized);
+          ASSERT_OK_AND_ASSIGN(Table got,
+                               CollectTable(&join, layout.vectorized));
+          if (!want.has_value()) {
+            if (comparable && type == JoinType::kInner) {
+              EXPECT_GT(got.num_rows(), 0) << context;
+            }
+            want = std::move(got);
+            continue;
+          }
+          ASSERT_EQ(want->num_rows(), got.num_rows())
+              << context << " " << LayoutName(layout);
+          for (size_t i = 0; i < got.rows().size(); ++i) {
+            ASSERT_TRUE(SameRow(want->rows()[i], got.rows()[i]))
+                << context << " " << LayoutName(layout) << " row " << i
+                << ": want " << want->rows()[i].ToString() << ", got "
+                << got.rows()[i].ToString();
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(NestedLoopJoinTest, MatchesHashJoinOnEquality) {
   JoinFixture f;

@@ -212,7 +212,7 @@ void CheckAgainstOracle(const Catalog& catalog, const std::string& sql) {
 }
 
 TEST_F(ProjectionTest, PaperRelationsMatchTheOracleEverywhere) {
-  for (const std::string sql : {
+  for (const std::string& sql : {
            std::string(kQueryQ),
            std::string("select r.b from r where r.a > 1"),
            std::string("select r.a from r, s where r.d = s.g and s.f = 5"),
