@@ -155,8 +155,8 @@ bool VectorizedPredicate::Compile(const Expr* expr, const Schema& schema,
   if (const auto* cmp = dynamic_cast<const Comparison*>(expr)) {
     const auto* lcol = dynamic_cast<const ColumnRef*>(&cmp->lhs());
     const auto* rcol = dynamic_cast<const ColumnRef*>(&cmp->rhs());
-    const auto* llit = dynamic_cast<const Literal*>(&cmp->lhs());
-    const auto* rlit = dynamic_cast<const Literal*>(&cmp->rhs());
+    const Value* llit = BoundConstant(cmp->lhs());
+    const Value* rlit = BoundConstant(cmp->rhs());
     Term term;
     term.op = cmp->op();
     if (lcol != nullptr && rcol != nullptr) {
@@ -171,14 +171,14 @@ bool VectorizedPredicate::Compile(const Expr* expr, const Schema& schema,
       if (!li.ok()) return false;
       term.kind = TermKind::kCmpColLit;
       term.lhs = *li;
-      term.literal = rlit->value();
+      term.literal = *rlit;
     } else if (llit != nullptr && rcol != nullptr) {
       Result<int> ri = schema.Resolve(rcol->name());
       if (!ri.ok()) return false;
       term.kind = TermKind::kCmpColLit;
       term.op = FlipCmpOp(cmp->op());
       term.lhs = *ri;
-      term.literal = llit->value();
+      term.literal = *llit;
     } else {
       return false;
     }

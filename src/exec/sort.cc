@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/memory_tracker.h"
 #include "common/parallel_sort.h"
 
@@ -138,6 +139,7 @@ Status SortNode::OpenImpl() {
 }
 
 const SortedRun& SortNode::HandOff() {
+  NESTRA_DCHECK(pos_ == 0);
   stats_.rows_out += static_cast<int64_t>(run_.order.size() - pos_);
   pos_ = run_.order.size();
   return run_;
@@ -155,7 +157,13 @@ void SortNode::CloseImpl() {
   child_->Close();
 }
 
+void SortNode::ReleaseKeys() {
+  run_.keys = std::vector<KeyColumn>();
+  run_.perm = std::vector<uint32_t>();
+}
+
 Status SortNode::NextImpl(Row* out, bool* eof) {
+  if (pos_ == 0) ReleaseKeys();
   if (pos_ >= run_.order.size()) {
     *eof = true;
     return Status::OK();
@@ -168,6 +176,7 @@ Status SortNode::NextImpl(Row* out, bool* eof) {
 }
 
 Status SortNode::NextBatchImpl(RowBatch* out, bool* eof) {
+  if (pos_ == 0) ReleaseKeys();
   size_t end = pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity);
   if (end > run_.order.size()) end = run_.order.size();
   for (int c = 0; c < out->num_columns(); ++c) {

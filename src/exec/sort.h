@@ -130,6 +130,8 @@ class SortNode final : public ExecNode {
   /// The sorted result, for a parent that reads it in place instead of
   /// calling Next or NextBatch. Valid from Open to Close; counts every row
   /// as emitted, after which Next and NextBatch report end of stream.
+  /// Must come before any Next or NextBatch: the first of those releases
+  /// the run's `keys` and `perm`, which only a HandOff reader needs.
   const SortedRun& HandOff();
 
  protected:
@@ -139,6 +141,11 @@ class SortNode final : public ExecNode {
   void CloseImpl() override;
 
  private:
+  // Frees the typed key columns and the permutation: Next and NextBatch
+  // read only `order` and `batches`. They were never charged to the memory
+  // tracker, so the accounted bytes do not change.
+  void ReleaseKeys();
+
   ExecNodePtr child_;
   std::vector<SortKey> keys_;
   int num_threads_ = 1;

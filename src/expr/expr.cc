@@ -171,6 +171,14 @@ Value NotExpr::Eval(const Row& row) const {
   return Value::Bool(IsTrue(t));
 }
 
+const Value* BoundConstant(const Expr& e) {
+  if (const auto* lit = dynamic_cast<const Literal*>(&e)) return &lit->value();
+  if (const auto* param = dynamic_cast<const ParamExpr*>(&e)) {
+    return param->bound();
+  }
+  return nullptr;
+}
+
 ExprPtr Col(std::string name) {
   return std::make_unique<ColumnRef>(std::move(name));
 }

@@ -98,13 +98,15 @@ class Literal final : public Expr {
 /// reads the current slot value, so re-executing a prepared plan only stores
 /// new values into the slots — no re-parse, re-bind, or re-verify. Clone
 /// shares the slots (plans clone predicates per execution, and every clone
-/// must see the values bound for that execution). A missing slot evaluates
-/// to NULL, matching an unbound parameter.
+/// must see the values bound for that execution).
 ///
-/// Analyzers that pattern-match expression shapes (plan verifier, property
-/// analyzer, vectorized predicate compiler) see ParamExpr as an opaque
-/// scalar and degrade to conservative three-valued row-wise evaluation —
-/// parameters never unlock constant-based fast paths.
+/// A parameter is unbound from PREPARE until the first EXECUTE: the slot
+/// vector is empty, `bound()` is null and Eval yields NULL, so the plan
+/// verifier at PREPARE sees `$n` as an opaque scalar. From EXECUTE on, the
+/// slot holds the (coerced) argument and `bound()` points at it; every
+/// analysis that reads constants goes through BoundConstant, so the scan
+/// kernels, zone maps, estimator and property analyzer treat a bound `$n`
+/// exactly like the literal the ad hoc statement would carry.
 class ParamExpr final : public Expr {
  public:
   ParamExpr(int index, std::shared_ptr<const std::vector<Value>> slots)
@@ -112,10 +114,8 @@ class ParamExpr final : public Expr {
 
   Status Bind(const Schema&) override { return Status::OK(); }
   Value Eval(const Row&) const override {
-    if (index_ < 0 || static_cast<size_t>(index_) >= slots_->size()) {
-      return Value::Null();
-    }
-    return (*slots_)[index_];
+    const Value* v = bound();
+    return v != nullptr ? *v : Value::Null();
   }
   void CollectColumns(std::vector<std::string>*) const override {}
   std::string ToString() const override {
@@ -128,10 +128,26 @@ class ParamExpr final : public Expr {
   /// 0-based slot index ($1 -> 0).
   int index() const { return index_; }
 
+  /// The value EXECUTE bound to this parameter; null while unbound.
+  const Value* bound() const {
+    if (index_ < 0 || static_cast<size_t>(index_) >= slots_->size()) {
+      return nullptr;
+    }
+    return &(*slots_)[static_cast<size_t>(index_)];
+  }
+
  private:
   int index_;
   std::shared_ptr<const std::vector<Value>> slots_;
 };
+
+/// The constant `e` stands for in the current execution: a Literal's value
+/// or a bound ParamExpr's slot value; null for any other expression and for
+/// an unbound parameter. Every analysis that reads constants (scan kernels,
+/// zone-map terms, selectivity estimates, property facts) calls this rather
+/// than matching Literal, so a prepared statement scans, prunes and
+/// estimates exactly like the ad hoc statement with the same constants.
+const Value* BoundConstant(const Expr& e);
 
 /// \brief Binary arithmetic under SQL semantics: a NULL (or non-numeric)
 /// operand yields NULL, int ∘ int stays int64 for + - *, division always

@@ -270,10 +270,8 @@ void FusedNestSelectNode::BindRun() {
 void FusedNestSelectNode::OpenGroup(int i, size_t p) {
   LevelState& st = levels_[i];
   st.rep_pos = p;
-  st.linking = st.linking_col != nullptr
-                   ? st.linking_col->Get(run_->perm[p])
-                   : specs_[i].pred.linking_const;
-  st.acc.Reset(st.linking);
+  st.acc.Reset(st.linking_col != nullptr ? st.linking_col->Get(run_->perm[p])
+                                         : specs_[i].pred.linking_const);
 }
 
 void FusedNestSelectNode::AddMember(int i, uint32_t ordinal) {
@@ -283,7 +281,8 @@ void FusedNestSelectNode::AddMember(int i, uint32_t ordinal) {
   if (pred.kind == LinkingPredicate::Kind::kQuantified &&
       st.linked_col != nullptr) {
     st.acc.AddComparison(
-        ApplyToCell(pred.op, st.linking, *st.linked_col, ordinal));
+        ApplyToCell(pred.op, st.acc.linking_value(), *st.linked_col,
+                    ordinal));
     return;
   }
   st.acc.AddMember(st.linked_col != nullptr ? st.linked_col->Get(ordinal)

@@ -114,13 +114,13 @@ class FusedNestSelectNode final : public ExecNode {
 
     // Batch pass: the typed input-order columns of this level's new group
     // keys (those its enclosing level lacks), linking, linked and member
-    // key attributes (null when absent), the open group's linking value
-    // and its representative's position in the permutation.
+    // key attributes (null when absent) and the open group's
+    // representative's position in the permutation. The open group's
+    // linking value lives in `acc` alone.
     std::vector<const KeyColumn*> new_keys;
     const KeyColumn* linking_col = nullptr;
     const KeyColumn* linked_col = nullptr;
     const KeyColumn* member_key_col = nullptr;
-    Value linking;
     size_t rep_pos = 0;
   };
 

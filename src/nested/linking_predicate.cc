@@ -1,6 +1,7 @@
 #include "nested/linking_predicate.h"
 
 #include <sstream>
+#include <utility>
 
 namespace nestra {
 
@@ -190,8 +191,8 @@ LinkingAccumulator::LinkingAccumulator(const LinkingPredicate& pred)
   Reset(Value::Null());
 }
 
-void LinkingAccumulator::Reset(const Value& linking_value) {
-  linking_value_ = linking_value;
+void LinkingAccumulator::Reset(Value linking_value) {
+  linking_value_ = std::move(linking_value);
   acc_ = quant_ == Quantifier::kAll ? TriBool::kTrue : TriBool::kFalse;
   member_count_ = 0;
   agg_inputs_ = 0;

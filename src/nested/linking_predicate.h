@@ -114,8 +114,12 @@ class LinkingAccumulator {
   explicit LinkingAccumulator(const LinkingPredicate& pred);
 
   /// Resets for a new group with the given outer linking value (ignored for
-  /// emptiness predicates).
-  void Reset(const Value& linking_value);
+  /// emptiness predicates). Takes the value by value so a caller can move
+  /// its only copy in.
+  void Reset(Value linking_value);
+
+  /// The open group's linking value, as passed to Reset.
+  const Value& linking_value() const { return linking_value_; }
 
   /// Adds one member: `key` the member's primary-key value, `linked` the
   /// member's linked-attribute value. NULL-key members are padding and do

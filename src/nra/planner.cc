@@ -75,12 +75,12 @@ void CollectZoneTerms(const std::vector<ExprPtr>& conjuncts,
     if (cmp == nullptr) continue;
     const auto* l_col = dynamic_cast<const ColumnRef*>(&cmp->lhs());
     const auto* r_col = dynamic_cast<const ColumnRef*>(&cmp->rhs());
-    const auto* l_lit = dynamic_cast<const Literal*>(&cmp->lhs());
-    const auto* r_lit = dynamic_cast<const Literal*>(&cmp->rhs());
     const ColumnRef* col = l_col != nullptr ? l_col : r_col;
-    const Literal* lit = l_col != nullptr ? r_lit : l_lit;
-    if (col == nullptr || lit == nullptr) continue;
-    const auto num = lit->value().AsDouble();
+    if (col == nullptr) continue;
+    const Value* lit =
+        BoundConstant(l_col != nullptr ? cmp->rhs() : cmp->lhs());
+    if (lit == nullptr) continue;
+    const auto num = lit->AsDouble();
     if (!num.has_value() || std::abs(*num) >= kZoneLiteralLimit) continue;
     Result<int> idx = schema.Resolve(col->name());
     if (!idx.ok()) continue;

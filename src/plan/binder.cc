@@ -634,10 +634,6 @@ Result<QueryBlockPtr> BindQuery(const AstSelect& ast, const Catalog& catalog,
   std::set<std::string> read;
   CollectReadColumns(*block, &read);
   NESTRA_RETURN_NOT_OK(AssignCarried(block.get(), read, catalog));
-  if (params != nullptr) {
-    // One NULL slot per declared parameter; EXECUTE overwrites them all.
-    params->slots->assign(static_cast<size_t>(params->count), Value::Null());
-  }
   return block;
 }
 

@@ -16,8 +16,11 @@ namespace nestra {
 /// Pass a ParamBinding to BindQuery to allow `$n` placeholders: every
 /// ParamExpr the binder creates shares `slots`, so the prepared statement
 /// stores per-execution values there and the bound tree (including its
-/// per-execution predicate clones) reads them without re-binding. After a
-/// successful bind, `slots` is resized to `count` NULLs.
+/// per-execution predicate clones) reads them without re-binding. Binding
+/// leaves `slots` empty: every parameter stays unbound (opaque to the plan
+/// verifier) until EXECUTE writes all `count` values, from when on each
+/// `$n` is a constant to the scan kernels, zone maps, estimator and
+/// property analyzer (see BoundConstant in expr/expr.h).
 struct ParamBinding {
   std::shared_ptr<std::vector<Value>> slots =
       std::make_shared<std::vector<Value>>();

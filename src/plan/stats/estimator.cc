@@ -123,8 +123,6 @@ double ConjunctSelectivity(const Expr* e,
 
   const auto* l_col = dynamic_cast<const ColumnRef*>(&cmp->lhs());
   const auto* r_col = dynamic_cast<const ColumnRef*>(&cmp->rhs());
-  const auto* l_lit = dynamic_cast<const Literal*>(&cmp->lhs());
-  const auto* r_lit = dynamic_cast<const Literal*>(&cmp->rhs());
 
   if (l_col != nullptr && r_col != nullptr && cmp->op() == CmpOp::kEq) {
     // Intra-block equi join: 1 / max ndv, the textbook containment rule.
@@ -138,9 +136,11 @@ double ConjunctSelectivity(const Expr* e,
   }
 
   const ColumnRef* col = l_col != nullptr ? l_col : r_col;
-  const Literal* lit = l_col != nullptr ? r_lit : l_lit;
-  if (col == nullptr || lit == nullptr) return kDefaultSelectivity;
-  const auto num = lit->value().AsDouble();
+  if (col == nullptr) return kDefaultSelectivity;
+  const Value* lit =
+      BoundConstant(l_col != nullptr ? cmp->rhs() : cmp->lhs());
+  if (lit == nullptr) return kDefaultSelectivity;
+  const auto num = lit->AsDouble();
   if (!num.has_value()) return kDefaultSelectivity;
   const auto it = columns->find(col->name());
   if (it == columns->end()) return kDefaultSelectivity;

@@ -189,7 +189,8 @@ Status Session::Prepare(const std::string& name, const std::string& sql) {
 
 Result<Table> Session::ExecutePrepared(const std::string& name,
                                        const std::vector<Value>& args,
-                                       NraStats* stats) {
+                                       NraStats* stats,
+                                       QueryProfile* profile) {
   const auto it = prepared_.find(name);
   if (it == prepared_.end()) {
     ++stats_.errors;
@@ -197,7 +198,7 @@ Result<Table> Session::ExecutePrepared(const std::string& name,
     return Status::NotFound("no prepared statement named '" + name +
                             "' in session " + label_);
   }
-  Result<Table> result = RunPrepared(it->second, args, stats);
+  Result<Table> result = RunPrepared(it->second, args, stats, profile);
   if (result.ok()) {
     ++stats_.queries;
     ++stats_.prepared_executions;
@@ -220,7 +221,7 @@ Result<Table> Session::ExecutePrepared(const std::string& name,
 
 Result<Table> Session::RunPrepared(Prepared& ps,
                                    const std::vector<Value>& args,
-                                   NraStats* stats) {
+                                   NraStats* stats, QueryProfile* profile) {
   if (static_cast<int>(args.size()) != ps.num_params) {
     return Status::InvalidArgument(
         "prepared statement expects " + std::to_string(ps.num_params) +
@@ -253,6 +254,9 @@ Result<Table> Session::RunPrepared(Prepared& ps,
           " -> " + std::to_string(now) + "); PREPARE it again");
     }
   }
+  // Binds every parameter at once. From here on each `$n` is a constant to
+  // the scan kernels, zone maps, estimator and property analyzer, exactly
+  // like the literal of the equivalent ad hoc statement.
   *ps.slots = std::move(bound);
 
   NraOptions exec_options = ps.options;
@@ -267,7 +271,7 @@ Result<Table> Session::RunPrepared(Prepared& ps,
   if (stats == nullptr) stats = &local;
   ScopedSessionMemory scoped_mem(&mem_);
   NraExecutor executor(*manager_->catalog_, exec_options);
-  Result<Table> result = executor.Execute(*ps.root, stats);
+  Result<Table> result = executor.Execute(*ps.root, stats, profile);
   RecordQueryMemory(*stats);
   if (slow_log) {
     const double total_ms =

@@ -27,12 +27,17 @@ class ConnectionManager;
 /// admission gate and shared schema lock.
 ///
 /// Prepared statements: `Prepare` pays parse + bind + plan-verify once and
-/// records the catalog versions of every referenced table; `ExecutePrepared`
-/// only stores the argument values into the plan's shared parameter slots
-/// and runs. If any referenced table changed since PREPARE (re-register,
-/// drop, NOT NULL edit — anything that could invalidate the plan or its
-/// captured table pointers), EXECUTE fails loudly with InvalidArgument
-/// ("stale") instead of reading freed storage; re-Prepare to re-plan.
+/// records the catalog versions of every referenced table. At PREPARE the
+/// parameters are unbound, so the verifier judges the plan for any
+/// argument. `ExecutePrepared` only stores the (date-coerced) argument
+/// values into the plan's shared parameter slots and runs; from then on a
+/// bound `$n` is a constant, and the statement compiles its scan kernels,
+/// prunes zone-map granules, estimates and derives properties exactly as
+/// the ad hoc statement with the same literals would. If any referenced
+/// table changed since PREPARE (re-register, drop, NOT NULL edit — anything
+/// that could invalidate the plan or its captured table pointers), EXECUTE
+/// fails loudly with InvalidArgument ("stale") instead of reading freed
+/// storage; re-Prepare to re-plan.
 ///
 /// Query() also accepts the statement forms directly:
 ///   PREPARE <name> AS <select-statement>
@@ -69,10 +74,13 @@ class Session {
   /// Binds `args` to the statement's $n slots (by position: args[0] is $1)
   /// and executes. String arguments for parameters compared against DATE
   /// columns are coerced to dates here (the bind-time literal coercion
-  /// cannot see EXECUTE-time values).
+  /// cannot see EXECUTE-time values). `profile`, when non-null and the
+  /// statement was prepared with options().profile set, receives the
+  /// per-stage profile as NraExecutor::Execute fills it.
   Result<Table> ExecutePrepared(const std::string& name,
                                 const std::vector<Value>& args,
-                                NraStats* stats = nullptr);
+                                NraStats* stats = nullptr,
+                                QueryProfile* profile = nullptr);
 
   Status Deallocate(const std::string& name);
   std::vector<std::string> PreparedNames() const;
@@ -110,7 +118,7 @@ class Session {
   };
 
   Result<Table> RunPrepared(Prepared& ps, const std::vector<Value>& args,
-                            NraStats* stats);
+                            NraStats* stats, QueryProfile* profile);
   // Feeds the per-session memory metrics from one finished statement.
   void RecordQueryMemory(const NraStats& stats);
   // Query() helpers for the PREPARE/EXECUTE/DEALLOCATE statement forms.

@@ -109,8 +109,9 @@ struct TransferState {
 // `props->attrs` and ignored. SQL filter semantics keep a row only when the
 // conjunct is TRUE, so: a comparison proves its column operands non-NULL
 // (UNKNOWN never qualifies); IS NULL proves always-NULL; IS NOT NULL proves
-// non-NULL; a comparison against a NULL literal, between incomparable
-// classes, or over an always-NULL attribute is never TRUE.
+// non-NULL; a comparison against a NULL constant (a literal or a bound
+// parameter; see BoundConstant), between incomparable classes, or over an
+// always-NULL attribute is never TRUE.
 void TransferConjunct(const Expr& e, TransferState* state) {
   BlockProperties& props = *state->props;
   if (const auto* cmp = dynamic_cast<const Comparison*>(&e)) {
@@ -128,12 +129,12 @@ void TransferConjunct(const Expr& e, TransferState* state) {
         }
         classes[i] = ClassOfType(it->second.type);
         known[i] = true;
-      } else if (const auto* lit = dynamic_cast<const Literal*>(sides[i])) {
-        if (lit->value().is_null()) {
+      } else if (const Value* lit = BoundConstant(*sides[i])) {
+        if (lit->is_null()) {
           state->provably_empty = true;
           continue;
         }
-        classes[i] = ClassOfValue(lit->value());
+        classes[i] = ClassOfValue(*lit);
         known[i] = true;
       }
     }
@@ -165,7 +166,7 @@ void TransferConjunct(const Expr& e, TransferState* state) {
   }
 }
 
-// "k = <literal>" or "k = other-block column": equality conjuncts that pin
+// "k = <constant>" or "k = other-block column": equality conjuncts that pin
 // one attribute per outer binding. Collects the pinned local attributes.
 void CollectPinnedAttrs(const Expr& e, const BlockProperties& props,
                         std::set<std::string>* pinned) {
@@ -176,7 +177,7 @@ void CollectPinnedAttrs(const Expr& e, const BlockProperties& props,
     const auto* col = dynamic_cast<const ColumnRef*>(sides[i]);
     if (col == nullptr || props.attrs.count(col->name()) == 0) continue;
     const Expr* other = sides[1 - i];
-    const bool other_is_literal = dynamic_cast<const Literal*>(other) != nullptr;
+    const bool other_is_literal = BoundConstant(*other) != nullptr;
     const auto* other_col = dynamic_cast<const ColumnRef*>(other);
     const bool other_is_outer =
         other_col != nullptr && props.attrs.count(other_col->name()) == 0;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lint, run by the CI repo-lint job.
 
-Three checks, each guarding a convention the engine relies on but the
+Seven checks, each guarding a convention the engine relies on but the
 compiler cannot enforce:
 
 1. Hot-path purity: no wall-clock or RNG calls (`steady_clock`, `rand(`,
@@ -50,6 +50,14 @@ compiler cannot enforce:
    extended to the cost model: a direct estimator call in an engine file
    is a hand-mirrored copy of a plan decision that will drift. (src/ only;
    tests may call the gates directly to pin their behavior.)
+
+7. One reading of constants: no `dynamic_cast<const Literal*>` or
+   `dynamic_cast<const ParamExpr*>` in `src/` outside the expression
+   module (src/expr/). Code that reads a constant operand (scan kernels,
+   zone-map terms, selectivity estimates, property facts) must call
+   `BoundConstant`, which answers for a literal and for an EXECUTE-bound
+   parameter alike; a site that matches `Literal` alone silently sends
+   every prepared statement down the slow path.
 
 Exit status is the number of violations (0 = clean).
 """
@@ -262,13 +270,41 @@ def check_cost_decision_consolidation():
     return violations
 
 
+# Constant-operand matching: only the expression module may look at Literal
+# or ParamExpr by type; everything else reads constants via BoundConstant.
+CONSTANT_CAST_PATTERN = re.compile(
+    r"dynamic_cast\s*<\s*const\s+(?:Literal|ParamExpr)\s*\*\s*>"
+)
+CONSTANT_CAST_ALLOWED_PREFIX = "src/expr/"
+
+
+def check_constant_reading():
+    violations = []
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".cc", ".h"):
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        if rel.startswith(CONSTANT_CAST_ALLOWED_PREFIX):
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            code = line.split("//", 1)[0]
+            if CONSTANT_CAST_PATTERN.search(code):
+                violations.append(
+                    f"{rel}:{lineno}: constant operand matched by type; call "
+                    f"BoundConstant (src/expr/expr.h) so bound parameters "
+                    f"read as constants too: {line.strip()}"
+                )
+    return violations
+
+
 def main():
     violations = []
     for check in (check_hot_path_purity, check_rule_ids,
                   check_test_registration,
                   check_plan_decision_consolidation,
                   check_catalog_mutation_layer,
-                  check_cost_decision_consolidation):
+                  check_cost_decision_consolidation,
+                  check_constant_reading):
         violations.extend(check())
     for v in violations:
         print(f"lint: {v}", file=sys.stderr)
