@@ -1,5 +1,6 @@
 #include "common/memory_tracker.h"
 
+#include <algorithm>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -49,7 +50,32 @@ int64_t BatchRowBytes(const RowBatch& batch) {
   return bytes;
 }
 
+int64_t RowRefsBytes(const RowRefs& refs) {
+  if (refs.logical_bytes >= 0) return refs.logical_bytes;
+  const int64_t n = refs.num_rows();
+  int64_t bytes =
+      n * static_cast<int64_t>(sizeof(Row) +
+                               refs.columns.size() * sizeof(Value));
+  for (const RowRefs::Column& c : refs.columns) {
+    const std::vector<RowBatch>& batches =
+        *refs.sources[static_cast<size_t>(c.source)];
+    // Only string and generic storage carries payload.
+    const bool payload = std::any_of(
+        batches.begin(), batches.end(), [&c](const RowBatch& b) {
+          const ColumnVector& col = b.column(c.column);
+          return col.generic() || col.type() == TypeId::kString;
+        });
+    if (!payload) continue;
+    bytes += SourceColumn(batches, c.column)
+                 .StringBytes(refs.refs[static_cast<size_t>(c.source)].data(),
+                              n);
+  }
+  refs.logical_bytes = bytes;
+  return bytes;
+}
+
 int64_t TableBytes(const Table& table) {
+  if (table.referenced()) return RowRefsBytes(table.refs());
   int64_t bytes = 0;
   if (table.columnar()) {
     for (const RowBatch& batch : table.batches()) {

@@ -47,8 +47,14 @@ inline int64_t RowBytes(const Row& row) {
 /// plus the string payloads. O(1) per numeric column.
 int64_t BatchRowBytes(const RowBatch& batch);
 
-/// Logical footprint of a table, row-bodied or columnar (the same number
-/// for both forms). Called only at stage boundaries, never per row.
+/// Logical footprint of the rows a referenced body stands for: the
+/// BatchRowBytes of its materialized form, string payloads summed through
+/// the references. O(1) per numeric column.
+int64_t RowRefsBytes(const RowRefs& refs);
+
+/// Logical footprint of a table, row-bodied, columnar or referenced (the
+/// same number for every form). Called only at stage boundaries, never per
+/// row.
 int64_t TableBytes(const Table& table);
 
 /// \brief Operator-local byte accountant: two plain int64 counters, no

@@ -48,27 +48,18 @@ void ColumnVector::ConvertToGeneric() {
 void ColumnVector::AppendRefs(const std::vector<RowBatch>& batches, int col,
                               const uint64_t* refs, int64_t n) {
   if (n == 0) return;
-  // The source column of every batch, looked up once per call rather than
-  // through the batch once per cell.
-  std::vector<const ColumnVector*> srcs;
-  srcs.reserve(batches.size());
-  bool typed = !generic_;
-  for (const RowBatch& b : batches) {
-    const ColumnVector& src = b.column(col);
-    typed = typed && !src.generic_ && src.type_ == type_;
-    srcs.push_back(&src);
-  }
-  // A raw pointer: the byte stores below could alias the vector's own.
-  const ColumnVector* const* cols = srcs.data();
-  const auto src = [cols](uint64_t ref) -> const ColumnVector& {
-    return *cols[RefBatch(ref)];
-  };
-  if (!typed) {
+  AppendRefs(SourceColumn(batches, col), refs, n);
+}
+
+void ColumnVector::AppendRefs(const SourceColumn& src, const uint64_t* refs,
+                              int64_t n) {
+  if (n == 0) return;
+  if (generic_ || !src.TypedAs(type_)) {
     for (int64_t k = 0; k < n; ++k) {
       if (refs[k] == kNullRef) {
         AppendNull();
       } else {
-        AppendFrom(src(refs[k]), RefRow(refs[k]));
+        AppendFrom(src.batch(RefBatch(refs[k])), RefRow(refs[k]));
       }
     }
     return;
@@ -79,41 +70,135 @@ void ColumnVector::AppendRefs(const std::vector<RowBatch>& batches, int col,
   const size_t base = nulls_.size();
   nulls_.resize(base + static_cast<size_t>(n));
   uint8_t* nulls = nulls_.data() + base;
+  const uint8_t* const* src_nulls = src.nulls();
   for (int64_t k = 0; k < n; ++k) {
     const uint64_t ref = refs[k];
-    nulls[k] = ref == kNullRef ? 1 : src(ref).nulls_[RefRow(ref)];
+    nulls[k] = ref == kNullRef ? 1 : src_nulls[RefBatch(ref)][RefRow(ref)];
   }
   switch (type_) {
     case TypeId::kInt64:
     case TypeId::kDate: {
       ints_.resize(base + static_cast<size_t>(n));
       int64_t* ints = ints_.data() + base;
+      const int64_t* const* vals = src.values<int64_t>();
       for (int64_t k = 0; k < n; ++k) {
         const uint64_t ref = refs[k];
-        ints[k] = ref == kNullRef ? 0 : src(ref).ints_[RefRow(ref)];
+        ints[k] = ref == kNullRef ? 0 : vals[RefBatch(ref)][RefRow(ref)];
       }
       break;
     }
     case TypeId::kFloat64: {
       doubles_.resize(base + static_cast<size_t>(n));
       double* doubles = doubles_.data() + base;
+      const double* const* vals = src.values<double>();
       for (int64_t k = 0; k < n; ++k) {
         const uint64_t ref = refs[k];
-        doubles[k] = ref == kNullRef ? 0.0 : src(ref).doubles_[RefRow(ref)];
+        doubles[k] = ref == kNullRef ? 0.0 : vals[RefBatch(ref)][RefRow(ref)];
       }
       break;
     }
-    case TypeId::kString:
+    case TypeId::kString: {
+      ReserveStrings(base + static_cast<size_t>(n));
+      const std::string* const* vals = src.values<std::string>();
       for (int64_t k = 0; k < n; ++k) {
         const uint64_t ref = refs[k];
         if (ref == kNullRef) {
           strings_.emplace_back();
         } else {
-          strings_.push_back(src(ref).strings_[RefRow(ref)]);
+          strings_.push_back(vals[RefBatch(ref)][RefRow(ref)]);
         }
       }
       break;
+    }
   }
+}
+
+SourceColumn::SourceColumn(const std::vector<RowBatch>& batches, int col) {
+  cols_.reserve(batches.size());
+  for (const RowBatch& b : batches) {
+    const ColumnVector& c = b.column(col);
+    if (cols_.empty()) type_ = c.type_;
+    uniform_ = uniform_ && !c.generic_ && c.type_ == type_;
+    cols_.push_back(&c);
+  }
+  if (!uniform_) return;
+  nulls_.reserve(cols_.size());
+  for (const ColumnVector* c : cols_) {
+    nulls_.push_back(c->nulls_.data());
+    switch (type_) {
+      case TypeId::kInt64:
+      case TypeId::kDate:
+        ints_.push_back(c->ints_.data());
+        break;
+      case TypeId::kFloat64:
+        doubles_.push_back(c->doubles_.data());
+        break;
+      case TypeId::kString:
+        strings_.push_back(c->strings_.data());
+        break;
+    }
+  }
+}
+
+int64_t SourceColumn::StringBytes(const uint64_t* refs, int64_t n) const {
+  if (uniform_ && type_ != TypeId::kString) return 0;
+  int64_t bytes = 0;
+  if (uniform_) {
+    // NULL slots hold empty placeholders, so they add nothing.
+    const std::string* const* vals = values<std::string>();
+    for (int64_t k = 0; k < n; ++k) {
+      if (refs[k] == kNullRef) continue;
+      bytes += static_cast<int64_t>(vals[RefBatch(refs[k])][RefRow(refs[k])]
+                                        .size());
+    }
+    return bytes;
+  }
+  for (int64_t k = 0; k < n; ++k) {
+    if (refs[k] == kNullRef) continue;
+    const ColumnVector& c = *cols_[RefBatch(refs[k])];
+    const size_t r = static_cast<size_t>(RefRow(refs[k]));
+    if (c.generic_) {
+      if (c.values_[r].is_string()) {
+        bytes += static_cast<int64_t>(c.values_[r].string().size());
+      }
+    } else if (c.type_ == TypeId::kString) {
+      bytes += static_cast<int64_t>(c.strings_[r].size());
+    }
+  }
+  return bytes;
+}
+
+int64_t SourceColumn::GatheredByteSize(TypeId type, const uint64_t* refs,
+                                       int64_t n) const {
+  // The gather turns the column generic exactly when a non-NULL cell's
+  // Value does not fit `type`'s storage (ColumnVector::Append); a typed
+  // source of the same storage class never does.
+  bool generic = false;
+  if (!TypedAs(type)) {
+    for (int64_t k = 0; k < n && !generic; ++k) {
+      if (refs[k] == kNullRef) continue;
+      const ColumnVector& c = *cols_[RefBatch(refs[k])];
+      const int64_t r = RefRow(refs[k]);
+      if (c.IsNull(r)) continue;
+      generic = !ColumnVector::MatchesStorage(type, c.GetValue(r));
+    }
+  }
+  int64_t bytes = n;  // null bytes
+  if (generic) {
+    return bytes + n * static_cast<int64_t>(sizeof(Value)) +
+           StringBytes(refs, n);
+  }
+  switch (type) {
+    case TypeId::kInt64:
+    case TypeId::kDate:
+      return bytes + n * static_cast<int64_t>(sizeof(int64_t));
+    case TypeId::kFloat64:
+      return bytes + n * static_cast<int64_t>(sizeof(double));
+    case TypeId::kString:
+      return bytes + n * static_cast<int64_t>(sizeof(std::string)) +
+             StringBytes(refs, n);
+  }
+  return bytes;
 }
 
 int64_t ColumnVector::ByteSize() const {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 namespace nestra {
 
 class RowBatch;
+class SourceColumn;
 
 /// Packed reference to row `r` of batch `b` in a list of batches:
 /// (b << 32) | r. Operators that keep drained batches (join build, sort)
@@ -201,17 +203,20 @@ class ColumnVector {
         break;
       }
       case TypeId::kString:
+        ReserveStrings(base + n);
         for (const int32_t i : sel) strings_.push_back(src.strings_[i]);
         break;
     }
   }
 
-  /// Appends column `col` of the rows `refs[0..n)` (packed with
-  /// PackRowRef into `batches`; kNullRef appends a NULL) — the gather for
+  /// Appends the cells `refs[0..n)` of `src` (packed with PackRowRef into
+  /// the source's batches; kNullRef appends a NULL) — the gather for
   /// operators that emit rows of several batches. Cell-for-cell identical
   /// to AppendFrom per reference; the storage decision is made once per
   /// call, and only a generic or mixed-storage source falls back to
   /// AppendFrom.
+  void AppendRefs(const SourceColumn& src, const uint64_t* refs, int64_t n);
+  /// The same over column `col` of `batches`, resolved for this call.
   void AppendRefs(const std::vector<RowBatch>& batches, int col,
                   const uint64_t* refs, int64_t n);
 
@@ -274,6 +279,8 @@ class ColumnVector {
   }
 
  private:
+  friend class SourceColumn;
+
   // True when `v` can live in the typed storage for declared type `type`.
   static bool MatchesStorage(TypeId type, const Value& v) {
     switch (type) {
@@ -288,6 +295,15 @@ class ColumnVector {
     return false;
   }
 
+  // Reserves string storage for `n` entries once per gather, growing at
+  // least geometrically so repeated gathers into one column stay linear.
+  void ReserveStrings(size_t n) {
+    if (strings_.capacity() < n) {
+      strings_.reserve(n > 2 * strings_.capacity() ? n
+                                                   : 2 * strings_.capacity());
+    }
+  }
+
   // Moves the already-appended typed entries into values_ so mixed-type
   // columns keep exact row semantics. Out of line: cold by design.
   void ConvertToGeneric();
@@ -299,6 +315,68 @@ class ColumnVector {
   std::vector<double> doubles_;
   std::vector<std::string> strings_;
   std::vector<Value> values_;
+};
+
+/// \brief Column `col` of every batch in a list, resolved once: the
+/// per-batch column a PackRowRef indexes, and whether they all share one
+/// typed storage. The batches must outlive it. Readers of a referenced body
+/// (RowRefs, DESIGN.md §8) build one per output column and gather through
+/// it window after window, instead of walking every batch per call.
+class SourceColumn {
+ public:
+  SourceColumn() = default;
+  SourceColumn(const std::vector<RowBatch>& batches, int col);
+
+  const ColumnVector& batch(size_t b) const { return *cols_[b]; }
+  /// True when every batch stores the column typed as `type` (vacuously
+  /// for no batches): the typed gather applies.
+  bool TypedAs(TypeId type) const {
+    return cols_.empty() || (uniform_ && type_ == type);
+  }
+
+  /// Typed access for a gather that checked TypedAs: per batch, the null
+  /// bytes and the typed storage array (int64_t for int64/date, double,
+  /// std::string), indexed by RefBatch. One load each instead of walking
+  /// batch → column → vector per cell.
+  const uint8_t* const* nulls() const { return nulls_.data(); }
+  template <typename T>
+  const T* const* values() const {
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return ints_.data();
+    } else if constexpr (std::is_same_v<T, double>) {
+      return doubles_.data();
+    } else {
+      static_assert(std::is_same_v<T, std::string>);
+      return strings_.data();
+    }
+  }
+
+  /// The referenced cell as a Value (NULL for kNullRef).
+  Value GetValue(uint64_t ref) const {
+    if (ref == kNullRef) return Value::Null();
+    return cols_[RefBatch(ref)]->GetValue(RefRow(ref));
+  }
+
+  /// Total string payload of the cells `refs[0..n)` (pads, NULL and
+  /// non-string cells add nothing): ColumnVector::StringBytes of their
+  /// gather.
+  int64_t StringBytes(const uint64_t* refs, int64_t n) const;
+
+  /// ColumnVector::ByteSize of a fresh `type` column after
+  /// AppendRefs(*this, refs, n), computed without the gather.
+  int64_t GatheredByteSize(TypeId type, const uint64_t* refs,
+                           int64_t n) const;
+
+ private:
+  std::vector<const ColumnVector*> cols_;
+  bool uniform_ = true;  // no batch generic, and all of one TypeId
+  TypeId type_ = TypeId::kInt64;
+  // Filled only while uniform_: each batch's null bytes and the typed
+  // array of type_'s storage (the other two stay empty).
+  std::vector<const uint8_t*> nulls_;
+  std::vector<const int64_t*> ints_;
+  std::vector<const double*> doubles_;
+  std::vector<const std::string*> strings_;
 };
 
 /// \brief A batch of rows in columnar layout, the unit of vectorized

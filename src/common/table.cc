@@ -1,13 +1,48 @@
 #include "common/table.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/pretty_print.h"
 
 namespace nestra {
 
+Table::Table(Schema schema, RowRefs refs) : schema_(std::move(schema)) {
+  if (refs.num_rows() > 0) refs_ = std::move(refs);
+}
+
+RowRefs Table::TakeRefs() {
+  if (referenced()) return std::exchange(refs_, RowRefs());
+  if (batches_.empty()) {
+    std::vector<RowBatch> packed;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      if (i % RowBatch::kDefaultCapacity == 0) {
+        packed.emplace_back().Reset(schema_);
+      }
+      packed.back().AppendRow(rows_[i]);
+    }
+    return RowRefs::Identity(std::move(packed), schema_.num_fields());
+  }
+  return RowRefs::Identity(std::exchange(batches_, {}), schema_.num_fields());
+}
+
+void Table::MaterializeRefs() const {
+  const RefReader reader(refs_);
+  const int64_t n = refs_.num_rows();
+  for (int64_t begin = 0; begin < n; begin += RowBatch::kDefaultCapacity) {
+    const int64_t end = std::min(n, begin + RowBatch::kDefaultCapacity);
+    RowBatch batch;
+    batch.Reset(schema_);
+    reader.AppendRange(begin, end, &batch);
+    batch.set_num_rows(end - begin);
+    batches_.push_back(std::move(batch));
+  }
+  refs_ = RowRefs();
+}
+
 void Table::AppendBatch(RowBatch batch) {
   if (batch.empty()) return;
+  if (referenced()) MaterializeRefs();
   if (!rows_.empty()) {
     for (int64_t i = 0; i < batch.num_rows(); ++i) {
       rows_.push_back(batch.TakeRow(i));

@@ -1,5 +1,6 @@
 #include "exec/exec_node.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/memory_tracker.h"
@@ -96,6 +97,20 @@ Status ExecNode::NextBatch(RowBatch* out, bool* eof) {
   return s;
 }
 
+Status ExecNode::HandOffRefs(RowRefs* out, bool* handed) {
+  ++stats_.next_calls;
+  if (!timing_) {
+    NESTRA_RETURN_NOT_OK(HandOffRefsImpl(out, handed));
+  } else {
+    const Clock::time_point start = Clock::now();
+    const Status s = HandOffRefsImpl(out, handed);
+    stats_.next_seconds += SecondsSince(start);
+    NESTRA_RETURN_NOT_OK(s);
+  }
+  if (*handed) stats_.rows_out += out->num_rows();
+  return Status::OK();
+}
+
 void ExecNode::RecordBatchBytes(const RowBatch& batch) {
   // The column vectors this node just filled are its transient working
   // set; the largest one is the node's batch-level memory peak. One
@@ -146,22 +161,25 @@ void ExecNode::EnableTimingRecursive() {
   for (ExecNode* child : children()) child->EnableTimingRecursive();
 }
 
+namespace {
+
+// Appends the full output of an already-opened node to `batches` as
+// non-empty batches: NextBatch's with `vectorized`, else Next's rows packed
+// into kDefaultCapacity-row batches.
 Status DrainAllBatches(ExecNode* node, bool vectorized,
-                       std::vector<RowBatch>* batches, int64_t* bytes) {
+                       std::vector<RowBatch>* batches) {
   RowBatch batch;
   if (vectorized) {
     bool eof = false;
     while (true) {
       NESTRA_RETURN_NOT_OK(node->NextBatch(&batch, &eof));
       if (eof) break;
-      if (bytes != nullptr) *bytes += BatchRowBytes(batch);
       batches->push_back(std::move(batch));
     }
     return Status::OK();
   }
   const auto flush = [&]() {
     if (batch.empty()) return;
-    if (bytes != nullptr) *bytes += BatchRowBytes(batch);
     batches->push_back(std::move(batch));
   };
   batch.Reset(node->output_schema());
@@ -181,10 +199,34 @@ Status DrainAllBatches(ExecNode* node, bool vectorized,
   return Status::OK();
 }
 
+}  // namespace
+
+Status DrainAllRefs(ExecNode* node, bool vectorized, RowRefs* out) {
+  if (vectorized) {
+    bool handed = false;
+    NESTRA_RETURN_NOT_OK(node->HandOffRefs(out, &handed));
+    if (handed) return Status::OK();
+  }
+  std::vector<RowBatch> batches;
+  NESTRA_RETURN_NOT_OK(DrainAllBatches(node, vectorized, &batches));
+  *out = RowRefs::Identity(std::move(batches),
+                           node->output_schema().num_fields());
+  return Status::OK();
+}
+
 Result<Table> CollectTable(ExecNode* node, bool vectorized, int64_t* bytes) {
   NESTRA_RETURN_NOT_OK(node->Open());
   Table out(node->output_schema());
   if (vectorized) {
+    RowRefs refs;
+    bool handed = false;
+    NESTRA_RETURN_NOT_OK(node->HandOffRefs(&refs, &handed));
+    if (handed) {
+      out = Table(node->output_schema(), std::move(refs));
+      if (bytes != nullptr) *bytes += TableBytes(out);
+      node->Close();
+      return out;
+    }
     RowBatch batch;
     bool eof = false;
     while (true) {
@@ -218,6 +260,7 @@ Status TableSourceNode::OpenImpl() {
         "replay would be silently empty");
   }
   pos_ = 0;
+  reader_.reset();
   if (charged_bytes_ == 0) {
     charged_bytes_ = TableBytes(table_);
     if (QueryMemoryTracker* mem = CurrentQueryMemory()) {
@@ -252,7 +295,31 @@ Status TableSourceNode::NextImpl(Row* out, bool* eof) {
   return Status::OK();
 }
 
+Status TableSourceNode::HandOffRefsImpl(RowRefs* out, bool* handed) {
+  if (batches_out_ != 0 || pos_ != 0) {
+    return Status::Internal("TableSource handed off after it was read");
+  }
+  // Rows stay (they are copied into batches), so only a columnar or
+  // referenced body marks the node as handed over.
+  if (table_.columnar()) batches_out_ = 1;
+  *out = table_.TakeRefs();
+  *handed = true;
+  return Status::OK();
+}
+
 Status TableSourceNode::NextBatchImpl(RowBatch* out, bool* eof) {
+  if (table_.referenced()) {
+    if (reader_ == nullptr) {
+      reader_ = std::make_unique<RefReader>(table_.refs());
+    }
+    const int64_t end =
+        std::min(table_.num_rows(), pos_ + RowBatch::kDefaultCapacity);
+    reader_->AppendRange(pos_, end, out);
+    out->set_num_rows(end - pos_);
+    pos_ = end;
+    *eof = out->empty();
+    return Status::OK();
+  }
   if (table_.columnar() && pos_ == 0) {
     std::vector<RowBatch>& batches = table_.batches();
     if (batches_out_ < batches.size()) {

@@ -89,6 +89,14 @@ class ExecNode {
   /// (but pick one per edge: both consume the same underlying stream).
   Status NextBatch(RowBatch* out, bool* eof);
 
+  /// Hands the node's whole output over as row references (DESIGN.md §8),
+  /// for a consumer that reads them in place instead of gathering batches.
+  /// TableSource and the vectorized hash join can and set `*handed`;
+  /// every other node clears it, leaves `*out` alone, and is read through
+  /// NextBatch. Call after Open and before any Next or NextBatch. Like
+  /// NextBatch it maintains OperatorStats: the rows count as emitted.
+  Status HandOffRefs(RowRefs* out, bool* handed);
+
   void Close();
 
   const OperatorStats& stats() const { return stats_; }
@@ -115,6 +123,19 @@ class ExecNode {
   /// hash join, fused nest+select).
   virtual Status NextBatchImpl(RowBatch* out, bool* eof);
 
+  /// Default: no reference hand-over.
+  virtual Status HandOffRefsImpl(RowRefs* /*out*/, bool* handed) {
+    *handed = false;
+    return Status::OK();
+  }
+
+  /// Folds a batch-level footprint into peak_mem_bytes, as an emitted
+  /// batch's ByteSize is: for a hand-over that emits no batches but must
+  /// report the peak of the batches it stands for.
+  void RecordPeakBytes(int64_t bytes) {
+    if (bytes > stats_.peak_mem_bytes) stats_.peak_mem_bytes = bytes;
+  }
+
   OperatorStats stats_;
   bool timing_ = false;
 
@@ -132,34 +153,37 @@ class ExecNode {
 using ExecNodePtr = std::unique_ptr<ExecNode>;
 
 /// Drains a node (Open/Next*/Close) into a materialized table. With
-/// `vectorized` the drain runs over NextBatch and the table keeps the
-/// drained batches as its columnar body (Table); otherwise it holds rows.
+/// `vectorized` a node that hands its output over as row references
+/// (HandOffRefs) leaves them as the table's referenced body; any other
+/// drains over NextBatch and the table keeps the drained batches as its
+/// columnar body (Table). Without `vectorized` it holds rows.
 /// Either way the rows it yields are cell-for-cell identical. When `bytes`
 /// is non-null it accumulates the logical byte footprint of the collected
 /// rows (RowBytes, computed per batch by BatchRowBytes) — no extra pass.
 Result<Table> CollectTable(ExecNode* node, bool vectorized = false,
                            int64_t* bytes = nullptr);
 
-/// Appends the full output of an already-opened node to `batches` as
-/// non-empty batches, the same rows in the same order for both engines.
-/// With `vectorized` the drain runs over NextBatch, so a columnar
-/// TableSourceNode hands its batches over by move; otherwise the rows from
-/// Next are packed into kDefaultCapacity-row batches. Used by the columnar
-/// breakers (sort, hash join build). `bytes` accumulates BatchRowBytes.
-Status DrainAllBatches(ExecNode* node, bool vectorized,
-                       std::vector<RowBatch>* batches,
-                       int64_t* bytes = nullptr);
+/// The full output of an already-opened node as row references, for the
+/// columnar breakers (sort, hash join): with `vectorized`, the node's
+/// HandOffRefs when it has one, else its NextBatch batches; without, the
+/// rows from Next packed into kDefaultCapacity-row batches. Drained
+/// batches become one source read in order. The same rows in the same
+/// order either way.
+Status DrainAllRefs(ExecNode* node, bool vectorized, RowRefs* out);
 
 /// \brief Leaf node replaying an owned, already-materialized table.
 /// Used wherever an intermediate result re-enters the pipeline.
 ///
-/// A columnar table's batches are handed over by move through NextBatch
-/// (re-pointed at this node's schema), so the stage boundary copies
-/// nothing; a row-bodied table is re-packed into batches, or replayed row
-/// by row through Next (which turns a columnar body into rows first). Once
-/// rows or batches were moved out the node cannot be reopened: OpenImpl
-/// fails loudly rather than silently replaying an emptied table (the
-/// stale-stats-on-reopen bug class).
+/// HandOffRefs gives the body to a breaker that reads it in place (the
+/// sort, the vectorized hash join): a referenced body moves out as it is,
+/// a columnar one becomes one source, and rows are packed into batches.
+/// NextBatch hands a columnar table's batches over by move (re-pointed at
+/// this node's schema), so the stage boundary copies nothing; a
+/// referenced body is gathered window by window and a row-bodied table is
+/// re-packed into batches. Next replays row by row (turning any other
+/// body into rows first). Once a body was moved out the node cannot be
+/// reopened: OpenImpl fails loudly rather than silently replaying an
+/// emptied table (the stale-stats-on-reopen bug class).
 class TableSourceNode final : public ExecNode {
  public:
   explicit TableSourceNode(Table table) : table_(std::move(table)) {}
@@ -175,14 +199,18 @@ class TableSourceNode final : public ExecNode {
   Status OpenImpl() override;
   Status NextImpl(Row* out, bool* eof) override;
   Status NextBatchImpl(RowBatch* out, bool* eof) override;
+  Status HandOffRefsImpl(RowRefs* out, bool* handed) override;
   void CloseImpl() override;
 
  private:
   Table table_;
   int64_t pos_ = 0;
-  // Columnar batches handed over so far.
+  // Columnar batches handed over so far (1 after a columnar or referenced
+  // body was handed off whole).
   size_t batches_out_ = 0;
   int64_t charged_bytes_ = 0;
+  // Reads a referenced body for NextBatch's window-by-window gather.
+  std::unique_ptr<RefReader> reader_;
 };
 
 }  // namespace nestra

@@ -71,31 +71,34 @@ void HashJoinNode::ReleaseMem(int64_t bytes) {
 
 namespace {
 
-// Writes one SqlHash key combine per row of `batch` to hashes[0..n) and
-// the rows' NULL-key flags to nulls[0..n), column-at-a-time. Byte-identical
-// to SqlKeyHashOn over the materialized rows (kFnvOffsetBasis, then per key
-// column h ^= SqlHash; h *= kFnvPrime). With `nulls_only` just the flags.
+// Writes one SqlHash key combine per row [begin, end) of `batch` to
+// hashes[0..end-begin) and the rows' NULL-key flags to nulls[0..),
+// column-at-a-time. Byte-identical to SqlKeyHashOn over the materialized
+// rows (kFnvOffsetBasis, then per key column h ^= SqlHash; h *= kFnvPrime).
+// With `nulls_only` just the flags.
 void HashKeyColumns(const RowBatch& batch, const std::vector<int>& key_idx,
-                    bool nulls_only, size_t* hashes, uint8_t* nulls) {
+                    bool nulls_only, int64_t begin, int64_t end,
+                    size_t* hashes, uint8_t* nulls) {
   constexpr size_t kNullHash = 0x9e3779b97f4a7c15ULL;
   constexpr size_t kNumericMix = 0xc4ceb9fe1a85ec53ULL;
-  const size_t n = static_cast<size_t>(batch.num_rows());
+  const size_t n = static_cast<size_t>(end - begin);
   std::fill(nulls, nulls + n, uint8_t{0});
   std::fill(hashes, hashes + n, nulls_only ? size_t{0} : kFnvOffsetBasis);
   for (const int idx : key_idx) {
     const ColumnVector& col = batch.column(idx);
     const std::vector<uint8_t>& col_nulls = col.nulls();
     if (nulls_only) {
-      for (size_t i = 0; i < n; ++i) {
-        if (col_nulls[i] != 0) nulls[i] = 1;
+      for (size_t k = 0; k < n; ++k) {
+        if (col_nulls[static_cast<size_t>(begin) + k] != 0) nulls[k] = 1;
       }
       continue;
     }
     const bool generic = col.generic();
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = static_cast<size_t>(begin) + k;
       size_t vh = 0;
       if (col_nulls[i] != 0) {
-        nulls[i] = 1;
+        nulls[k] = 1;
         vh = kNullHash;
       } else if (generic) {
         vh = col.GetValue(static_cast<int64_t>(i)).SqlHash();
@@ -118,8 +121,8 @@ void HashKeyColumns(const RowBatch& batch, const std::vector<int>& key_idx,
             break;
         }
       }
-      hashes[i] ^= vh;
-      hashes[i] *= kFnvPrime;
+      hashes[k] ^= vh;
+      hashes[k] *= kFnvPrime;
     }
   }
 }
@@ -151,13 +154,27 @@ Status HashJoinNode::OpenImpl() {
                                    &residual_vec_);
   residual_cols_.clear();
   if (residual_compiled_) residual_cols_ = residual_vec_.used_columns();
+  const auto distinct = [](std::vector<int> cols) {
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    return cols;
+  };
+  probe_key_cols_ = distinct(left_key_idx_);
+  build_key_cols_ = distinct(right_key_idx_);
 
   pending_.clear();
   pending_pos_ = 0;
   left_done_ = false;
   probe_count_ = 0;
+  probe_taken_ = false;
+  probe_ = RowRefs();
+  probe_reader_.reset();
+  probe_begin_ = 0;
+  probe_next_ = 0;
   probe_batch_.Clear();
   probe_pos_ = 0;
+  out_ = RowRefs();
+  out_reader_.reset();
   return BuildTable();
 }
 
@@ -167,47 +184,38 @@ Status HashJoinNode::BuildTable() {
   perfect_built_ = false;
   perfect_head_.clear();
   flat_head_.clear();
-  build_batches_.clear();
-  build_refs_.clear();
+  build_reader_.reset();
+  build_ = RowRefs();
 
-  // Drain the child serially (Next/NextBatch is a serial protocol), then
-  // hash the drained batches' key columns in parallel.
-  int64_t build_bytes = 0;
-  NESTRA_RETURN_NOT_OK(DrainAllBatches(right_.get(), vectorized_,
-                                       &build_batches_, &build_bytes));
-  NESTRA_RETURN_NOT_OK(ChargeMem(build_bytes));
-  const int64_t num_batches = static_cast<int64_t>(build_batches_.size());
-  std::vector<size_t> offsets(build_batches_.size() + 1, 0);
-  for (size_t b = 0; b < build_batches_.size(); ++b) {
-    const int64_t rows = build_batches_[b].num_rows();
-    offsets[b + 1] = offsets[b] + static_cast<size_t>(rows);
-    for (int64_t r = 0; r < rows; ++r) build_refs_.push_back(PackRowRef(b, r));
+  // Take the child whole (Next/NextBatch is a serial protocol), gather its
+  // key columns, then hash them in parallel chunks. The charge is the
+  // logical bytes of the rows the references stand for.
+  NESTRA_RETURN_NOT_OK(DrainAllRefs(right_.get(), vectorized_, &build_));
+  build_reader_ = std::make_unique<RefReader>(build_);
+  NESTRA_RETURN_NOT_OK(ChargeMem(RowRefsBytes(build_)));
+  const int64_t n = build_.num_rows();
+  build_rows_ = n;
+  build_keys_.Reset(right_->output_schema());
+  for (const int c : build_key_cols_) {
+    build_reader_->AppendRange(c, 0, n, &build_keys_.column(c));
   }
-  build_rows_ = static_cast<int64_t>(build_refs_.size());
-  build_key_storage_.assign(right_key_idx_.size(), KeyStorage::kMixed);
-  for (size_t k = 0; k < right_key_idx_.size(); ++k) {
-    for (size_t b = 0; b < build_batches_.size(); ++b) {
-      const KeyStorage st =
-          StorageOf(build_batches_[b].column(right_key_idx_[k]));
-      if (b > 0 && st != build_key_storage_[k]) {
-        build_key_storage_[k] = KeyStorage::kMixed;
-        break;
-      }
-      build_key_storage_[k] = st;
-    }
+  build_keys_.set_num_rows(n);
+  build_key_storage_.clear();
+  for (const int c : right_key_idx_) {
+    build_key_storage_.push_back(StorageOf(build_keys_.column(c)));
   }
-
-  const int64_t n = build_rows_;
   if (n == 0) return Status::OK();
 
   std::vector<size_t> hashes(static_cast<size_t>(n));
   std::vector<uint8_t> has_null(static_cast<size_t>(n), 0);
+  const int64_t chunks =
+      (n + RowBatch::kDefaultCapacity - 1) / RowBatch::kDefaultCapacity;
   const auto hash_keys = [&](bool nulls_only) {
-    ParallelForEach(num_batches, num_threads_, [&](int64_t b) {
-      const size_t sb = static_cast<size_t>(b);
-      HashKeyColumns(build_batches_[sb], right_key_idx_, nulls_only,
-                     hashes.data() + offsets[sb],
-                     has_null.data() + offsets[sb]);
+    ParallelForEach(chunks, num_threads_, [&](int64_t c) {
+      const int64_t begin = c * RowBatch::kDefaultCapacity;
+      const int64_t end = std::min(n, begin + RowBatch::kDefaultCapacity);
+      HashKeyColumns(build_keys_, right_key_idx_, nulls_only, begin, end,
+                     hashes.data() + begin, has_null.data() + begin);
     });
   };
   // Perfect (dense-array) keying: single equality key over a hinted dense
@@ -254,41 +262,35 @@ bool HashJoinNode::TryPerfectBuild() {
   const int64_t max = hints_.perfect_max;
   if (max < min) return false;
   const int64_t span = max - min + 1;  // the estimator caps this at 2^22
-  const int key_idx = right_key_idx_[0];
+  const ColumnVector& col = build_keys_.column(right_key_idx_[0]);
   perfect_head_.assign(static_cast<size_t>(span), -1);
   flat_next_.assign(static_cast<size_t>(build_rows_), -1);
-  // One pass per build batch checks each key and inserts it: every
-  // non-NULL build key must be an int64 inside the hinted range. Load-time
-  // stats guarantee this for immutable catalog tables; anything else (a
-  // stale hint) degrades to the flat build, never to wrong results.
-  // Batches and rows run in reverse, like the flat build: push-front then
-  // leaves every chain in arrival order.
-  int64_t j = build_rows_;
-  for (size_t b = build_batches_.size(); b-- > 0;) {
-    const ColumnVector& col = build_batches_[b].column(key_idx);
-    const std::vector<uint8_t>& nulls = col.nulls();
-    const bool ints = !col.generic() && (col.type() == TypeId::kInt64 ||
-                                         col.type() == TypeId::kDate);
-    for (int64_t r = build_batches_[b].num_rows() - 1; r >= 0; --r) {
-      --j;
-      if (nulls[static_cast<size_t>(r)] != 0) continue;
-      bool is_int = ints;
-      int64_t key = 0;
-      if (ints) {
-        key = col.ints()[static_cast<size_t>(r)];
-      } else {
-        const Value v = col.GetValue(r);
-        is_int = v.is_int();
-        if (is_int) key = v.int64();
-      }
-      if (!is_int || key < min || key > max) {
-        perfect_head_ = std::vector<int32_t>();
-        return false;
-      }
-      const size_t slot = static_cast<size_t>(key - min);
-      flat_next_[static_cast<size_t>(j)] = perfect_head_[slot];
-      perfect_head_[slot] = static_cast<int32_t>(j);
+  // One pass checks each key and inserts it: every non-NULL build key must
+  // be an int64 inside the hinted range. Load-time stats guarantee this for
+  // immutable catalog tables; anything else (a stale hint) degrades to the
+  // flat build, never to wrong results. Rows run in reverse, like the flat
+  // build: push-front then leaves every chain in arrival order.
+  const std::vector<uint8_t>& nulls = col.nulls();
+  const bool ints = !col.generic() && (col.type() == TypeId::kInt64 ||
+                                       col.type() == TypeId::kDate);
+  for (int64_t j = build_rows_ - 1; j >= 0; --j) {
+    if (nulls[static_cast<size_t>(j)] != 0) continue;
+    bool is_int = ints;
+    int64_t key = 0;
+    if (ints) {
+      key = col.ints()[static_cast<size_t>(j)];
+    } else {
+      const Value v = col.GetValue(j);
+      is_int = v.is_int();
+      if (is_int) key = v.int64();
     }
+    if (!is_int || key < min || key > max) {
+      perfect_head_ = std::vector<int32_t>();
+      return false;
+    }
+    const size_t slot = static_cast<size_t>(key - min);
+    flat_next_[static_cast<size_t>(j)] = perfect_head_[slot];
+    perfect_head_[slot] = static_cast<int32_t>(j);
   }
   perfect_built_ = true;
   return true;
@@ -311,15 +313,13 @@ bool HashJoinNode::DenseKeyOf(const Value& v, int64_t* key) const {
   return true;
 }
 
-Row HashJoinNode::ConcatBuildRow(const Row& left_row, uint64_t ref) const {
-  const RowBatch& batch = build_batches_[RefBatch(ref)];
-  const int64_t r = RefRow(ref);
+Row HashJoinNode::ConcatBuildRow(const Row& left_row, uint64_t j) const {
   std::vector<Value> values;
   values.reserve(static_cast<size_t>(left_row.size() + right_width_));
   values.insert(values.end(), left_row.values().begin(),
                 left_row.values().end());
   for (int c = 0; c < right_width_; ++c) {
-    values.push_back(batch.column(c).GetValue(r));
+    values.push_back(build_reader_->GetValue(c, static_cast<int64_t>(j)));
   }
   return Row(std::move(values));
 }
@@ -329,7 +329,7 @@ void HashJoinNode::PerfectCandidates(int64_t key,
   for (int32_t j = perfect_head_[static_cast<size_t>(key -
                                                      hints_.perfect_min)];
        j >= 0; j = flat_next_[static_cast<size_t>(j)]) {
-    out->push_back(build_refs_[static_cast<size_t>(j)]);
+    out->push_back(static_cast<uint64_t>(j));
   }
 }
 
@@ -337,11 +337,10 @@ void HashJoinNode::GatherCandidates(const std::vector<Value>& key, size_t h,
                                     std::vector<uint64_t>* out) const {
   WalkChain(
       h,
-      [&](uint64_t ref) {
-        const RowBatch& batch = build_batches_[RefBatch(ref)];
+      [&](size_t j) {
         for (size_t k = 0; k < right_key_idx_.size(); ++k) {
-          const Value cell = batch.column(right_key_idx_[k]).GetValue(
-              RefRow(ref));
+          const Value cell = build_keys_.column(right_key_idx_[k])
+                                 .GetValue(static_cast<int64_t>(j));
           if (Value::TotalOrderCompare(key[k], cell) != 0) return false;
         }
         return true;
@@ -354,27 +353,25 @@ void HashJoinNode::GatherCandidatesTyped(int64_t i, size_t h,
   const size_t si = static_cast<size_t>(i);
   WalkChain(
       h,
-      [&](uint64_t ref) {
-        const RowBatch& batch = build_batches_[RefBatch(ref)];
-        const size_t r = static_cast<size_t>(RefRow(ref));
+      [&](size_t j) {
         // NULL keys are never chained nor looked up, so every slot read
         // here holds a value.
         for (size_t k = 0; k < right_key_idx_.size(); ++k) {
           const ColumnVector& pc = probe_batch_.column(left_key_idx_[k]);
-          const ColumnVector& bc = batch.column(right_key_idx_[k]);
+          const ColumnVector& bc = build_keys_.column(right_key_idx_[k]);
           switch (build_key_storage_[k]) {
             case KeyStorage::kInt:
-              if (pc.ints()[si] != bc.ints()[r]) return false;
+              if (pc.ints()[si] != bc.ints()[j]) return false;
               break;
             case KeyStorage::kFloat: {
               // A NaN ties with everything, as in TotalOrderCompare.
               const double x = pc.doubles()[si];
-              const double y = bc.doubles()[r];
+              const double y = bc.doubles()[j];
               if (x < y || x > y) return false;
               break;
             }
             case KeyStorage::kString:
-              if (pc.strings()[si] != bc.strings()[r]) return false;
+              if (pc.strings()[si] != bc.strings()[j]) return false;
               break;
             case KeyStorage::kMixed:
               return false;  // excluded by the caller
@@ -492,8 +489,43 @@ Status HashJoinNode::NextImpl(Row* out, bool* eof) {
   return Status::OK();
 }
 
-void HashJoinNode::LoadProbeBatch() {
-  const int64_t n = probe_batch_.num_rows();
+Status HashJoinNode::TakeProbe() {
+  NESTRA_RETURN_NOT_OK(DrainAllRefs(left_.get(), vectorized_, &probe_));
+  probe_reader_ = std::make_unique<RefReader>(probe_);
+  probe_taken_ = true;
+  // Output sources: the probe's, then the build's for the joins that
+  // carry build columns; output columns follow the schema.
+  const bool combining = join_type_ == JoinType::kInner ||
+                         join_type_ == JoinType::kLeftOuter;
+  out_ = RowRefs();
+  out_.sources = probe_.sources;
+  out_.columns = probe_.columns;
+  if (combining) {
+    const int offset = static_cast<int>(probe_.sources.size());
+    out_.sources.insert(out_.sources.end(), build_.sources.begin(),
+                        build_.sources.end());
+    for (const RowRefs::Column& c : build_.columns) {
+      out_.columns.push_back({c.source + offset, c.column});
+    }
+  }
+  out_.refs.resize(out_.sources.size());
+  out_reader_ = std::make_unique<RefReader>(out_);
+  return Status::OK();
+}
+
+void HashJoinNode::LoadProbeWindow() {
+  probe_begin_ = probe_next_;
+  const int64_t n = std::min(probe_.num_rows() - probe_begin_,
+                             RowBatch::kDefaultCapacity);
+  probe_next_ = probe_begin_ + n;
+  probe_pos_ = 0;
+  probe_count_ += n;
+  probe_batch_.Reset(left_->output_schema());
+  for (const int c : probe_key_cols_) {
+    probe_reader_->AppendRange(c, probe_begin_, probe_next_,
+                               &probe_batch_.column(c));
+  }
+  probe_batch_.set_num_rows(n);
   const size_t sn = static_cast<size_t>(n);
   probe_hashes_.resize(sn);
   probe_null_.resize(sn);
@@ -501,7 +533,7 @@ void HashJoinNode::LoadProbeBatch() {
   // are needed. Skipping the hash pass is most of the perfect join's win
   // on the batch path.
   HashKeyColumns(probe_batch_, left_key_idx_, /*nulls_only=*/perfect_built_,
-                 probe_hashes_.data(), probe_null_.data());
+                 0, n, probe_hashes_.data(), probe_null_.data());
 
   // The flat probe compares keys on the typed arrays when each probe key
   // column shares its build column's typed storage class.
@@ -544,13 +576,13 @@ void HashJoinNode::LoadProbeBatch() {
   pair_begin_[sn] = static_cast<int32_t>(pair_ref_.size());
   if (!residual_compiled_ || pair_ref_.empty()) return;
 
-  // The residual runs once over every candidate pair of the batch: gather
+  // The residual runs once over every candidate pair of the window: gather
   // the columns it reads (probe cells repeated per pair, build cells by
-  // reference) into one combined batch and select the survivors.
+  // ordinal) into one combined batch and select the survivors.
   pair_probe_.clear();
   for (size_t i = 0; i < sn; ++i) {
     pair_probe_.resize(static_cast<size_t>(pair_begin_[i + 1]),
-                       static_cast<int32_t>(i));
+                       static_cast<uint64_t>(probe_begin_) + i);
   }
   const int left_width = probe_batch_.num_columns();
   const int64_t num_pairs = static_cast<int64_t>(pair_ref_.size());
@@ -558,10 +590,10 @@ void HashJoinNode::LoadProbeBatch() {
   for (const int c : residual_cols_) {
     ColumnVector& dst = pair_batch_.column(c);
     if (c < left_width) {
-      dst.AppendSelection(probe_batch_.column(c), pair_probe_);
+      probe_reader_->AppendAt(c, pair_probe_.data(), num_pairs, &dst);
     } else {
-      dst.AppendRefs(build_batches_, c - left_width, pair_ref_.data(),
-                     num_pairs);
+      build_reader_->AppendAt(c - left_width, pair_ref_.data(), num_pairs,
+                              &dst);
     }
   }
   pair_batch_.set_num_rows(num_pairs);
@@ -581,11 +613,11 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i) {
   const size_t before = emit_probe_.size();
 
   // A residual without batch kernels is judged on the concatenated row;
-  // either way only the decision is made per pair, and FlushEmits gathers
-  // the output columns.
+  // either way only the decision is made per pair, and FlushEmits composes
+  // the output references.
   Row left_row;
   if (!no_residual && !residual_compiled_ && begin < end) {
-    left_row = probe_batch_.MaterializeRow(i);
+    left_row = probe_reader_->MaterializeRow(probe_begin_ + i);
   }
   bool matched = false;
   for (int32_t k = begin; k < end; ++k) {
@@ -630,39 +662,35 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i) {
   return static_cast<int64_t>(emit_probe_.size() - before);
 }
 
-void HashJoinNode::FlushEmits(RowBatch* out) {
+void HashJoinNode::FlushEmits() {
   if (emit_probe_.empty()) return;
-  const int left_width = probe_batch_.num_columns();
-  for (int c = 0; c < left_width; ++c) {
-    out->column(c).AppendSelection(probe_batch_.column(c), emit_probe_);
+  const size_t probe_sources = probe_.sources.size();
+  for (size_t s = 0; s < probe_sources; ++s) {
+    const uint64_t* in = probe_.refs[s].data() + probe_begin_;
+    std::vector<uint64_t>& dst = out_.refs[s];
+    for (const int32_t r : emit_probe_) dst.push_back(in[r]);
   }
-  // Right columns exist only for inner/outer joins, which record one
-  // reference per output row.
-  for (int c = left_width; c < out->num_columns(); ++c) {
-    out->column(c).AppendRefs(build_batches_, c - left_width,
-                              emit_ref_.data(),
-                              static_cast<int64_t>(emit_ref_.size()));
+  // Build sources exist only for inner/outer joins, which record one build
+  // ordinal per output row.
+  for (size_t s = probe_sources; s < out_.sources.size(); ++s) {
+    const std::vector<uint64_t>& in = build_.refs[s - probe_sources];
+    std::vector<uint64_t>& dst = out_.refs[s];
+    for (const uint64_t j : emit_ref_) {
+      dst.push_back(j == kNullRef ? kNullRef : in[static_cast<size_t>(j)]);
+    }
   }
   emit_probe_.clear();
   emit_ref_.clear();
 }
 
-Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
+int64_t HashJoinNode::ProbeWindow() {
   int64_t emitted = 0;
   while (emitted < RowBatch::kDefaultCapacity) {
     if (probe_pos_ >= probe_batch_.num_rows()) {
-      if (left_done_) break;
-      // The recorded rows read the probe batch the next load overwrites.
-      FlushEmits(out);
-      bool left_eof = false;
-      NESTRA_RETURN_NOT_OK(left_->NextBatch(&probe_batch_, &left_eof));
-      if (left_eof) {
-        left_done_ = true;
-        break;
-      }
-      probe_pos_ = 0;
-      probe_count_ += probe_batch_.num_rows();
-      LoadProbeBatch();
+      // The recorded rows are relative to the window the load replaces.
+      FlushEmits();
+      if (probe_next_ >= probe_.num_rows()) break;
+      LoadProbeWindow();
     }
     while (probe_pos_ < probe_batch_.num_rows() &&
            emitted < RowBatch::kDefaultCapacity) {
@@ -670,9 +698,45 @@ Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
       ++probe_pos_;
     }
   }
-  FlushEmits(out);
-  out->set_num_rows(emitted);
+  FlushEmits();
+  return emitted;
+}
+
+Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
+  if (!probe_taken_) NESTRA_RETURN_NOT_OK(TakeProbe());
+  for (std::vector<uint64_t>& refs : out_.refs) refs.clear();
+  const int64_t n = ProbeWindow();
+  out_reader_->AppendRange(0, n, out);
+  out->set_num_rows(n);
   *eof = out->empty();
+  return Status::OK();
+}
+
+Status HashJoinNode::HandOffRefsImpl(RowRefs* out, bool* handed) {
+  *handed = vectorized_;
+  if (!vectorized_) return Status::OK();
+  NESTRA_RETURN_NOT_OK(TakeProbe());
+  // Each window is one batch NextBatch would have emitted: count it, and
+  // fold the footprint its gather would have had into the peak.
+  while (true) {
+    const int64_t begin = out_.num_rows();
+    const int64_t n = ProbeWindow();
+    if (n == 0) break;
+    ++stats_.batches_out;
+    int64_t bytes = 0;
+    for (int c = 0; c < schema_.num_fields(); ++c) {
+      bytes += out_reader_->column(c).GatheredByteSize(
+          schema_.field(c).type,
+          out_.refs[static_cast<size_t>(out_.columns[static_cast<size_t>(c)]
+                                            .source)]
+                  .data() +
+              begin,
+          n);
+    }
+    RecordPeakBytes(bytes);
+  }
+  out_reader_.reset();
+  *out = std::exchange(out_, RowRefs());
   return Status::OK();
 }
 
@@ -681,8 +745,13 @@ void HashJoinNode::CloseImpl() {
   stats_.probe_rows = probe_count_;
   ReleaseMem(charged_mem_);
   pending_.clear();
-  build_batches_.clear();
-  build_refs_.clear();
+  build_reader_.reset();
+  build_ = RowRefs();
+  build_keys_.Clear();
+  probe_reader_.reset();
+  probe_ = RowRefs();
+  out_reader_.reset();
+  out_ = RowRefs();
   flat_hash_.clear();
   flat_head_.clear();
   flat_next_.clear();

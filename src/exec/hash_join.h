@@ -1,11 +1,13 @@
 #ifndef NESTRA_EXEC_HASH_JOIN_H_
 #define NESTRA_EXEC_HASH_JOIN_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/hash_key.h"
 #include "common/row_batch.h"
+#include "common/row_refs.h"
 #include "exec/batch_predicate.h"
 #include "exec/exec_node.h"
 #include "exec/join_hints.h"
@@ -34,24 +36,31 @@ namespace nestra {
 /// int64 key matches a float64 key of equal numeric value, exactly as the
 /// nested-loop join's `Value::Apply(kEq)` would.
 ///
-/// The build side is drained as batches and stays columnar: build rows are
-/// indexed by arrival ordinal in one flat chained table (or, when the
-/// planner hints a dense integer key, a perfect array), and every chain
-/// lists its rows in arrival order. With `num_threads > 1` the build hashes
-/// its key columns batch-parallel; the table and the probe are the same at
-/// every thread count. The vectorized probe streams the left input a batch
-/// at a time in two passes: it first records which rows come out (probe
-/// row, build reference or NULL pad), then fills each output column with
-/// one gather from the probe and build columns. The row probe (`Next`) is
-/// the same algorithm over one `Row` at a time and serves as its oracle.
-/// Output order is left arrival order, each left row's matches in build
-/// arrival order, whatever the engine or thread count.
+/// Both inputs are read as row references (RowRefs, DESIGN.md §8): a
+/// TableSourceNode child hands its body over in place, any other child is
+/// drained into one source. The join copies only the cells it compares:
+/// the build's key columns, gathered once and indexed by build arrival
+/// ordinal in one flat chained table (or, when the planner hints a dense
+/// integer key, a perfect array), every chain listing its rows in arrival
+/// order; each probe window's key columns; and the columns a compiled
+/// residual reads, per candidate pair. With `num_threads > 1` the build
+/// hashes its key columns chunk-parallel; the table and the probe are the
+/// same at every thread count. The vectorized probe walks the left input in
+/// kDefaultCapacity-row windows in two passes: it first records which rows
+/// come out (probe row, build row or NULL pad), then composes each output
+/// row's references — the probe row's refs, then the build row's (kNullRef
+/// for a pad); semi and anti joins keep just the filtered probe refs.
+/// HandOffRefs gives the whole result over as those references, with no
+/// cell copied; NextBatch gathers them one output batch at a time. The row
+/// probe (`Next`) is the same algorithm over one `Row` at a time and serves
+/// as its oracle. Output order is left arrival order, each left row's
+/// matches in build arrival order, whatever the engine or thread count.
 class HashJoinNode final : public ExecNode {
  public:
-  /// With `vectorized` the build and probe inputs are drained via
-  /// NextBatch (so batch-capable children stay columnar end-to-end) and
-  /// the streaming probe runs batch-at-a-time with one key-hash array per
-  /// probe batch. Output order and content are identical either way.
+  /// With `vectorized` the build and probe inputs are taken by
+  /// HandOffRefs or drained via NextBatch (so batch-capable children stay
+  /// columnar end-to-end), and the join hands its result over by
+  /// reference. Output order and content are identical either way.
   /// `hints` carries the planner's cost-based physical strategy
   /// (exec/join_hints.h): perfect (dense-array) keying. Default hints
   /// reproduce the pre-stats behaviour bit for bit; the perfect hint
@@ -83,24 +92,29 @@ class HashJoinNode final : public ExecNode {
   Status OpenImpl() override;
   Status NextImpl(Row* out, bool* eof) override;
   Status NextBatchImpl(RowBatch* out, bool* eof) override;
+  Status HandOffRefsImpl(RowRefs* out, bool* handed) override;
   void CloseImpl() override;
 
  private:
-  // Drains the right child as batches and builds the hash table over them.
+  // Takes the right child as references, gathers its key columns and
+  // builds the hash table over them.
   Status BuildTable();
+  // Takes the left child as references and lays out the output's sources
+  // (the vectorized probe's first step).
+  Status TakeProbe();
   // Dense-array build over the single equality key; false (no perfect
   // table) when a key violates the hinted [min, max] int range.
   bool TryPerfectBuild();
   // Maps a probe key value to its dense array key; false when the value
   // cannot equal any build key (NULL-free non-integral or out of range).
   bool DenseKeyOf(const Value& v, int64_t* key) const;
-  // `left_row` ++ the build row `ref` points at.
-  Row ConcatBuildRow(const Row& left_row, uint64_t ref) const;
-  // Appends the references of the build rows on `key`'s perfect-array
-  // chain to `out`.
+  // `left_row` ++ build row `j`.
+  Row ConcatBuildRow(const Row& left_row, uint64_t j) const;
+  // Appends the ordinals of the build rows on `key`'s perfect-array chain
+  // to `out`.
   void PerfectCandidates(int64_t key, std::vector<uint64_t>* out) const;
-  // Appends the references of the build rows on hash `h`'s flat chain
-  // whose key `key_equal(ref)` accepts to `out`, in arrival order.
+  // Appends the ordinals of the build rows on hash `h`'s flat chain whose
+  // key `key_equal(j)` accepts to `out`, in arrival order.
   template <typename KeyEqual>
   void WalkChain(size_t h, const KeyEqual& key_equal,
                  std::vector<uint64_t>* out) const {
@@ -110,11 +124,12 @@ class HashJoinNode final : public ExecNode {
       // Equal keys always hash equal (SqlHash is consistent with
       // TotalOrderCompare), so a hash mismatch can never hide a match.
       if (flat_hash_[static_cast<size_t>(j)] != h) continue;
-      const uint64_t ref = build_refs_[static_cast<size_t>(j)];
-      if (key_equal(ref)) out->push_back(ref);
+      if (key_equal(static_cast<size_t>(j))) {
+        out->push_back(static_cast<uint64_t>(j));
+      }
     }
   }
-  // Appends the references of the build rows whose key equals `key`
+  // Appends the ordinals of the build rows whose key equals `key`
   // (combined hash `h`) to `out`, in arrival order.
   void GatherCandidates(const std::vector<Value>& key, size_t h,
                         std::vector<uint64_t>* out) const;
@@ -131,16 +146,21 @@ class HashJoinNode final : public ExecNode {
   // Appends every output row produced by one probe row to `out`: matches
   // in build order, then the per-row outer/anti epilogue.
   void ProbeRow(const Row& left_row, std::vector<Row>* out);
-  // Prepares the just-fetched probe batch: hashes its keys, gathers every
-  // row's candidate build rows into the pair lists, and runs the compiled
-  // residual once over all (probe row, build row) pairs.
-  void LoadProbeBatch();
+  // Loads the next probe window: gathers its key columns into
+  // probe_batch_, hashes them, gathers every row's candidate build rows
+  // into the pair lists, and runs the compiled residual once over all
+  // (probe row, build row) pairs.
+  void LoadProbeWindow();
   // Probes row `i` of probe_batch_ and records its output rows in
   // emit_probe_/emit_ref_; returns the number recorded.
   int64_t ProbeBatchRow(int64_t i);
-  // Appends the recorded output rows to `out`'s columns, one gather per
-  // column (without touching the batch row count), and clears the record.
-  void FlushEmits(RowBatch* out);
+  // Probes until one output batch's worth of rows is recorded (finishing
+  // the probe row that crosses kDefaultCapacity) or the probe input ends;
+  // appends their references to out_ and returns how many.
+  int64_t ProbeWindow();
+  // Composes the recorded output rows' references onto out_'s ref columns
+  // and clears the record.
+  void FlushEmits();
   // Accounts `bytes` of build/probe state against OperatorStats and the
   // current query tracker (ResourceExhausted past the soft limit); called
   // serially, never from the parallel key hashing.
@@ -170,14 +190,15 @@ class HashJoinNode final : public ExecNode {
   bool residual_compiled_ = false;
   std::vector<int> residual_cols_;
 
-  // The build side stays in the batches it was drained as; build_refs_[j]
-  // packs build row j's (batch << 32 | row), in arrival order. Every table
-  // layout below indexes build rows by that ordinal j.
-  std::vector<RowBatch> build_batches_;
-  std::vector<uint64_t> build_refs_;
+  // The build input as references; build row j is its row j. Every table
+  // layout below indexes build rows by that ordinal. build_keys_ holds the
+  // build's key columns gathered once (its other columns stay empty).
+  RowRefs build_;
+  std::unique_ptr<RefReader> build_reader_;
+  RowBatch build_keys_;
+  std::vector<int> build_key_cols_;  // distinct right_key_idx_
 
-  // Per equality key, the KeyStorage every build batch shares (kMixed when
-  // they differ, are generic, or there are none).
+  // Per equality key, the KeyStorage of the gathered build key column.
   std::vector<KeyStorage> build_key_storage_;
 
   bool build_has_null_key_ = false;  // for kLeftAntiNullAware
@@ -191,7 +212,7 @@ class HashJoinNode final : public ExecNode {
   std::vector<int32_t> flat_head_;
   std::vector<int32_t> flat_next_;
   size_t flat_mask_ = 0;
-  // One probe row's key-equal candidates (row probe), as build references.
+  // One probe row's key-equal candidates (row probe), as build ordinals.
   std::vector<uint64_t> flat_candidates_;
 
   // Perfect (dense-array) table: each array slot heads an arrival-order
@@ -210,11 +231,20 @@ class HashJoinNode final : public ExecNode {
   // Bytes currently charged to the query tracker (released in CloseImpl).
   int64_t charged_mem_ = 0;
 
-  // Vectorized streaming-probe state. Probe row i's candidate build
-  // references are pair_ref_[pair_begin_[i] .. pair_begin_[i + 1]);
-  // pair_probe_ repeats i once per candidate for the residual's pair batch,
-  // and pair_pass_ flags the pairs the compiled residual accepted.
+  // Vectorized probe state. The probe input as references, and the
+  // current window: rows [probe_begin_, probe_next_) of it, whose key
+  // columns probe_batch_ holds (its other columns stay empty). Probe row
+  // i's candidate build ordinals are pair_ref_[pair_begin_[i] ..
+  // pair_begin_[i + 1]); pair_probe_ repeats the probe ordinal once per
+  // candidate for the residual's pair batch, and pair_pass_ flags the
+  // pairs the compiled residual accepted.
   bool vectorized_ = false;
+  bool probe_taken_ = false;
+  RowRefs probe_;
+  std::unique_ptr<RefReader> probe_reader_;
+  std::vector<int> probe_key_cols_;  // distinct left_key_idx_
+  int64_t probe_begin_ = 0;
+  int64_t probe_next_ = 0;
   RowBatch probe_batch_;
   std::vector<size_t> probe_hashes_;
   std::vector<uint8_t> probe_null_;
@@ -222,14 +252,19 @@ class HashJoinNode final : public ExecNode {
   std::vector<Value> scratch_key_;
   std::vector<int32_t> pair_begin_;
   std::vector<uint64_t> pair_ref_;
-  std::vector<int32_t> pair_probe_;
+  std::vector<uint64_t> pair_probe_;
   std::vector<uint8_t> pair_pass_;
   std::vector<int32_t> pair_sel_;
   RowBatch pair_batch_;
-  // Output rows recorded but not yet gathered: probe row per output row,
-  // and for inner/outer joins the build reference (kNullRef for a pad).
+  // Output rows recorded but not yet composed: probe_batch_ row per output
+  // row, and for inner/outer joins the build ordinal (kNullRef for a pad).
   std::vector<int32_t> emit_probe_;
   std::vector<uint64_t> emit_ref_;
+  // The output as references: the probe's sources, then (inner/outer
+  // joins) the build's. HandOffRefs fills it whole; NextBatch one batch at
+  // a time, gathered through out_reader_.
+  RowRefs out_;
+  std::unique_ptr<RefReader> out_reader_;
 };
 
 }  // namespace nestra

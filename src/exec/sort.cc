@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -11,16 +12,12 @@
 
 namespace nestra {
 
-KeyColumn GatherKeyColumn(const std::vector<RowBatch>& batches, int idx,
-                          TypeId type, bool ascending, int64_t n) {
+KeyColumn GatherKeyColumn(const RefReader& rows, int idx, TypeId type,
+                          bool ascending) {
   KeyColumn key;
   key.ascending = ascending;
-  bool typed = true;
-  for (const RowBatch& b : batches) {
-    const ColumnVector& col = b.column(idx);
-    typed = typed && !col.generic() && col.type() == type;
-  }
-  if (typed) {
+  const SourceColumn& src = rows.column(idx);
+  if (src.TypedAs(type)) {
     switch (type) {
       case TypeId::kInt64:
       case TypeId::kDate:
@@ -34,29 +31,61 @@ KeyColumn GatherKeyColumn(const std::vector<RowBatch>& batches, int idx,
         break;
     }
   }
-  key.nulls.reserve(static_cast<size_t>(n));
-  for (const RowBatch& b : batches) {
-    const ColumnVector& col = b.column(idx);
-    key.nulls.insert(key.nulls.end(), col.nulls().begin(), col.nulls().end());
-    switch (key.kind) {
-      case KeyColumn::Kind::kInt:
-        key.ints.insert(key.ints.end(), col.ints().begin(), col.ints().end());
-        break;
-      case KeyColumn::Kind::kFloat:
-        key.doubles.insert(key.doubles.end(), col.doubles().begin(),
-                           col.doubles().end());
-        break;
-      case KeyColumn::Kind::kString:
-        for (const std::string& str : col.strings()) {
-          key.strings.push_back(&str);
-        }
-        break;
-      case KeyColumn::Kind::kValue:
-        for (int64_t r = 0; r < b.num_rows(); ++r) {
-          key.values.push_back(col.GetValue(r));
-        }
-        break;
+  const RowRefs::Column& col = rows.rows().columns[static_cast<size_t>(idx)];
+  const std::vector<uint64_t>& refs =
+      rows.rows().refs[static_cast<size_t>(col.source)];
+  const size_t n = refs.size();
+  key.nulls.resize(n);
+  // A pad (kNullRef) reads as NULL; a NULL slot's typed placeholder is
+  // copied like any cell, as the batch gather does.
+  const auto gather = [&](auto* out, auto pad) {
+    using T = std::remove_pointer_t<decltype(out)>;
+    const uint8_t* const* nulls = src.nulls();
+    const T* const* vals = src.values<T>();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t ref = refs[i];
+      if (ref == kNullRef) {
+        key.nulls[i] = 1;
+        out[i] = pad;
+        continue;
+      }
+      key.nulls[i] = nulls[RefBatch(ref)][RefRow(ref)];
+      out[i] = vals[RefBatch(ref)][RefRow(ref)];
     }
+  };
+  switch (key.kind) {
+    case KeyColumn::Kind::kInt:
+      key.ints.resize(n);
+      gather(key.ints.data(), int64_t{0});
+      break;
+    case KeyColumn::Kind::kFloat:
+      key.doubles.resize(n);
+      gather(key.doubles.data(), 0.0);
+      break;
+    case KeyColumn::Kind::kString: {
+      static const std::string kEmpty;
+      const uint8_t* const* nulls = src.nulls();
+      const std::string* const* vals = src.values<std::string>();
+      key.strings.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t ref = refs[i];
+        if (ref == kNullRef) {
+          key.nulls[i] = 1;
+          key.strings[i] = &kEmpty;
+          continue;
+        }
+        key.nulls[i] = nulls[RefBatch(ref)][RefRow(ref)];
+        key.strings[i] = &vals[RefBatch(ref)][RefRow(ref)];
+      }
+      break;
+    }
+    case KeyColumn::Kind::kValue:
+      key.values.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        key.values.push_back(src.GetValue(refs[i]));
+        key.nulls[i] = key.values.back().is_null() ? 1 : 0;
+      }
+      break;
   }
   // A NaN ties with every number, and a generic column may tie an int64
   // with a double that is not equal to a tying int64; both break the
@@ -72,30 +101,29 @@ Status SortNode::OpenImpl() {
   NESTRA_RETURN_NOT_OK(child_->Open());
   const Schema& schema = child_->output_schema();
   run_ = SortedRun();
+  reader_.reset();
   for (const SortKey& k : keys_) {
     NESTRA_ASSIGN_OR_RETURN(int idx, schema.Resolve(k.column));
     run_.key_indices.push_back(idx);
   }
-  std::vector<RowBatch>& batches = run_.batches;
   pos_ = 0;
-  charged_bytes_ = 0;
-  NESTRA_RETURN_NOT_OK(
-      DrainAllBatches(child_.get(), vectorized_, &batches, &charged_bytes_));
-  // Always-on byte accounting for the sort buffer: the drain already
-  // computed the logical footprint, so this is just bookkeeping.
+  NESTRA_RETURN_NOT_OK(DrainAllRefs(child_.get(), vectorized_, &run_.rows));
+  reader_ = std::make_unique<RefReader>(run_.rows);
+  // Always-on byte accounting for the sort buffer: the logical footprint
+  // of the rows the references stand for, as if drained as batches.
+  charged_bytes_ = RowRefsBytes(run_.rows);
   stats_.mem_bytes = charged_bytes_;
   stats_.peak_mem_bytes = charged_bytes_;
   if (QueryMemoryTracker* mem = CurrentQueryMemory()) {
     NESTRA_RETURN_NOT_OK(mem->Charge(charged_bytes_));
   }
 
-  int64_t n = 0;
-  for (const RowBatch& b : batches) n += b.num_rows();
+  const int64_t n = run_.rows.num_rows();
   std::vector<KeyColumn>& keys = run_.keys;
   for (size_t k = 0; k < keys_.size(); ++k) {
     const int idx = run_.key_indices[k];
-    keys.push_back(GatherKeyColumn(batches, idx, schema.field(idx).type,
-                                   keys_[k].ascending, n));
+    keys.push_back(GatherKeyColumn(*reader_, idx, schema.field(idx).type,
+                                   keys_[k].ascending));
   }
   // Stable sort of input ordinals keeps input order within equal keys,
   // which makes nested groups deterministic for tests — and makes the
@@ -120,15 +148,6 @@ Status SortNode::OpenImpl() {
   if (!weak_order || !std::is_sorted(perm.begin(), perm.end(), less)) {
     ParallelStableSort(&perm, less, num_threads_);
   }
-  std::vector<uint64_t> refs;
-  refs.reserve(static_cast<size_t>(n));
-  for (size_t b = 0; b < batches.size(); ++b) {
-    for (int64_t r = 0; r < batches[b].num_rows(); ++r) {
-      refs.push_back(PackRowRef(b, r));
-    }
-  }
-  run_.order.reserve(perm.size());
-  for (const uint32_t i : perm) run_.order.push_back(refs[i]);
   stats_.sort_rows += n;
   if (timing_) {
     // The sorted payload: the drained bytes without the row headers.
@@ -140,12 +159,13 @@ Status SortNode::OpenImpl() {
 
 const SortedRun& SortNode::HandOff() {
   NESTRA_DCHECK(pos_ == 0);
-  stats_.rows_out += static_cast<int64_t>(run_.order.size() - pos_);
-  pos_ = run_.order.size();
+  stats_.rows_out += static_cast<int64_t>(run_.perm.size() - pos_);
+  pos_ = run_.perm.size();
   return run_;
 }
 
 void SortNode::CloseImpl() {
+  reader_.reset();
   run_ = SortedRun();
   if (charged_bytes_ != 0) {
     if (QueryMemoryTracker* mem = CurrentQueryMemory()) {
@@ -157,32 +177,27 @@ void SortNode::CloseImpl() {
   child_->Close();
 }
 
-void SortNode::ReleaseKeys() {
-  run_.keys = std::vector<KeyColumn>();
-  run_.perm = std::vector<uint32_t>();
-}
+void SortNode::ReleaseKeys() { run_.keys = std::vector<KeyColumn>(); }
 
 Status SortNode::NextImpl(Row* out, bool* eof) {
   if (pos_ == 0) ReleaseKeys();
-  if (pos_ >= run_.order.size()) {
+  if (pos_ >= run_.perm.size()) {
     *eof = true;
     return Status::OK();
   }
   *eof = false;
-  // Every reference is emitted exactly once, so its cells can move out.
-  const uint64_t ref = run_.order[pos_++];
-  *out = run_.batches[RefBatch(ref)].TakeRow(RefRow(ref));
+  *out = reader_->MaterializeRow(run_.perm[pos_++]);
   return Status::OK();
 }
 
 Status SortNode::NextBatchImpl(RowBatch* out, bool* eof) {
   if (pos_ == 0) ReleaseKeys();
   size_t end = pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity);
-  if (end > run_.order.size()) end = run_.order.size();
-  for (int c = 0; c < out->num_columns(); ++c) {
-    out->column(c).AppendRefs(run_.batches, c, run_.order.data() + pos_,
-                              static_cast<int64_t>(end - pos_));
-  }
+  if (end > run_.perm.size()) end = run_.perm.size();
+  window_.assign(run_.perm.begin() + static_cast<std::ptrdiff_t>(pos_),
+                 run_.perm.begin() + static_cast<std::ptrdiff_t>(end));
+  reader_->AppendAt(window_.data(), static_cast<int64_t>(window_.size()),
+                    out);
   out->set_num_rows(static_cast<int64_t>(end - pos_));
   pos_ = end;
   *eof = out->empty();

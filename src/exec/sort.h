@@ -2,6 +2,7 @@
 #define NESTRA_EXEC_SORT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,11 +17,11 @@ struct SortKey {
   bool ascending = true;
 };
 
-/// \brief One column's cells gathered in input order (concatenated over a
-/// list of batches), so comparisons index contiguous arrays by input
-/// ordinal. Typed when every batch stores the column in its declared typed
-/// storage; otherwise (mixed or generic cells) the cells are kept as Values
-/// for Value::TotalOrderCompare.
+/// \brief One column's cells gathered in input order (read through the
+/// input's row references), so comparisons index contiguous arrays by
+/// input ordinal. Typed when every batch of the column's source stores it
+/// in its declared typed storage; otherwise (mixed or generic cells) the
+/// cells are kept as Values for Value::TotalOrderCompare.
 struct KeyColumn {
   enum class Kind { kInt, kFloat, kString, kValue };
   Kind kind = Kind::kValue;
@@ -31,7 +32,7 @@ struct KeyColumn {
   std::vector<uint8_t> nulls;
   std::vector<int64_t> ints;
   std::vector<double> doubles;
-  std::vector<const std::string*> strings;  // into the gathered batches
+  std::vector<const std::string*> strings;  // into the source batches
   std::vector<Value> values;
 
   // Value::TotalOrderCompare of input rows a and b: NULLs first; int/date
@@ -75,19 +76,20 @@ struct KeyColumn {
   }
 };
 
-/// Gathers column `idx` (declared `type`) of `batches`, `n` rows in all,
-/// in input order. String cells are referenced, not copied: the batches
+/// Gathers column `idx` (declared `type`) of `rows`' relation in input
+/// order. String cells are referenced, not copied: the relation's sources
 /// must outlive the result.
-KeyColumn GatherKeyColumn(const std::vector<RowBatch>& batches, int idx,
-                          TypeId type, bool ascending, int64_t n);
+KeyColumn GatherKeyColumn(const RefReader& rows, int idx, TypeId type,
+                          bool ascending);
 
-/// \brief A sort's result, readable in place: the drained input batches,
-/// the stable sorted permutation (as input ordinals and as packed row
-/// references into `batches`), and every sort key gathered in input order.
+/// \brief A sort's result, readable in place: the input as row references
+/// (the child's referenced body, or its drained batches as one source), the
+/// stable sorted permutation of its input ordinals, and every sort key
+/// gathered in input order. Sorted row i is input row `perm[i]`; nothing
+/// else of the input is copied.
 struct SortedRun {
-  std::vector<RowBatch> batches;
+  RowRefs rows;
   std::vector<uint32_t> perm;    // perm[i]: input ordinal of sorted row i
-  std::vector<uint64_t> order;   // order[i]: PackRowRef of sorted row i
   std::vector<KeyColumn> keys;   // one per SortKey, indexed by ordinal
   std::vector<int> key_indices;  // the schema column of each SortKey
 };
@@ -96,23 +98,25 @@ struct SortedRun {
 /// sort-based nest rides on: the "only the deepest nesting involves true
 /// physical reordering" optimization (§4.2.1) is one SortNode for all levels.
 ///
-/// The input is drained into batches (columnar; a TableSourceNode hands
-/// its batches over by move), each key column is gathered into one typed
-/// array, and a permutation of the input rows is stable-sorted over those
-/// arrays — the order std::stable_sort with Value::TotalOrderCompare gives
-/// the rows. When every key is typed and NaN-free (a strict weak order) and
-/// the input is already in key order, the permutation stays the identity
-/// without a sort: the stable order is unique. NextBatch gathers the permuted rows column by column;
-/// Next materializes one row; HandOff gives the whole SortedRun to a
-/// consumer that reads it in place (FusedNestSelectNode's batch pass), so
-/// no output batch is built. With `num_threads > 1` the permutation is
+/// The input is taken as row references (DrainAllRefs: a TableSourceNode
+/// hands its body over in place), each key column is gathered through them
+/// into one typed array, and a permutation of the input rows is
+/// stable-sorted over those arrays — the order std::stable_sort with
+/// Value::TotalOrderCompare gives the rows. When every key is typed and
+/// NaN-free (a strict weak order) and the input is already in key order,
+/// the permutation stays the identity without a sort: the stable order is
+/// unique. NextBatch gathers the permuted rows column by column through the
+/// references; Next materializes one row; HandOff gives the whole
+/// SortedRun to a consumer that reads it in place (FusedNestSelectNode's
+/// batch pass), so no output batch is built. With `num_threads > 1` the permutation is
 /// sorted by a parallel stable merge sort; the stable order is unique, so
 /// the result is element-for-element identical to the serial sort.
 class SortNode final : public ExecNode {
  public:
-  /// With `vectorized` the input is drained via NextBatch, so batch-capable
-  /// children run columnar; otherwise Next's rows are packed into batches.
-  /// The sorted rows are identical either way.
+  /// With `vectorized` the input is taken by HandOffRefs or drained via
+  /// NextBatch, so batch-capable children run columnar; otherwise Next's
+  /// rows are packed into batches. The sorted rows are identical either
+  /// way.
   SortNode(ExecNodePtr child, std::vector<SortKey> keys, int num_threads = 1,
            bool vectorized = false)
       : child_(std::move(child)),
@@ -131,8 +135,10 @@ class SortNode final : public ExecNode {
   /// calling Next or NextBatch. Valid from Open to Close; counts every row
   /// as emitted, after which Next and NextBatch report end of stream.
   /// Must come before any Next or NextBatch: the first of those releases
-  /// the run's `keys` and `perm`, which only a HandOff reader needs.
+  /// the run's `keys`, which only a HandOff reader needs.
   const SortedRun& HandOff();
+  /// Reads the run's row references; valid from Open to Close.
+  const RefReader& reader() const { return *reader_; }
 
  protected:
   Status OpenImpl() override;
@@ -141,9 +147,9 @@ class SortNode final : public ExecNode {
   void CloseImpl() override;
 
  private:
-  // Frees the typed key columns and the permutation: Next and NextBatch
-  // read only `order` and `batches`. They were never charged to the memory
-  // tracker, so the accounted bytes do not change.
+  // Frees the typed key columns: Next and NextBatch read only `perm` and
+  // `rows`. They were never charged to the memory tracker, so the
+  // accounted bytes do not change.
   void ReleaseKeys();
 
   ExecNodePtr child_;
@@ -151,6 +157,8 @@ class SortNode final : public ExecNode {
   int num_threads_ = 1;
   bool vectorized_ = false;
   SortedRun run_;
+  std::unique_ptr<RefReader> reader_;  // over run_.rows
+  std::vector<uint64_t> window_;       // NextBatch's permuted ordinals
   size_t pos_ = 0;
   int64_t charged_bytes_ = 0;
 };

@@ -230,7 +230,7 @@ Status FusedNestSelectNode::NextImpl(Row* out, bool* eof) {
 }
 
 void FusedNestSelectNode::CloseImpl() {
-  // own_cols_ points into the sort's batches, which Close frees.
+  // own_cols_ points into the sort's run, which Close frees.
   own_cols_.clear();
   run_ = nullptr;
   child_->Close();
@@ -242,9 +242,9 @@ const KeyColumn* FusedNestSelectNode::ColumnFor(int idx) {
   }
   auto [it, inserted] = own_cols_.try_emplace(idx);
   if (inserted) {
-    it->second = GatherKeyColumn(
-        run_->batches, idx, child_->output_schema().field(idx).type,
-        /*ascending=*/true, static_cast<int64_t>(run_->perm.size()));
+    it->second = GatherKeyColumn(sort_->reader(), idx,
+                                 child_->output_schema().field(idx).type,
+                                 /*ascending=*/true);
   }
   return &it->second;
 }
@@ -298,7 +298,7 @@ void FusedNestSelectNode::CloseGroup(int i) {
     return;
   }
   if (!pass && specs_[0].mode != SelectionMode::kPseudo) return;
-  emit_ref_.push_back(run_->order[st.rep_pos]);
+  emit_ord_.push_back(run_->perm[st.rep_pos]);
   emit_pad_.push_back(pass ? 0 : 1);
 }
 
@@ -330,22 +330,22 @@ void FusedNestSelectNode::StepPosition(size_t p) {
 }
 
 void FusedNestSelectNode::EmitGroups(RowBatch* out) {
-  const int64_t g = static_cast<int64_t>(emit_ref_.size());
+  const int64_t g = static_cast<int64_t>(emit_ord_.size());
   if (g == 0) return;
   const std::vector<int>& pads = levels_[0].pad_idx;
   for (int k = 0; k < static_cast<int>(output_idx_.size()); ++k) {
-    const uint64_t* refs = emit_ref_.data();
+    const uint64_t* ords = emit_ord_.data();
     if (std::find(pads.begin(), pads.end(), k) != pads.end()) {
-      pad_refs_ = emit_ref_;
-      for (size_t j = 0; j < pad_refs_.size(); ++j) {
-        if (emit_pad_[j] != 0) pad_refs_[j] = kNullRef;
+      pad_ords_ = emit_ord_;
+      for (size_t j = 0; j < pad_ords_.size(); ++j) {
+        if (emit_pad_[j] != 0) pad_ords_[j] = kNullRef;
       }
-      refs = pad_refs_.data();
+      ords = pad_ords_.data();
     }
-    out->column(k).AppendRefs(run_->batches, output_idx_[k], refs, g);
+    sort_->reader().AppendAt(output_idx_[k], ords, g, &out->column(k));
   }
   out->set_num_rows(out->num_rows() + g);
-  emit_ref_.clear();
+  emit_ord_.clear();
   emit_pad_.clear();
 }
 

@@ -67,9 +67,10 @@ struct FusedLevelSpec {
 /// here once for columns that are not sort keys); only a generic or
 /// mixed-storage column goes through Values. An open group holds just its
 /// representative's sorted position; an emitted root group records that
-/// row's reference (and, in pseudo mode, whether it is padded), and each
-/// output column is one ColumnVector::AppendRefs gather over those
-/// references, a padded cell being a kNullRef. The permutation is walked in
+/// row's input ordinal (and, in pseudo mode, whether it is padded), and
+/// each output column is one gather through the run's row references
+/// (RefReader::AppendAt) at those ordinals, a padded cell being a
+/// kNullRef. The permutation is walked in
 /// RowBatch::kDefaultCapacity windows, one window per round until a round
 /// emits a row, so the output batches are exactly those of a pass over the
 /// sort's NextBatch stream. Accounting: the stage's bytes are the sort's
@@ -161,14 +162,14 @@ class FusedNestSelectNode final : public ExecNode {
   std::vector<int64_t> groups_closed_;
 
   // Batch-pass state: the sort's run, the next permuted position, columns
-  // gathered here, and the emitted root groups (reference of the
+  // gathered here, and the emitted root groups (input ordinal of the
   // representative row; pad flag) not yet gathered into output columns.
   const SortedRun* run_ = nullptr;
   size_t pos_ = 0;
   std::map<int, KeyColumn> own_cols_;
-  std::vector<uint64_t> emit_ref_;
+  std::vector<uint64_t> emit_ord_;
   std::vector<uint8_t> emit_pad_;
-  std::vector<uint64_t> pad_refs_;
+  std::vector<uint64_t> pad_ords_;
 };
 
 }  // namespace nestra

@@ -119,41 +119,40 @@ bool GranuleRejected(const ZoneEntry& z, const ZoneTerm& t) {
 // THE base-table scan+filter of single-table blocks. Walks the mirror's
 // granules — all of them, or only the zone map's `kept` list — in table
 // order. Each granule charges its rows to the IoSim with one SeqRange
-// (granules are whole pages, so the charges equal a row-at-a-time pass),
+// (granules are whole pages, so the charges equal a row-at-a-time pass) and
 // selects its survivors with the compiled predicate straight off the
 // mirror's typed columns (or with the row BoundPredicate when `compiled` is
-// null), and gathers the survivors' `cols` (indices into `schema`) from the
-// granule's typed columns into one output batch — cell-for-cell the row
-// store's Values, by the mirror's contract. The result is columnar: one
-// batch per granule with survivors, in table order. At one thread the
-// granules run inline; otherwise ParallelForEach runs one slot per granule
-// and the slots concatenate in order. Rows, row order and IoSim totals are
-// therefore the same for every thread count and engine.
-Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
-                         const std::vector<int>& cols, const Expr* pred,
-                         const VectorizedPredicate* compiled,
+// null). No cell is copied: the result is referenced (DESIGN.md §8), one
+// source (the mirror's granules, kept alive by the aliasing pointer) whose
+// refs are the survivors' (granule, row), in table order, and whose output
+// columns are `cols` (indices into `schema`) — cell-for-cell the row
+// store's Values, by the mirror's contract. At one thread the granules run
+// inline; otherwise ParallelForEach runs one slot per granule and the slots
+// concatenate in order. Rows, row order and IoSim totals are therefore the
+// same for every thread count and engine.
+Result<Table> ScanFilter(const std::shared_ptr<const ColumnarMirror>& mirror,
+                         const Schema& schema, const std::vector<int>& cols,
+                         const Expr* pred, const VectorizedPredicate* compiled,
                          const std::vector<int64_t>* kept, int num_threads,
                          ProfiledOperator* op_out) {
   BoundPredicate bound;
   if (pred != nullptr && compiled == nullptr) {
     NESTRA_ASSIGN_OR_RETURN(bound, BoundPredicate::Make(pred, schema));
   }
-  const Table* table = mirror.table();
+  const Table* table = mirror->table();
   const std::vector<Row>& rows = table->rows();
   const int64_t units = kept != nullptr ? static_cast<int64_t>(kept->size())
-                                        : mirror.num_granules();
+                                        : mirror->num_granules();
   const auto granule_of = [&](int64_t k) {
     return kept != nullptr ? (*kept)[static_cast<size_t>(k)] : k;
   };
-  Table out{schema.Select(cols)};
   std::vector<IoSim::RangeCounts> io(static_cast<size_t>(units));
-  // Gathers the survivors of the k-th walked granule into `dst`.
+  // Appends the refs of the k-th walked granule's survivors to `dst`.
   const auto scan_granule = [&](int64_t k, std::vector<int32_t>* sel,
-                                RowBatch* dst) {
+                                std::vector<uint64_t>* dst) {
     const int64_t g = granule_of(k);
-    const RowBatch& batch = mirror.granule(g);
-    const int64_t begin = mirror.GranuleBegin(g);
-    const int64_t end = mirror.GranuleEnd(g);
+    const int64_t begin = mirror->GranuleBegin(g);
+    const int64_t end = mirror->GranuleEnd(g);
     if (IoSim* sim = IoSim::Get()) {
       io[static_cast<size_t>(k)] = sim->SeqRange(table, begin, end);
     }
@@ -163,7 +162,7 @@ Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
         sel->push_back(static_cast<int32_t>(i - begin));
       }
     } else if (compiled != nullptr) {
-      compiled->Select(batch, sel);
+      compiled->Select(mirror->granule(g), sel);
     } else {
       for (int64_t i = begin; i < end; ++i) {
         if (bound.Matches(rows[static_cast<size_t>(i)])) {
@@ -171,44 +170,43 @@ Result<Table> ScanFilter(const ColumnarMirror& mirror, const Schema& schema,
         }
       }
     }
-    dst->Reset(out.schema());
-    if (sel->empty()) return;
-    for (size_t j = 0; j < cols.size(); ++j) {
-      dst->column(static_cast<int>(j))
-          .AppendSelection(batch.column(cols[j]), *sel);
+    for (const int32_t r : *sel) {
+      dst->push_back(PackRowRef(static_cast<size_t>(g), r));
     }
-    dst->set_num_rows(static_cast<int64_t>(sel->size()));
   };
   int64_t scanned_rows = 0;
   for (int64_t k = 0; k < units; ++k) {
     const int64_t g = granule_of(k);
-    scanned_rows += mirror.GranuleEnd(g) - mirror.GranuleBegin(g);
+    scanned_rows += mirror->GranuleEnd(g) - mirror->GranuleBegin(g);
   }
+  RowRefs refs;
+  refs.sources.emplace_back(mirror, &mirror->granules());
+  std::vector<uint64_t>& survivors = refs.refs.emplace_back();
+  for (const int c : cols) refs.columns.push_back({0, c});
   if (num_threads <= 1) {
     std::vector<int32_t> sel;
-    for (int64_t k = 0; k < units; ++k) {
-      RowBatch batch;
-      scan_granule(k, &sel, &batch);
-      out.AppendBatch(std::move(batch));
-    }
+    for (int64_t k = 0; k < units; ++k) scan_granule(k, &sel, &survivors);
   } else {
-    std::vector<RowBatch> slots(static_cast<size_t>(units));
+    std::vector<std::vector<uint64_t>> slots(static_cast<size_t>(units));
     ParallelForEach(units, num_threads, [&](int64_t k) {
       std::vector<int32_t> sel;
       scan_granule(k, &sel, &slots[static_cast<size_t>(k)]);
     });
-    for (RowBatch& slot : slots) out.AppendBatch(std::move(slot));
+    for (const std::vector<uint64_t>& slot : slots) {
+      survivors.insert(survivors.end(), slot.begin(), slot.end());
+    }
   }
+  Table out(schema.Select(cols), std::move(refs));
   if (kept != nullptr && telemetry::MetricsEnabled()) {
     const telemetry::EngineMetrics& m = telemetry::Metrics();
     m.zone_granules_scanned_total->Add(static_cast<double>(units));
     m.zone_granules_pruned_total->Add(
-        static_cast<double>(mirror.num_granules() - units));
+        static_cast<double>(mirror->num_granules() - units));
   }
   if (op_out != nullptr) {
     op_out->name = "ScanFilter";
     op_out->detail = "granules=" + std::to_string(units) + "/" +
-                     std::to_string(mirror.num_granules());
+                     std::to_string(mirror->num_granules());
     if (pred != nullptr && compiled == nullptr) op_out->detail += " row-pred";
     op_out->phase = QueryPhase::kUnnestJoin;
     op_out->rows_in = scanned_rows;
@@ -365,7 +363,7 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
       StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
       ProfiledOperator op;
       NESTRA_ASSIGN_OR_RETURN(
-          Table out, ScanFilter(*mirror, schema, cols, pred.get(),
+          Table out, ScanFilter(mirror, schema, cols, pred.get(),
                                 compiled ? &vpred : nullptr,
                                 pruned ? &kept : nullptr, num_threads,
                                 timer.active() ? &op : nullptr));

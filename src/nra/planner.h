@@ -31,10 +31,11 @@ class QueryProfile;
 /// Local predicates always see every column: the projection comes last.
 /// Single-table blocks run as one fused ScanFilter over the table's
 /// columnar mirror (Catalog::GetMirror): granule by granule, compiled
-/// predicate on the mirror, survivors' `columns` gathered from the mirror's
-/// typed columns, in parallel granule slots concatenated in order when
-/// `num_threads > 1` — identical rows and IoSim charges at every thread
-/// count. Only the one-thread row engine (`vectorized` false,
+/// predicate on the mirror, survivors left as row references into the
+/// mirror's granules whose output columns are `columns` (a referenced
+/// Table, DESIGN.md §8; no cell is copied), in parallel granule slots
+/// concatenated in order when `num_threads > 1` — identical rows and IoSim
+/// charges at every thread count. Only the one-thread row engine (`vectorized` false,
 /// `num_threads` 1) keeps the ScanNode/FilterNode pipeline, as the oracle,
 /// with a ProjectNode on top (multi-table blocks likewise; a projection onto
 /// the full schema is skipped).
@@ -75,7 +76,9 @@ Result<Table> ParallelFilterTable(
 /// `join_type` is kLeftOuter for the NRA pipeline, kLeftSemi / kLeftAnti for
 /// the rewrite and baseline plans. `hints` carries the cost-based physical
 /// strategy for the hash-join form (src/nra/cost.h JoinStrategyFor); the
-/// defaults reproduce the pre-stats plan exactly.
+/// defaults reproduce the pre-stats plan exactly. With `vectorized` the
+/// hash join reads both inputs in place and its result is referenced
+/// (HashJoinNode::HandOffRefs): no cell of the joined relation is copied.
 Result<Table> JoinWithChild(Table rel, Table child_base,
                             const QueryBlock& child, JoinType join_type,
                             ExprPtr extra_condition = nullptr,

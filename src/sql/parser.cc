@@ -56,6 +56,30 @@ class Parser {
   }
 
  private:
+  // Nesting levels entered by one parse function, left on return.
+  class Levels {
+   public:
+    explicit Levels(Parser* parser) : parser_(parser) {}
+    ~Levels() { parser_->depth_ -= entered_; }
+    Levels(const Levels&) = delete;
+    Levels& operator=(const Levels&) = delete;
+
+    // Enters one more level; a ParseError past kMaxNestingDepth.
+    Status Enter() {
+      ++entered_;
+      if (++parser_->depth_ <= kMaxNestingDepth) return Status::OK();
+      parser_->too_deep_ = true;
+      return Status::ParseError(
+          "statement nested deeper than " + std::to_string(kMaxNestingDepth) +
+          " levels (near position " +
+          std::to_string(parser_->Peek().position) + ")");
+    }
+
+   private:
+    Parser* parser_;
+    int entered_ = 0;
+  };
+
   const Token& Peek() const { return tokens_[pos_]; }
   const Token& Peek2() const {
     return tokens_[pos_ + 1 < tokens_.size() ? pos_ + 1 : pos_];
@@ -150,6 +174,8 @@ class Parser {
   }
 
   Result<AstSelectPtr> ParseSelectStmt() {
+    Levels levels(this);
+    NESTRA_RETURN_NOT_OK(levels.Enter());
     NESTRA_RETURN_NOT_OK(Expect(TokenKind::kSelect, "SELECT"));
     auto sel = std::make_unique<AstSelect>();
     sel->distinct = Match(TokenKind::kDistinct);
@@ -244,6 +270,8 @@ class Parser {
   Result<AstCondPtr> ParseUnary() {
     if (Check(TokenKind::kNot) && Peek2().kind != TokenKind::kExists) {
       Advance();
+      Levels levels(this);
+      NESTRA_RETURN_NOT_OK(levels.Enter());
       NESTRA_ASSIGN_OR_RETURN(AstCondPtr child, ParseUnary());
       auto node = std::make_unique<AstCond>();
       node->kind = AstCond::Kind::kNot;
@@ -274,10 +302,14 @@ class Parser {
     if (Check(TokenKind::kLParen) && Peek2().kind != TokenKind::kSelect) {
       const size_t saved = pos_;
       Advance();
+      Levels levels(this);
+      NESTRA_RETURN_NOT_OK(levels.Enter());
       Result<AstCondPtr> inner = ParseOr();
       if (inner.ok() && Match(TokenKind::kRParen)) {
         return std::move(inner).ValueOrDie();
       }
+      // Too deep either way: the scalar reading nests the same parentheses.
+      if (too_deep_) return inner.status();
       pos_ = saved;  // fall through: parse as a scalar comparison
     }
 
@@ -421,9 +453,13 @@ class Parser {
   //   term    := atom (('*'|'/') atom)*
   //   atom    := '-' atom | agg-call (HAVING) | column | literal
   //            | '(' operand ')'
+  // Each operator of a chain nests the chain so far one level deeper in
+  // the tree, so it enters a level too.
   Result<AstOperand> ParseOperand() {
+    Levels levels(this);
     NESTRA_ASSIGN_OR_RETURN(AstOperand lhs, ParseTerm());
     while (Check(TokenKind::kPlus) || Check(TokenKind::kMinus)) {
+      NESTRA_RETURN_NOT_OK(levels.Enter());
       const ArithOp op = Advance().kind == TokenKind::kPlus ? ArithOp::kAdd
                                                             : ArithOp::kSub;
       NESTRA_ASSIGN_OR_RETURN(AstOperand rhs, ParseTerm());
@@ -433,8 +469,10 @@ class Parser {
   }
 
   Result<AstOperand> ParseTerm() {
+    Levels levels(this);
     NESTRA_ASSIGN_OR_RETURN(AstOperand lhs, ParseScalarAtom());
     while (Check(TokenKind::kStar) || Check(TokenKind::kSlash)) {
+      NESTRA_RETURN_NOT_OK(levels.Enter());
       const ArithOp op = Advance().kind == TokenKind::kStar ? ArithOp::kMul
                                                             : ArithOp::kDiv;
       NESTRA_ASSIGN_OR_RETURN(AstOperand rhs, ParseScalarAtom());
@@ -444,7 +482,9 @@ class Parser {
   }
 
   Result<AstOperand> ParseScalarAtom() {
+    Levels levels(this);
     if (Match(TokenKind::kMinus)) {
+      NESTRA_RETURN_NOT_OK(levels.Enter());
       // Negative literals fold; everything else becomes 0 - x.
       if (Check(TokenKind::kIntLiteral)) {
         return AstOperand::Lit(Value::Int64(-Advance().int_value));
@@ -483,6 +523,7 @@ class Parser {
     }
     if (Check(TokenKind::kLParen) && Peek2().kind != TokenKind::kSelect) {
       Advance();
+      NESTRA_RETURN_NOT_OK(levels.Enter());
       NESTRA_ASSIGN_OR_RETURN(AstOperand inner, ParseOperand());
       NESTRA_RETURN_NOT_OK(Expect(TokenKind::kRParen, ")"));
       return inner;
@@ -493,6 +534,8 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   bool in_having_ = false;
+  int depth_ = 0;          // nesting levels entered so far
+  bool too_deep_ = false;  // a level past kMaxNestingDepth was refused
 };
 
 }  // namespace

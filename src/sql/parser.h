@@ -28,6 +28,14 @@ namespace nestra {
 ///
 /// String literals double as date literals; the binder coerces them against
 /// date-typed columns.
+///
+/// Nesting is bounded: every parenthesis, NOT, unary minus, arithmetic
+/// operator in a chain and nested SELECT enters one level, and a statement
+/// nested deeper than kMaxNestingDepth levels fails with a ParseError
+/// instead of exhausting the stack of the parser or of the passes that
+/// recurse over its tree.
+inline constexpr int kMaxNestingDepth = 256;
+
 Result<AstSelectPtr> ParseSelect(const std::string& sql);
 
 /// Parses a statement that may combine several SELECTs with

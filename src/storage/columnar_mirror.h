@@ -26,9 +26,12 @@ namespace nestra {
 /// column whose runtime values disagree with its declared type falls back
 /// to generic Value storage in the granules where that happens, so
 /// ColumnVector::GetValue returns exactly the row store's Value. Scans run
-/// compiled predicates on the granules and gather the surviving rows'
-/// carried columns from them; the row store (`table()`) still serves the
-/// row-at-a-time predicate fallback and the IoSim page charges.
+/// compiled predicates on the granules and leave the survivors as row
+/// references into them (RowRefs, DESIGN.md §8): the granule list is the
+/// scan result's source, held through an aliasing pointer to the mirror,
+/// so a result outlives a drop or reload of its table, and any number of
+/// results and sessions share one mirror. The row store (`table()`) still
+/// serves the row-at-a-time predicate fallback and the IoSim page charges.
 class ColumnarMirror {
  public:
   explicit ColumnarMirror(const Table& table);
@@ -52,6 +55,8 @@ class ColumnarMirror {
   const RowBatch& granule(int64_t g) const {
     return granules_[static_cast<size_t>(g)];
   }
+  /// Every granule in table order; a scan result's ref source.
+  const std::vector<RowBatch>& granules() const { return granules_; }
 
   /// First row and one-past-last row of granule `g` in the row store.
   int64_t GranuleBegin(int64_t g) const { return g * kZoneGranuleRows; }
