@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/check.h"
 #include "common/memory_tracker.h"
 #include "exec/distinct.h"
 #include "exec/filter.h"
@@ -13,14 +14,13 @@
 #include "nested/fused_nest_select.h"
 #include "nested/linking_selection.h"
 #include "nested/nest.h"
-#include "nra/cost.h"
+#include "nra/physical_plan.h"
 #include "nra/pipeline.h"
 #include "nra/planner.h"
 #include "nra/profile.h"
 #include "nra/rewrites.h"
 #include "plan/binder.h"
 #include "storage/io_sim.h"
-#include "verify/properties.h"
 #include "telemetry/engine_metrics.h"
 #include "telemetry/slow_query.h"
 #include "telemetry/trace.h"
@@ -96,16 +96,6 @@ void CountStatementBound(int selects) {
   }
 }
 
-// N2 of the nest for a child link: (linked attribute, key attribute),
-// deduplicated (EXISTS links use the key as the linked attribute; COUNT(*)
-// aggregate links have no linked attribute at all).
-std::vector<std::string> NestedAttrsFor(const QueryBlock& child) {
-  std::vector<std::string> n2;
-  if (!child.linked_attr.empty()) n2.push_back(child.linked_attr);
-  if (child.key_attr != child.linked_attr) n2.push_back(child.key_attr);
-  return n2;
-}
-
 LinkingPredicate PredFor(const QueryBlock& child, const std::string& group) {
   return child.MakeLinkPredicate(group);
 }
@@ -161,12 +151,15 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
     pool0 = GlobalPoolStats();  // baseline; delta taken at the end
     query_start = Clock::now();
   }
+  // Every decision about how the query runs, made once: the verifier checks
+  // this plan, the task DAG below runs it.
+  const PhysicalPlan plan = BuildPhysicalPlan(root, catalog_, options_);
   if (prof != nullptr) {
     prof->Clear();
     prof->pool = pool0;
-    // Planner-side row estimates, keyed by the stage labels the execution
-    // paths emit; EXPLAIN ANALYZE prints them next to the actual counts.
-    prof->estimates = EstimateStages(root, catalog_);
+    // Planner-side row estimates of the plan's stages; EXPLAIN ANALYZE
+    // prints them next to the actual counts.
+    prof->estimates = plan.estimates;
   }
 
   // Static invariant check before any table is touched: a plan that would
@@ -176,7 +169,7 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
     Status verified;
     {
       telemetry::TraceSpan verify_span("query", "verify");
-      verified = VerifyPlan(root, catalog_, options_);
+      verified = PlanVerifier(catalog_).Verify(root, plan).ToStatus();
     }
     if (metrics) {
       const telemetry::EngineMetrics& m = telemetry::Metrics();
@@ -191,47 +184,21 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
 
   telemetry::TraceSpan exec_span("query", "execute");
   Result<Table> result = [&]() -> Result<Table> {
-    if (root.children.empty()) {
-      const auto t0 = Clock::now();
-      NESTRA_ASSIGN_OR_RETURN(Table rel, EvalBase(root, prof));
-      stats->join_seconds += Seconds(t0);
-      stats->intermediate_rows = rel.num_rows();
-      return FinishRoot(root, std::move(rel), prof);
+    switch (plan.route) {
+      case PlanRoute::kBottomUpLinear:
+        return ExecuteBottomUpLinearDag(plan, root, stats, prof);
+      case PlanRoute::kFusedChain:
+        return ExecuteFusedLinearDag(plan, root, stats, prof);
+      case PlanRoute::kRecursive:
+        return ExecuteRecursiveDag(plan, root, stats, prof);
+      case PlanRoute::kFlat:
+        break;
     }
-    if (options_.bottom_up_linear && root.IsLinearCorrelated()) {
-      NESTRA_ASSIGN_OR_RETURN(std::vector<const QueryBlock*> chain,
-                              LinearChain(root));
-      return ExecuteBottomUpLinearDag(chain, stats, prof);
-    }
-    // The single-sort fused path folds every level into one pass, but it
-    // bypasses the per-child rewrites; when those are requested, route
-    // through the recursive path (which still fuses each level when
-    // options_.fused is set).
-    if (options_.fused && root.IsLinear() && !options_.push_down_nest &&
-        !options_.rewrite_positive) {
-      NESTRA_ASSIGN_OR_RETURN(std::vector<const QueryBlock*> chain,
-                              LinearChain(root));
-      // A non-correlated block in the chain would force the wide join to be
-      // an actual Cartesian product; the recursive path evaluates it as a
-      // virtual one instead.
-      bool all_correlated = true;
-      for (size_t i = 1; i < chain.size(); ++i) {
-        all_correlated = all_correlated && !chain[i]->correlated_preds.empty();
-      }
-      // Proven-2VL bypass: when the chain's leaf link can run as a plain
-      // antijoin, the recursive path takes it; the fused pipeline would push
-      // the same link through 3VL member handling.
-      if (FusedChainBypassesTwoValued(chain, catalog_, options_)) {
-        all_correlated = false;
-      }
-      // Cost-gated rewrites (§4.2.5 / §4.2.4) likewise only fire on the
-      // recursive path; route there when the estimator says one applies.
-      if (FusedChainBypassesForCost(chain, catalog_, options_)) {
-        all_correlated = false;
-      }
-      if (all_correlated) return ExecuteFusedLinearDag(chain, stats, prof);
-    }
-    return ExecuteRecursiveDag(root, stats, prof);
+    const auto t0 = Clock::now();
+    NESTRA_ASSIGN_OR_RETURN(Table rel, EvalBase(root, prof));
+    stats->join_seconds += Seconds(t0);
+    stats->intermediate_rows = rel.num_rows();
+    return FinishRoot(root, std::move(rel), prof);
   }();
 
   // Peak is meaningful on every outcome (a memory-failed query reports how
@@ -420,15 +387,17 @@ Result<Table> NraExecutor::ExecuteStatementSql(const std::string& sql,
   return combined;
 }
 
-Result<Table> NraExecutor::ExecuteFusedLinearDag(
-    const std::vector<const QueryBlock*>& chain, NraStats* stats,
-    QueryProfile* profile) {
-  const int n = static_cast<int>(chain.size());
+Result<Table> NraExecutor::ExecuteFusedLinearDag(const PhysicalPlan& plan,
+                                                 const QueryBlock& root,
+                                                 NraStats* stats,
+                                                 QueryProfile* profile) {
+  // One step per level, root level first.
+  const std::vector<PlanStep>& steps = plan.steps;
   StageDag dag;
   // Slots the task bodies exchange. Everything here outlives dag.Run(),
   // which blocks until the last task finished; the DAG's dependency edges
   // order the accesses.
-  std::vector<Table> bases(static_cast<size_t>(n));
+  std::vector<Table> bases(steps.size());
   Table rel;
   Table out;
 
@@ -436,19 +405,13 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
   // block's scan+filter(+join tree) can run at once. The wide-join chain
   // and the single sort+fused pass stay sequential, each joining as soon
   // as its base (and the previous join) is ready.
-  int prev = AddBaseTask(&dag, *chain[0], &rel);
-  for (int k = 1; k < n; ++k) {
-    const int base_task = AddBaseTask(&dag, *chain[k], &bases[k]);
-    // Hints are plan+catalog functions, so they can be decided at DAG build
-    // time and captured by value (chain is only borrowed until Run()).
-    const JoinBuildHints hints = JoinStrategyFor(
-        *chain[k],
-        std::vector<const QueryBlock*>(chain.begin(), chain.begin() + k),
-        catalog_, options_);
+  int prev = AddBaseTask(&dag, root, &rel);
+  for (size_t k = 0; k < steps.size(); ++k) {
+    const int base_task = AddBaseTask(&dag, *steps[k].child, &bases[k]);
     prev = dag.AddTask(
-        "join[b" + std::to_string(chain[k]->id) + "]", {prev, base_task},
-        [&, k, hints](NraStats* s, QueryProfile* p) {
-          return OuterJoinChild(*chain[k], hints, &rel, &bases[k], s, p);
+        "join[b" + std::to_string(steps[k].child->id) + "]",
+        {prev, base_task}, [&, k](NraStats* s, QueryProfile* p) {
+          return OuterJoinChild(steps[k], &rel, &bases[k], s, p);
         });
   }
   // Bottom-up phase: single sort + single streaming pass over all levels.
@@ -456,82 +419,47 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
       "fused-finish", {prev}, [&](NraStats* s, QueryProfile* p) -> Status {
         const auto t0 = Clock::now();
         std::vector<FusedLevelSpec> levels;
-        std::vector<std::string> prefix;
-        for (int k = 0; k + 1 < n; ++k) {
-          for (const std::string& a : chain[k]->carried) {
-            prefix.push_back(a);
-          }
+        for (const PlanStep& step : steps) {
           FusedLevelSpec spec;
-          spec.nesting_attrs = prefix;
-          spec.pred = PredFor(*chain[k + 1], /*group=*/"");
-          spec.mode = k == 0 ? SelectionMode::kStrict : SelectionMode::kPseudo;
+          spec.nesting_attrs = step.nesting_attrs;
+          spec.pred = PredFor(*step.child, /*group=*/"");
+          spec.mode = step.mode;
           levels.push_back(std::move(spec));
         }
         NESTRA_ASSIGN_OR_RETURN(
             Table reduced, FusedNestSelect(std::move(rel), std::move(levels),
                                            "fused nest+select", p));
         s->nest_select_seconds += Seconds(t0);
-        NESTRA_ASSIGN_OR_RETURN(out,
-                                FinishRoot(*chain[0], std::move(reduced), p));
+        NESTRA_ASSIGN_OR_RETURN(out, FinishRoot(root, std::move(reduced), p));
         return Status::OK();
       });
   NESTRA_RETURN_NOT_OK(dag.Run(num_threads_, stats, profile));
   return out;
 }
 
-Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
-    const std::vector<const QueryBlock*>& chain, NraStats* stats,
-    QueryProfile* profile) {
-  const int n = static_cast<int>(chain.size());
+Result<Table> NraExecutor::ExecuteBottomUpLinearDag(const PhysicalPlan& plan,
+                                                    const QueryBlock& root,
+                                                    NraStats* stats,
+                                                    QueryProfile* profile) {
+  // One step per level, innermost first.
+  const std::vector<PlanStep>& steps = plan.steps;
   StageDag dag;
-  std::vector<Table> bases(static_cast<size_t>(n));
+  std::vector<Table> bases(steps.size());
   Table cur;
   Table out;
 
   // Same independence structure as the fused shape: all base evaluations
   // fan out, the bottom-up reduction chain consumes them leaf to root.
-  int prev = AddBaseTask(&dag, *chain[n - 1], &cur);
-  for (int k = n - 2; k >= 0; --k) {
-    const int base_task = AddBaseTask(&dag, *chain[k], &bases[k]);
+  int prev = AddBaseTask(&dag, *steps.front().child, &cur);
+  for (size_t k = 0; k < steps.size(); ++k) {
+    const int base_task = AddBaseTask(&dag, *steps[k].parent, &bases[k]);
     prev = dag.AddTask(
-        "reduce[b" + std::to_string(chain[k + 1]->id) + "]",
+        "reduce[b" + std::to_string(steps[k].child->id) + "]",
         {prev, base_task}, [&, k](NraStats* s, QueryProfile* p) -> Status {
-          const QueryBlock& outer = *chain[k];
-          const QueryBlock& child = *chain[k + 1];
-          Table outer_base = std::move(bases[k]);
-          // In the bottom-up order only (outer, child) tuples exist when the
-          // linking predicate is computed, so the strict selection is always
-          // sound: a dropped outer tuple would fail anyway, and padding for
-          // an empty child set still happens via the outer join. Whether the
-          // level runs as a pushed-down hash link-select needs both
-          // materialized schemas, so the decision lives inside the task.
-          std::vector<std::string> okeys, ikeys;
-          if (AllEquiCorrelation(child, outer_base.schema(), cur.schema(),
-                                 &okeys, &ikeys)) {
-            NESTRA_RETURN_NOT_OK(LinkSelect(std::move(outer_base), cur, okeys,
-                                            ikeys, child,
-                                            SelectionMode::kStrict, {}, &cur,
-                                            s, p));
-          } else {
-            auto t0 = Clock::now();
-            NESTRA_ASSIGN_OR_RETURN(
-                Table joined,
-                JoinWithChild(std::move(outer_base), std::move(cur), child,
-                              JoinType::kLeftOuter,
-                              /*extra_condition=*/nullptr, num_threads_, p,
-                              options_.vectorized));
-            s->join_seconds += Seconds(t0);
-            s->intermediate_rows =
-                std::max(s->intermediate_rows, joined.num_rows());
-            t0 = Clock::now();
-            NESTRA_RETURN_NOT_OK(NestThenSelect(joined, outer.carried, child,
-                                                SelectionMode::kStrict, {},
-                                                &cur, p));
-            s->nest_select_seconds += Seconds(t0);
-          }
-          if (k == 0) {
-            NESTRA_ASSIGN_OR_RETURN(out,
-                                    FinishRoot(*chain[0], std::move(cur), p));
+          NESTRA_RETURN_NOT_OK(
+              ReduceChild(steps[k], &bases[k], &cur, &cur, s, p));
+          if (k + 1 == steps.size()) {
+            NESTRA_ASSIGN_OR_RETURN(out, FinishRoot(root, std::move(cur), p));
           }
           return Status::OK();
         });
@@ -552,12 +480,12 @@ int NraExecutor::AddBaseTask(StageDag* dag, const QueryBlock& block,
       });
 }
 
-Status NraExecutor::OuterJoinChild(const QueryBlock& child,
-                                   const JoinBuildHints& hints, Table* rel,
+Status NraExecutor::OuterJoinChild(const PlanStep& step, Table* rel,
                                    Table* base, NraStats* stats,
                                    QueryProfile* profile) {
+  const QueryBlock& child = *step.child;
   const auto t0 = Clock::now();
-  if (options_.magic_restriction) {
+  if (step.magic) {
     StageTimer magic_timer(profile, QueryPhase::kUnnestJoin,
                            "magic[b" + std::to_string(child.id) + "]");
     NESTRA_ASSIGN_OR_RETURN(*base,
@@ -568,7 +496,8 @@ Status NraExecutor::OuterJoinChild(const QueryBlock& child,
   NESTRA_ASSIGN_OR_RETURN(
       *rel, JoinWithChild(std::move(*rel), std::move(*base), child,
                           JoinType::kLeftOuter, /*extra_condition=*/nullptr,
-                          num_threads_, profile, options_.vectorized, hints));
+                          num_threads_, profile, options_.vectorized,
+                          step.hints));
   stats->join_seconds += Seconds(t0);
   stats->intermediate_rows =
       std::max(stats->intermediate_rows, rel->num_rows());
@@ -578,41 +507,19 @@ Status NraExecutor::OuterJoinChild(const QueryBlock& child,
 Status NraExecutor::LinkSelect(Table outer, const Table& inner,
                                const std::vector<std::string>& outer_keys,
                                const std::vector<std::string>& inner_keys,
-                               const QueryBlock& child, SelectionMode mode,
-                               const std::vector<std::string>& pad_attrs,
-                               Table* out, NraStats* stats,
-                               QueryProfile* profile) {
+                               const PlanStep& step, Table* out,
+                               NraStats* stats, QueryProfile* profile) {
   const auto t0 = Clock::now();
   StageTimer link_timer(profile, QueryPhase::kLinkingSelection,
-                        "link-select[b" + std::to_string(child.id) + "]");
+                        "link-select[b" + std::to_string(step.child->id) +
+                            "]");
   NESTRA_ASSIGN_OR_RETURN(
       *out, HashLinkSelect(std::move(outer), inner, outer_keys, inner_keys,
-                           child, mode, pad_attrs, num_threads_));
+                           *step.child, step.mode, step.pad_attrs,
+                           num_threads_));
   NESTRA_RETURN_NOT_OK(FoldStageMem(&link_timer, TableBytes(*out)));
   link_timer.Finish(out->num_rows());
   stats->nest_select_seconds += Seconds(t0);
-  return Status::OK();
-}
-
-Status NraExecutor::NestThenSelect(const Table& rel,
-                                   const std::vector<std::string>& nest_by,
-                                   const QueryBlock& child, SelectionMode mode,
-                                   const std::vector<std::string>& pad_attrs,
-                                   Table* out, QueryProfile* profile) {
-  const std::string bid = std::to_string(child.id);
-  StageTimer nest_timer(profile, QueryPhase::kNest, "nest[b" + bid + "]");
-  NESTRA_ASSIGN_OR_RETURN(
-      NestedRelation nested,
-      Nest(rel, nest_by, NestedAttrsFor(child), "g", options_.nest_method,
-           num_threads_));
-  NESTRA_RETURN_NOT_OK(FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
-  nest_timer.Finish(nested.num_tuples());
-  StageTimer select_timer(profile, QueryPhase::kLinkingSelection,
-                          "select[b" + bid + "]");
-  NESTRA_ASSIGN_OR_RETURN(
-      *out, LinkingSelect(nested, PredFor(child, "g"), mode, pad_attrs));
-  NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(*out)));
-  select_timer.Finish(out->num_rows());
   return Status::OK();
 }
 
@@ -634,71 +541,83 @@ Result<Table> NraExecutor::FusedNestSelect(Table rel,
                          profile, options_.vectorized);
 }
 
-Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
-                                    const QueryBlock& child,
-                                    const std::vector<std::string>& retained,
-                                    SelectionMode mode, Table* rel,
-                                    NraStats* stats, QueryProfile* profile) {
+Status NraExecutor::ApplyNestSelect(const PlanStep& step, Table* rel,
+                                    Table* out, NraStats* stats,
+                                    QueryProfile* profile) {
   const auto t0 = Clock::now();
+  const QueryBlock& child = *step.child;
   const std::string bid = std::to_string(child.id);
-  if (options_.fused) {
+  if (step.fused) {
     FusedLevelSpec spec;
-    spec.nesting_attrs = retained;
+    spec.nesting_attrs = step.nesting_attrs;
     spec.pred = PredFor(child, /*group=*/"");
-    spec.mode = mode;
-    spec.pad_attrs = node.carried;
+    spec.mode = step.mode;
+    spec.pad_attrs = step.pad_attrs;
     std::vector<FusedLevelSpec> levels;
     levels.push_back(std::move(spec));
-    NESTRA_ASSIGN_OR_RETURN(*rel, FusedNestSelect(std::move(*rel),
+    NESTRA_ASSIGN_OR_RETURN(*out, FusedNestSelect(std::move(*rel),
                                                   std::move(levels),
                                                   "fused[b" + bid + "]",
                                                   profile));
   } else {
+    StageTimer nest_timer(profile, QueryPhase::kNest, "nest[b" + bid + "]");
+    NESTRA_ASSIGN_OR_RETURN(
+        NestedRelation nested,
+        Nest(*rel, step.nesting_attrs, step.nested_attrs, "g",
+             options_.nest_method, num_threads_));
     NESTRA_RETURN_NOT_OK(
-        NestThenSelect(*rel, retained, child, mode, node.carried, rel,
-                       profile));
+        FoldStageMem(&nest_timer, NestedRelationBytes(nested)));
+    nest_timer.Finish(nested.num_tuples());
+    StageTimer select_timer(profile, QueryPhase::kLinkingSelection,
+                            "select[b" + bid + "]");
+    NESTRA_ASSIGN_OR_RETURN(*out, LinkingSelect(nested, PredFor(child, "g"),
+                                                step.mode, step.pad_attrs));
+    NESTRA_RETURN_NOT_OK(FoldStageMem(&select_timer, TableBytes(*out)));
+    select_timer.Finish(out->num_rows());
   }
   stats->nest_select_seconds += Seconds(t0);
   return Status::OK();
 }
 
-int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
-                                     std::vector<const QueryBlock*>* path,
-                                     const std::vector<std::string>& retained,
-                                     int prev, Table* rel,
-                                     std::deque<Table>* bases) {
+Status NraExecutor::ReduceChild(const PlanStep& step, Table* outer,
+                                Table* inner, Table* out, NraStats* stats,
+                                QueryProfile* profile) {
+  // §4.2.4 push-down needs both materialized schemas to split the
+  // correlation into key lists, so that one check stays in the task.
+  std::vector<std::string> okeys, ikeys;
+  if (step.push_down && AllEquiCorrelation(*step.child, outer->schema(),
+                                           inner->schema(), &okeys, &ikeys)) {
+    return LinkSelect(std::move(*outer), *inner, okeys, ikeys, step, out,
+                      stats, profile);
+  }
+  // The join result lives only as long as this call.
+  Table joined = std::move(*outer);
+  NESTRA_RETURN_NOT_OK(OuterJoinChild(step, &joined, inner, stats, profile));
+  return ApplyNestSelect(step, &joined, out, stats, profile);
+}
+
+int NraExecutor::BuildComputeTaskDag(StageDag* dag, const PhysicalPlan& plan,
+                                     const QueryBlock& node, int prev,
+                                     Table* rel, std::deque<Table>* bases) {
   for (const auto& child_ptr : node.children) {
     const QueryBlock& child = *child_ptr;
+    const PlanStep* step = plan.StepFor(child);
+    NESTRA_CHECK(step != nullptr);
     const std::string bid = std::to_string(child.id);
     Table* base = &bases->emplace_back();
     const int base_task = AddBaseTask(dag, child, base);
 
-    // Everything but AllEquiCorrelation (which needs materialized schemas)
-    // is a function of the plan and catalog alone, so the branch ladder
-    // below resolves while *building* the DAG; `path` holds the block chain
-    // root..node. Cost decisions (join strategy, rewrite gates) are
-    // plan+catalog functions too, so they resolve here and are captured by
-    // value — the borrowed `path` vector is only valid during construction.
-    const bool strict_safe = StrictSafe(*path);
-    const SelectionMode mode =
-        strict_safe ? SelectionMode::kStrict : SelectionMode::kPseudo;
-    const JoinBuildHints hints =
-        JoinStrategyFor(child, *path, catalog_, options_);
-
-    // §4.2.5: a positive leaf link runs as a semijoin when dropping is safe
-    // (flag-forced, or cost-gated when the estimated join intermediate is
-    // large). Proven-2VL: a negative leaf link whose member comparison can
-    // never go UNKNOWN (or NOT EXISTS, which has none) runs as a plain
-    // antijoin — bit-identical to nest + pseudo-selection because the path
-    // is strict-safe and no member comparison can be UNKNOWN.
-    const bool semijoin =
-        TakesSemijoinRewrite(child, *path, strict_safe, catalog_, options_);
-    if (semijoin || TakesTwoValuedAntijoin(child, *path, catalog_, options_)) {
+    // §4.2.5 semijoin or proven-2VL antijoin: the join alone evaluates the
+    // link, no nest at all.
+    if (step->kind == PlanStepKind::kSemijoin ||
+        step->kind == PlanStepKind::kAntijoin) {
+      const bool semijoin = step->kind == PlanStepKind::kSemijoin;
       prev = dag->AddTask(
           (semijoin ? "semijoin[b" : "antijoin[b") + bid + "]",
           {prev, base_task},
-          [this, &child, rel, base, hints,
-           semijoin](NraStats* s, QueryProfile* p) -> Status {
+          [this, step, rel, base, semijoin](NraStats* s,
+                                            QueryProfile* p) -> Status {
+            const QueryBlock& child = *step->child;
             NESTRA_ASSIGN_OR_RETURN(ExprPtr extra,
                                     semijoin ? PositiveLinkJoinCondition(child)
                                              : AntiLinkJoinCondition(child));
@@ -708,50 +627,33 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
                                     semijoin ? JoinType::kLeftSemi
                                              : JoinType::kLeftAnti,
                                     std::move(extra), num_threads_, p,
-                                    options_.vectorized, hints));
+                                    options_.vectorized, step->hints));
             s->join_seconds += Seconds(t0);
             return Status::OK();
           });
       continue;
     }
 
-    // Non-correlated leaf subquery: the paper's "virtual Cartesian
-    // product" — the subquery executes once and its (single, shared) value
-    // set is tested against every outer tuple, instead of materializing an
-    // actual cross join. HashLinkSelect with an empty key list is exactly
-    // that: one group holding the whole subquery result.
-    if (child.IsLeaf() && child.correlated_preds.empty()) {
+    // Virtual Cartesian product: the subquery executes once and its (single,
+    // shared) value set is tested against every outer tuple, instead of
+    // materializing an actual cross join. HashLinkSelect with an empty key
+    // list is exactly that: one group holding the whole subquery result.
+    if (step->kind == PlanStepKind::kHashLinkSelect && !step->push_down) {
       prev = dag->AddTask(
           "link-select[b" + bid + "]", {prev, base_task},
-          [this, &child, &node, rel, base,
-           mode](NraStats* s, QueryProfile* p) -> Status {
+          [this, step, rel, base](NraStats* s, QueryProfile* p) -> Status {
             return LinkSelect(std::move(*rel), *base, /*outer_keys=*/{},
-                              /*inner_keys=*/{}, child, mode, node.carried,
-                              rel, s, p);
+                              /*inner_keys=*/{}, *step, rel, s, p);
           });
       continue;
     }
 
+    // A leaf taking neither rewrite: one combined task.
     if (child.IsLeaf()) {
-      // One combined task for a leaf taking neither rewrite: §4.2.4
-      // push-down versus join+nest+select is the single run-time decision
-      // (AllEquiCorrelation needs materialized schemas); whether push-down
-      // is even on the table is decided here at build time.
-      const bool take_push_down =
-          TakesNestPushDown(child, *path, catalog_, options_);
       prev = dag->AddTask(
           "reduce[b" + bid + "]", {prev, base_task},
-          [this, &child, &node, rel, base, mode, retained, take_push_down,
-           hints](NraStats* s, QueryProfile* p) -> Status {
-            std::vector<std::string> okeys, ikeys;
-            if (take_push_down &&
-                AllEquiCorrelation(child, rel->schema(), base->schema(),
-                                   &okeys, &ikeys)) {
-              return LinkSelect(std::move(*rel), *base, okeys, ikeys, child,
-                                mode, node.carried, rel, s, p);
-            }
-            NESTRA_RETURN_NOT_OK(OuterJoinChild(child, hints, rel, base, s, p));
-            return ApplyNestSelect(node, child, retained, mode, rel, s, p);
+          [this, step, rel, base](NraStats* s, QueryProfile* p) {
+            return ReduceChild(*step, rel, base, rel, s, p);
           });
       continue;
     }
@@ -761,30 +663,21 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
     // the linking selection, padding `node`'s attributes in pseudo mode).
     prev = dag->AddTask(
         "join[b" + bid + "]", {prev, base_task},
-        [this, &child, rel, base, hints](NraStats* s, QueryProfile* p) {
-          return OuterJoinChild(child, hints, rel, base, s, p);
+        [this, step, rel, base](NraStats* s, QueryProfile* p) {
+          return OuterJoinChild(*step, rel, base, s, p);
         });
-
-    std::vector<std::string> retained_child = retained;
-    for (const std::string& a : child.carried) {
-      retained_child.push_back(a);
-    }
-    path->push_back(&child);
-    prev = BuildComputeTaskDag(dag, child, path, retained_child, prev, rel,
-                               bases);
-    path->pop_back();
-
+    prev = BuildComputeTaskDag(dag, plan, child, prev, rel, bases);
     prev = dag->AddTask(
         "nest[b" + bid + "]", {prev},
-        [this, &child, &node, rel, mode, retained](NraStats* s,
-                                                   QueryProfile* p) {
-          return ApplyNestSelect(node, child, retained, mode, rel, s, p);
+        [this, step, rel](NraStats* s, QueryProfile* p) {
+          return ApplyNestSelect(*step, rel, rel, s, p);
         });
   }
   return prev;
 }
 
-Result<Table> NraExecutor::ExecuteRecursiveDag(const QueryBlock& root,
+Result<Table> NraExecutor::ExecuteRecursiveDag(const PhysicalPlan& plan,
+                                               const QueryBlock& root,
                                                NraStats* stats,
                                                QueryProfile* profile) {
   StageDag dag;
@@ -795,9 +688,8 @@ Result<Table> NraExecutor::ExecuteRecursiveDag(const QueryBlock& root,
   Table out;
 
   const int root_base = AddBaseTask(&dag, root, &rel);
-  std::vector<const QueryBlock*> path{&root};
-  const int last = BuildComputeTaskDag(&dag, root, &path, root.carried,
-                                       root_base, &rel, &bases);
+  const int last =
+      BuildComputeTaskDag(&dag, plan, root, root_base, &rel, &bases);
   dag.AddTask("finish", {last},
               [&](NraStats* /*s*/, QueryProfile* p) -> Status {
                 NESTRA_ASSIGN_OR_RETURN(out,

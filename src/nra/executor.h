@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "exec/join_hints.h"
-#include "nested/linking_selection.h"
 #include "nra/options.h"
 #include "plan/query_block.h"
 #include "storage/catalog.h"
@@ -17,6 +15,8 @@ namespace nestra {
 class QueryProfile;
 class StageDag;
 struct FusedLevelSpec;
+struct PhysicalPlan;
+struct PlanStep;
 
 /// \brief The nested relational approach (Algorithm 1) with the paper's
 /// optimizations, selected through NraOptions:
@@ -72,38 +72,37 @@ class NraExecutor {
   /// base-table evaluations of different blocks, most importantly — run
   /// concurrently on the shared pool. Results, the merged profile and
   /// NraStats' deterministic fields are identical to the one-thread inline
-  /// run, which executes the tasks in creation order.
-  Result<Table> ExecuteFusedLinearDag(
-      const std::vector<const QueryBlock*>& chain, NraStats* stats,
-      QueryProfile* profile);
-  Result<Table> ExecuteBottomUpLinearDag(
-      const std::vector<const QueryBlock*>& chain, NraStats* stats,
-      QueryProfile* profile);
-  Result<Table> ExecuteRecursiveDag(const QueryBlock& root, NraStats* stats,
+  /// run, which executes the tasks in creation order. Each builder reads
+  /// the decisions of `plan` (BuildPhysicalPlan) and makes none of its own.
+  Result<Table> ExecuteFusedLinearDag(const PhysicalPlan& plan,
+                                      const QueryBlock& root, NraStats* stats,
+                                      QueryProfile* profile);
+  Result<Table> ExecuteBottomUpLinearDag(const PhysicalPlan& plan,
+                                         const QueryBlock& root,
+                                         NraStats* stats,
+                                         QueryProfile* profile);
+  Result<Table> ExecuteRecursiveDag(const PhysicalPlan& plan,
+                                    const QueryBlock& root, NraStats* stats,
                                     QueryProfile* profile);
 
   /// Recursive DAG builder behind ExecuteRecursiveDag (Algorithm 1 over a
   /// tree query): appends the tasks for `node`'s children to `dag`
-  /// and returns the id of the last transform task. `retained` lists the
-  /// carried attributes of blocks root..node; `path` is the block chain
-  /// root..node for strict/pseudo decisions. `prev` is the task producing
-  /// the incoming `rel`; `bases` owns the per-block base tables (deque:
-  /// stable addresses across emplace_back).
-  int BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
-                          std::vector<const QueryBlock*>* path,
-                          const std::vector<std::string>& retained, int prev,
-                          Table* rel, std::deque<Table>* bases);
+  /// and returns the id of the last transform task. `prev` is the task
+  /// producing the incoming `rel`; `bases` owns the per-block base tables
+  /// (deque: stable addresses across emplace_back).
+  int BuildComputeTaskDag(StageDag* dag, const PhysicalPlan& plan,
+                          const QueryBlock& node, int prev, Table* rel,
+                          std::deque<Table>* bases);
 
   /// Adds the task `base[b<id>]` evaluating `block`'s base table into
   /// `*out`, and returns its id.
   int AddBaseTask(StageDag* dag, const QueryBlock& block, Table* out);
 
   /// The "way down" of Algorithm 1 for one child link: the optional magic
-  /// restriction of `*base` (options_.magic_restriction), then the
-  /// left-outer join of `*rel` with it, into `*rel`.
-  Status OuterJoinChild(const QueryBlock& child, const JoinBuildHints& hints,
-                        Table* rel, Table* base, NraStats* stats,
-                        QueryProfile* profile);
+  /// restriction of `*base`, then the left-outer join of `*rel` with it,
+  /// into `*rel`.
+  Status OuterJoinChild(const PlanStep& step, Table* rel, Table* base,
+                        NraStats* stats, QueryProfile* profile);
 
   /// One `link-select[b<child>]` stage: HashLinkSelect of `outer` against
   /// `inner` on the key columns (none: the virtual Cartesian product),
@@ -111,18 +110,8 @@ class NraExecutor {
   Status LinkSelect(Table outer, const Table& inner,
                     const std::vector<std::string>& outer_keys,
                     const std::vector<std::string>& inner_keys,
-                    const QueryBlock& child, SelectionMode mode,
-                    const std::vector<std::string>& pad_attrs, Table* out,
-                    NraStats* stats, QueryProfile* profile);
-
-  /// The unfused "way up" for one child link: the stage `nest[b<child>]`
-  /// nests `rel` by `nest_by`, then `select[b<child>]` applies the linking
-  /// selection in `mode` (padding `pad_attrs`), into `*out`.
-  Status NestThenSelect(const Table& rel,
-                        const std::vector<std::string>& nest_by,
-                        const QueryBlock& child, SelectionMode mode,
-                        const std::vector<std::string>& pad_attrs, Table* out,
-                        QueryProfile* profile);
+                    const PlanStep& step, Table* out, NraStats* stats,
+                    QueryProfile* profile);
 
   /// Sorts `rel` by the last level's nesting attributes and runs the fused
   /// nest+linking selection over `levels` as the stage `label`.
@@ -130,13 +119,19 @@ class NraExecutor {
                                 const std::string& label,
                                 QueryProfile* profile);
 
-  /// The "way up" of Algorithm 1 for one child link: nest `*rel` by
-  /// `retained` and apply the linking selection (one fused pass when
-  /// options_.fused), padding `node`'s carried attributes in pseudo mode.
-  Status ApplyNestSelect(const QueryBlock& node, const QueryBlock& child,
-                         const std::vector<std::string>& retained,
-                         SelectionMode mode, Table* rel, NraStats* stats,
-                         QueryProfile* profile);
+  /// The "way up" of Algorithm 1 for one child link: nest `*rel` and apply
+  /// the linking selection into `*out` — one fused pass (`fused[b<child>]`)
+  /// or the stages `nest[b<child>]` and `select[b<child>]`.
+  Status ApplyNestSelect(const PlanStep& step, Table* rel, Table* out,
+                         NraStats* stats, QueryProfile* profile);
+
+  /// One `reduce[b<child>]` task, for a leaf link of the recursive route and
+  /// for every level of the bottom-up route: the §4.2.4 hash link-select of
+  /// `*outer` against `*inner` when the step is a push-down candidate and
+  /// the correlation splits over their schemas, otherwise the outer join
+  /// plus nest and selection. The result goes to `*out`.
+  Status ReduceChild(const PlanStep& step, Table* outer, Table* inner,
+                     Table* out, NraStats* stats, QueryProfile* profile);
 
   /// T_i of `block` under the executor's engine options, projected onto
   /// the block's carried columns.

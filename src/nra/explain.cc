@@ -3,12 +3,9 @@
 #include <sstream>
 
 #include "baseline/native_optimizer.h"
-#include "exec/join_hints.h"
-#include "nra/cost.h"
 #include "nra/executor.h"
-#include "nra/planner.h"
+#include "nra/physical_plan.h"
 #include "nra/profile.h"
-#include "nra/rewrites.h"
 #include "plan/binder.h"
 #include "plan/tree_expr.h"
 #include "verify/properties.h"
@@ -18,67 +15,48 @@ namespace nestra {
 
 namespace {
 
-// Column-name-level check of the §4.2.4 precondition (the executor's
-// AllEquiCorrelation needs materialized schemas; for EXPLAIN a structural
-// test on the predicate shapes suffices and matches the executor because
-// binding already validated the column sides).
-bool LooksEquiCorrelated(const QueryBlock& child) {
-  if (child.correlated_preds.empty()) return false;
-  for (const ExprPtr& p : child.correlated_preds) {
-    const auto* cmp = dynamic_cast<const Comparison*>(p.get());
-    if (cmp == nullptr || cmp->op() != CmpOp::kEq) return false;
-    if (dynamic_cast<const ColumnRef*>(&cmp->lhs()) == nullptr) return false;
-    if (dynamic_cast<const ColumnRef*>(&cmp->rhs()) == nullptr) return false;
-  }
-  return true;
-}
-
 // Human-readable suffix for a cost-chosen hash-join strategy; empty for the
-// default plan so pre-stats EXPLAIN output is unchanged. Computed through
-// the same JoinStrategyFor the executor passes to JoinWithChild.
+// default plan so pre-stats EXPLAIN output is unchanged.
 std::string JoinStrategySuffix(const JoinBuildHints& hints) {
   return hints.perfect ? ", perfect dense-array hash" : "";
 }
 
-void ExplainNode(const QueryBlock& node, const Catalog& catalog,
-                 const NraOptions& options,
-                 std::vector<const QueryBlock*>* path, int indent,
-                 std::ostringstream* oss) {
+const char* ModeName(SelectionMode mode) {
+  return mode == SelectionMode::kStrict ? "strict" : "pseudo";
+}
+
+// Preorder render of the recursive route's steps: each child link of `node`
+// one line, a nest-bearing link followed by its own children's lines.
+void ExplainSteps(const PhysicalPlan& plan, const QueryBlock& node, int indent,
+                  std::ostringstream* oss) {
   const std::string pad(static_cast<size_t>(indent) * 2, ' ');
   for (const auto& child_ptr : node.children) {
     const QueryBlock& child = *child_ptr;
-    const bool strict_safe = StrictSafe(*path);
-    const char* mode = strict_safe ? "strict" : "pseudo";
-
-    // The shared predicates (nra/cost.h, nra/rewrites.h) keep every branch
-    // here in lockstep with NraExecutor and PlanVerifier::OutlineNode.
-    const std::string strategy =
-        JoinStrategySuffix(JoinStrategyFor(child, *path, catalog, options));
+    const PlanStep* step = plan.StepFor(child);
+    if (step == nullptr) continue;
     *oss << pad << "- link " << LinkingLabel(child) << ": ";
-    if (TakesSemijoinRewrite(child, *path, strict_safe, catalog, options)) {
-      *oss << "semijoin rewrite (4.2.5)" << strategy << "\n";
-      continue;
+    switch (step->kind) {
+      case PlanStepKind::kSemijoin:
+        *oss << "semijoin rewrite (4.2.5)" << JoinStrategySuffix(step->hints)
+             << "\n";
+        break;
+      case PlanStepKind::kAntijoin:
+        *oss << "two-valued antijoin (proven non-NULL member comparison)"
+             << JoinStrategySuffix(step->hints) << "\n";
+        break;
+      case PlanStepKind::kHashLinkSelect:
+        *oss << (step->push_down ? "nest pushed below join (4.2.4), "
+                                 : "virtual Cartesian product, ")
+             << ModeName(step->mode) << " selection\n";
+        break;
+      case PlanStepKind::kNestSelect:
+        *oss << "left outer hash join on correlation"
+             << JoinStrategySuffix(step->hints) << ", "
+             << (step->fused ? "fused nest+select" : "nest then select")
+             << ", " << ModeName(step->mode) << " mode\n";
+        ExplainSteps(plan, child, indent + 1, oss);
+        break;
     }
-    if (TakesTwoValuedAntijoin(child, *path, catalog, options)) {
-      *oss << "two-valued antijoin (proven non-NULL member comparison)"
-           << strategy << "\n";
-      continue;
-    }
-    if (child.IsLeaf() && child.correlated_preds.empty()) {
-      *oss << "virtual Cartesian product, " << mode << " selection\n";
-      continue;
-    }
-    if (TakesNestPushDown(child, *path, catalog, options) &&
-        LooksEquiCorrelated(child)) {
-      *oss << "nest pushed below join (4.2.4), " << mode << " selection\n";
-      continue;
-    }
-    *oss << "left outer hash join on correlation" << strategy << ", "
-         << (options.fused ? "fused nest+select" : "nest then select")
-         << ", " << mode << " mode\n";
-    path->push_back(&child);
-    ExplainNode(child, catalog, options, path, indent + 1, oss);
-    path->pop_back();
   }
 }
 
@@ -110,6 +88,18 @@ void ExplainProperties(const QueryBlock& node, const PropertyAnalyzer& analyzer,
   path->pop_back();
 }
 
+// The plan-verification report over `plan`.
+void ExplainVerification(const QueryBlock& root, const Catalog& catalog,
+                         const PhysicalPlan& plan, std::ostringstream* oss) {
+  const VerifyReport report = PlanVerifier(catalog).Verify(root, plan);
+  *oss << "=== Plan verification ===\n" << report.Summary() << "\n";
+  if (report.clean()) {
+    *oss << "clean (0 diagnostics)\n";
+  } else {
+    *oss << report.ToString();
+  }
+}
+
 }  // namespace
 
 std::string ExplainQuery(const QueryBlock& root, const Catalog& catalog,
@@ -129,59 +119,29 @@ std::string ExplainQuery(const QueryBlock& root, const Catalog& catalog,
     oss << "execution: morsel-parallel (num_threads=" << options.num_threads
         << ")\n";
   }
-  if (root.children.empty()) {
-    oss << "flat query: scan + filter + project\n";
-  } else if (options.bottom_up_linear && root.IsLinearCorrelated()) {
-    oss << "bottom-up linear-correlated pipeline (4.2.3): each level "
-           "reduces before joining upward; strict selections throughout\n";
-  } else {
-    bool fused_whole_chain = false;
-    if (options.fused && root.IsLinear() && !options.push_down_nest &&
-        !options.rewrite_positive) {
-      const Result<std::vector<const QueryBlock*>> chain = LinearChain(root);
-      if (chain.ok()) {
-        fused_whole_chain = true;
-        for (size_t i = 1; i < chain->size(); ++i) {
-          fused_whole_chain =
-              fused_whole_chain && !(*chain)[i]->correlated_preds.empty();
-        }
-        // The executor's fused-pipeline bypass, via the shared predicate: a
-        // chain whose leaf link runs as a proven two-valued antijoin takes
-        // the recursive route instead of the single-sort pipeline.
-        if (fused_whole_chain &&
-            FusedChainBypassesTwoValued(*chain, catalog, options)) {
-          fused_whole_chain = false;
-        }
-        // Same for a cost-gated §4.2.5/§4.2.4 rewrite on the chain's leaf.
-        if (fused_whole_chain &&
-            FusedChainBypassesForCost(*chain, catalog, options)) {
-          fused_whole_chain = false;
-        }
-      }
-    }
-    if (fused_whole_chain) {
+  const PhysicalPlan plan = BuildPhysicalPlan(root, catalog, options);
+  switch (plan.route) {
+    case PlanRoute::kFlat:
+      oss << "flat query: scan + filter + project\n";
+      break;
+    case PlanRoute::kBottomUpLinear:
+      oss << "bottom-up linear-correlated pipeline (4.2.3): each level "
+             "reduces before joining upward; strict selections throughout\n";
+      break;
+    case PlanRoute::kFusedChain:
       oss << "single-sort fused pipeline (4.2.1 + 4.2.2): one wide outer "
              "join, one sort, one streaming pass over all "
-          << (root.NumBlocks() - 1) << " linking predicate(s)\n";
-      std::vector<const QueryBlock*> path{&root};
-      const QueryBlock* node = &root;
-      while (!node->children.empty()) {
-        const QueryBlock& child = *node->children[0];
-        // Same build-time hints ExecuteFusedLinearDag passes to JoinWithChild
-        // at this level (path = the chain prefix above the child).
-        oss << "  - level: " << LinkingLabel(child) << " ("
-            << (StrictSafe(path) ? "strict" : "pseudo") << ")"
-            << JoinStrategySuffix(
-                   JoinStrategyFor(child, path, catalog, options))
-            << "\n";
-        path.push_back(&child);
-        node = &child;
+          << plan.steps.size() << " linking predicate(s)\n";
+      for (const PlanStep& step : plan.steps) {
+        oss << "  - level: " << LinkingLabel(*step.child) << " ("
+            << (step.strict_safe ? "strict" : "pseudo") << ")"
+            << JoinStrategySuffix(step.hints) << "\n";
       }
-    } else {
+      break;
+    case PlanRoute::kRecursive:
       oss << "recursive Algorithm 1:\n";
-      std::vector<const QueryBlock*> path{&root};
-      ExplainNode(root, catalog, options, &path, 1, &oss);
-    }
+      ExplainSteps(plan, root, 1, &oss);
+      break;
   }
   if (!root.order_by.empty() || root.limit >= 0 || root.distinct ||
       root.IsGrouped()) {
@@ -206,14 +166,7 @@ std::string ExplainQuery(const QueryBlock& root, const Catalog& catalog,
     ExplainProperties(root, analyzer, &path, &oss);
   }
 
-  const PlanVerifier verifier(catalog, options);
-  const VerifyReport report = verifier.Verify(root);
-  oss << "=== Plan verification ===\n" << report.Summary() << "\n";
-  if (report.clean()) {
-    oss << "clean (0 diagnostics)\n";
-  } else {
-    oss << report.ToString();
-  }
+  ExplainVerification(root, catalog, plan, &oss);
   return oss.str();
 }
 
@@ -226,14 +179,8 @@ std::string ExplainVerifyQuery(const QueryBlock& root, const Catalog& catalog,
     std::vector<const QueryBlock*> path;
     ExplainProperties(root, analyzer, &path, &oss);
   }
-  const PlanVerifier verifier(catalog, options);
-  const VerifyReport report = verifier.Verify(root);
-  oss << "=== Plan verification ===\n" << report.Summary() << "\n";
-  if (report.clean()) {
-    oss << "clean (0 diagnostics)\n";
-  } else {
-    oss << report.ToString();
-  }
+  ExplainVerification(root, catalog,
+                      BuildPhysicalPlan(root, catalog, options), &oss);
   return oss.str();
 }
 

@@ -74,10 +74,10 @@ struct NraOptions {
   /// the perfect (dense-array) hash join, zone-map morsel pruning on base
   /// scans, and cardinality-gated §4.2.5 / §4.2.4 rewrites (the explicit
   /// flags above stay as unconditional overrides).
-  /// Every decision routes through src/nra/cost.h so EXPLAIN, the verifier
-  /// outline, and the executor agree; results are bit-identical either way —
-  /// the gates only pick between semantics-preserving plans. Off = plan
-  /// purely from the flags, the pre-stats behaviour.
+  /// Every decision is made once, by BuildPhysicalPlan, and EXPLAIN, the
+  /// verifier and the executor read that plan; results are bit-identical
+  /// either way — the gates only pick between semantics-preserving plans.
+  /// Off = plan purely from the flags, the pre-stats behaviour.
   bool cost_based = true;
 
   /// Collect a per-operator QueryProfile (pass one to Execute*/ExplainAnalyze

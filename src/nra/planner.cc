@@ -14,8 +14,8 @@
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "expr/evaluator.h"
-#include "nra/cost.h"
 #include "nra/profile.h"
+#include "plan/stats/estimator.h"
 #include "storage/columnar_mirror.h"
 #include "storage/io_sim.h"
 #include "storage/table_stats.h"
@@ -23,10 +23,6 @@
 
 namespace nestra {
 
-namespace {
-
-// "base[o l]" — aliases (or table names) of the block, thread-count
-// independent so profile stage lists compare across runs.
 std::string BlockLabel(const QueryBlock& block) {
   std::string label = "base[";
   for (size_t i = 0; i < block.tables.size(); ++i) {
@@ -37,6 +33,8 @@ std::string BlockLabel(const QueryBlock& block) {
   label += ']';
   return label;
 }
+
+namespace {
 
 // One local-predicate conjunct usable for zone-map pruning: a column
 // compared to a numeric literal (normalized to `col op lit`), or an
@@ -404,7 +402,7 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
             key.rfind(ref.alias + ".", 0) == 0) {
           key = key.substr(ref.alias.size() + 1);
         }
-        hints = BaseJoinStrategyFor(catalog, ref, key, cost_based);
+        hints = ChoosesScanJoinStrategy(catalog, ref, key);
       }
       node = std::make_unique<HashJoinNode>(
           std::move(node), std::move(scan), JoinType::kInner,

@@ -22,6 +22,11 @@ class QueryProfile;
 /// of `num_threads`) with phase attribution and, where an operator tree
 /// ran, its stats snapshot.
 
+/// "base[o l]": the profile stage label of a block's base evaluation — the
+/// aliases (or table names) of its FROM tables, thread-count independent so
+/// profile stage lists compare across runs.
+std::string BlockLabel(const QueryBlock& block);
+
 /// Builds π_columns(σ_i(R_i)): scans the block's tables under their
 /// aliases, joins them on the local equality predicates (hash join;
 /// remaining local conjuncts become filters) and returns the materialized
@@ -75,8 +80,8 @@ Result<Table> ParallelFilterTable(
 ///    product" (a left outer cross join so an empty subquery still pads).
 /// `join_type` is kLeftOuter for the NRA pipeline, kLeftSemi / kLeftAnti for
 /// the rewrite and baseline plans. `hints` carries the cost-based physical
-/// strategy for the hash-join form (src/nra/cost.h JoinStrategyFor); the
-/// defaults reproduce the pre-stats plan exactly. With `vectorized` the
+/// strategy for the hash-join form (PlanStep::hints); the defaults
+/// reproduce the pre-stats plan exactly. With `vectorized` the
 /// hash join reads both inputs in place and its result is referenced
 /// (HashJoinNode::HandOffRefs): no cell of the joined relation is copied.
 Result<Table> JoinWithChild(Table rel, Table child_base,

@@ -98,9 +98,9 @@ class QueryProfile {
   int64_t peak_mem_bytes = 0;
   PoolStatsSnapshot pool;  // shared-pool usage delta across the whole query
 
-  // Planner row estimates keyed by stage label (EstimateStages), filled
-  // before execution so ToString/ToJson can print est vs. actual per stage.
-  // Labels with no stats-backed estimate are simply absent.
+  // Planner row estimates keyed by stage label (PhysicalPlan::estimates),
+  // filled before execution so ToString/ToJson can print est vs. actual per
+  // stage. Labels with no stats-backed estimate are simply absent.
   std::map<std::string, StageEstimate> estimates;
 
  private:

@@ -209,11 +209,4 @@ Result<Table> MagicRestrict(const Table& outer, Table child_base,
   return CollectTable(&semi);
 }
 
-bool StrictSafe(const std::vector<const QueryBlock*>& path) {
-  for (size_t i = 1; i < path.size(); ++i) {  // skip the root
-    if (!path[i]->LinkIsPositive()) return false;
-  }
-  return true;
-}
-
 }  // namespace nestra

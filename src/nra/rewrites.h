@@ -5,42 +5,10 @@
 #include <vector>
 
 #include "nested/linking_selection.h"
-#include "nra/options.h"
 #include "plan/query_block.h"
 #include "storage/catalog.h"
-#include "verify/properties.h"
 
 namespace nestra {
-
-/// \brief THE decision point for the proven-2VL antijoin rewrite: true when
-/// the executor runs `child`'s negative link as a plain antijoin instead of
-/// nest + pseudo-selection. Every consumer — NraExecutor,
-/// PlanVerifier::Outline, ExplainQuery — must call this one predicate so
-/// the executed plan, the verifier outline, and EXPLAIN can never disagree
-/// (tools/lint_engine_invariants.py rejects new direct
-/// NegativeLinkRunsTwoValued call sites outside this header; the verifier's
-/// CheckOutline keeps one as an independent re-validation). `path` lists the
-/// enclosing blocks, root first, ending at `child`'s parent.
-inline bool TakesTwoValuedAntijoin(const QueryBlock& child,
-                                   const std::vector<const QueryBlock*>& path,
-                                   const Catalog& catalog,
-                                   const NraOptions& options) {
-  return options.two_valued && NegativeLinkRunsTwoValued(child, path, catalog);
-}
-
-/// \brief The fused-chain bypass, in the same shared form: a linear chain
-/// whose leaf link takes the two-valued antijoin must route through the
-/// recursive path (the single-sort fused pipeline would push the same link
-/// through 3VL member handling). `chain` is the linear chain root-first;
-/// chains shorter than two blocks have no link and never bypass.
-inline bool FusedChainBypassesTwoValued(
-    const std::vector<const QueryBlock*>& chain, const Catalog& catalog,
-    const NraOptions& options) {
-  if (chain.size() < 2) return false;
-  const std::vector<const QueryBlock*> leaf_path(chain.begin(),
-                                                 chain.end() - 1);
-  return TakesTwoValuedAntijoin(*chain.back(), leaf_path, catalog, options);
-}
 
 /// \brief §4.2.4 nest push-down, in executable form. Instead of
 /// `σ_L(υ_{N1,N2}(rel ⟕_C inner))`, the inner relation is grouped once by
@@ -89,12 +57,6 @@ Result<ExprPtr> AntiLinkJoinCondition(const QueryBlock& child);
 /// child's correlation is not purely equality-based.
 Result<Table> MagicRestrict(const Table& outer, Table child_base,
                             const QueryBlock& child);
-
-/// True when dropping failing tuples while computing a predicate at the end
-/// of `path` (root..current node) cannot erase information an enclosing
-/// negative predicate still needs: every link on the path (the links of the
-/// non-root blocks) is positive. The root itself is always strict-safe.
-bool StrictSafe(const std::vector<const QueryBlock*>& path);
 
 }  // namespace nestra
 

@@ -11,20 +11,6 @@ namespace nestra {
 
 namespace {
 
-// Mirrors the planner's BlockLabel: EvalBlockBase records its profile stage
-// as "base[<aliases>]", space separated. Estimates must key identically or
-// est-vs-actual output never lines up.
-std::string BaseLabel(const QueryBlock& block) {
-  std::string label = "base[";
-  for (size_t i = 0; i < block.tables.size(); ++i) {
-    if (i > 0) label += ' ';
-    const QueryBlock::TableRef& ref = block.tables[i];
-    label += ref.alias.empty() ? ref.table : ref.alias;
-  }
-  label += ']';
-  return label;
-}
-
 std::string Qualify(const std::string& alias, const std::string& column) {
   return alias.empty() ? column : alias + "." + column;
 }
@@ -215,25 +201,16 @@ double EstimateJoinFanout(const RelEstimate& child_base,
   return fanout;
 }
 
-RelEstimate EstimateOuterAtChild(const std::vector<const QueryBlock*>& path,
-                                 const Catalog& catalog) {
-  if (path.empty()) return RelEstimate{};
-  RelEstimate rel = EstimateBlockBase(*path[0], catalog);
-  if (!rel.known) return RelEstimate{};
-  for (size_t k = 1; k < path.size(); ++k) {
-    const QueryBlock& block = *path[k];
-    RelEstimate base = EstimateBlockBase(block, catalog);
-    if (!base.known) return RelEstimate{};
-    const double fanout = EstimateJoinFanout(base, block);
-    rel.rows *= std::max(fanout, 1.0);
-    rel.max_rows *= std::max(base.max_rows, 1.0);
-    for (auto& [name, est] : base.columns) {
-      // Outer-join padding can only add NULLs to the child columns; ranges
-      // stay sound bounds over the non-NULL values.
-      rel.columns.emplace(name, est);
-    }
-  }
-  return rel;
+RelEstimate EstimateOuterJoin(const RelEstimate& outer,
+                              const RelEstimate& block_base,
+                              const QueryBlock& block) {
+  RelEstimate joined;
+  if (!outer.known || !block_base.known) return joined;
+  joined.known = true;
+  joined.rows =
+      outer.rows * std::max(EstimateJoinFanout(block_base, block), 1.0);
+  joined.max_rows = outer.max_rows * std::max(block_base.max_rows, 1.0);
+  return joined;
 }
 
 namespace {
@@ -241,13 +218,9 @@ namespace {
 // Shared "is the join intermediate worth avoiding" test behind both rewrite
 // gates: the estimated left-outer-join result must clear kCostMinJoinRows
 // and actually be wider than the outer input (fanout >= 2).
-bool JoinIntermediateIsLarge(const QueryBlock& child,
-                             const std::vector<const QueryBlock*>& path,
-                             const Catalog& catalog) {
-  const RelEstimate outer = EstimateOuterAtChild(path, catalog);
-  if (!outer.known) return false;
-  const RelEstimate base = EstimateBlockBase(child, catalog);
-  if (!base.known) return false;
+bool JoinIntermediateIsLarge(const QueryBlock& child, const RelEstimate& outer,
+                             const RelEstimate& base) {
+  if (!outer.known || !base.known) return false;
   const double fanout = EstimateJoinFanout(base, child);
   if (fanout < 2.0) return false;
   return outer.rows * std::max(fanout, 1.0) >= kCostMinJoinRows;
@@ -273,25 +246,21 @@ bool PerfectKeyEligible(const ColumnEstimate& key, double build_rows,
 }  // namespace
 
 bool CostGatesSemijoinRewrite(const QueryBlock& child,
-                              const std::vector<const QueryBlock*>& path,
-                              const Catalog& catalog) {
-  return JoinIntermediateIsLarge(child, path, catalog);
+                              const RelEstimate& outer,
+                              const RelEstimate& child_base) {
+  return JoinIntermediateIsLarge(child, outer, child_base);
 }
 
-bool CostGatesNestPushDown(const QueryBlock& child,
-                           const std::vector<const QueryBlock*>& path,
-                           const Catalog& catalog) {
-  return JoinIntermediateIsLarge(child, path, catalog);
+bool CostGatesNestPushDown(const QueryBlock& child, const RelEstimate& outer,
+                           const RelEstimate& child_base) {
+  return JoinIntermediateIsLarge(child, outer, child_base);
 }
 
 JoinBuildHints ChoosesJoinStrategy(const QueryBlock& child,
-                                   const std::vector<const QueryBlock*>& path,
-                                   const Catalog& catalog) {
+                                   const RelEstimate& outer,
+                                   const RelEstimate& base) {
   JoinBuildHints hints;
-  const RelEstimate outer = EstimateOuterAtChild(path, catalog);
-  if (!outer.known) return hints;
-  const RelEstimate base = EstimateBlockBase(child, catalog);
-  if (!base.known) return hints;
+  if (!outer.known || !base.known) return hints;
   hints.est_left_rows = outer.rows;
   hints.est_right_rows = base.rows;
 
@@ -306,6 +275,17 @@ JoinBuildHints ChoosesJoinStrategy(const QueryBlock& child,
     }
   }
   return hints;
+}
+
+JoinBuildHints ChoosesJoinStrategy(const QueryBlock& child,
+                                   const std::vector<const QueryBlock*>& path,
+                                   const Catalog& catalog) {
+  RelEstimate outer;
+  for (size_t k = 0; k < path.size(); ++k) {
+    const RelEstimate base = EstimateBlockBase(*path[k], catalog);
+    outer = k == 0 ? base : EstimateOuterJoin(outer, base, *path[k]);
+  }
+  return ChoosesJoinStrategy(child, outer, EstimateBlockBase(child, catalog));
 }
 
 JoinBuildHints ChoosesScanJoinStrategy(const Catalog& catalog,
@@ -326,95 +306,6 @@ JoinBuildHints ChoosesScanJoinStrategy(const Catalog& catalog,
                                s.row_count),
                      rows, &hints);
   return hints;
-}
-
-namespace {
-
-void MergeStage(std::map<std::string, StageEstimate>* out,
-                const std::string& label, double rows, double bound) {
-  StageEstimate& e = (*out)[label];
-  // Candidate labels can repeat (e.g. the same block base along different
-  // routes); keep the larger bound so the entry stays sound for whichever
-  // route actually ran.
-  e.rows = std::max(e.rows, rows);
-  e.bound = std::max(e.bound, bound);
-}
-
-// Walks the block tree the way NraExecutor::BuildComputeTaskDag does,
-// emitting candidate stage estimates for every label each child might get.
-// `outer` estimates the accumulated relation entering `node`'s child loop;
-// its max_rows is sound for the relation at every point of that loop (each
-// child's nest/select/link-select restores the row bound to the pre-join
-// value).
-void WalkStages(const QueryBlock& node, const RelEstimate& outer,
-                const Catalog& catalog,
-                std::map<std::string, StageEstimate>* out) {
-  for (const auto& child_ptr : node.children) {
-    const QueryBlock& child = *child_ptr;
-    const std::string bid = std::to_string(child.id);
-    const RelEstimate base = EstimateBlockBase(child, catalog);
-    if (!base.known) continue;
-    MergeStage(out, BaseLabel(child), base.rows, base.max_rows);
-
-    const double fanout = EstimateJoinFanout(base, child);
-    RelEstimate joined = outer;
-    joined.rows = outer.rows * std::max(fanout, 1.0);
-    joined.max_rows = outer.max_rows * std::max(base.max_rows, 1.0);
-    for (const auto& [name, est] : base.columns) {
-      joined.columns.emplace(name, est);
-    }
-
-    // Semijoin / antijoin / generic outer join all report as "join[bN]";
-    // the join's output is bounded by the outer-join result either way
-    // (semi/anti emit subsets of the outer input).
-    MergeStage(out, "join[b" + bid + "]", joined.rows, joined.max_rows);
-    // The executor labels the rewrite joins distinctly.
-    MergeStage(out, "semijoin[b" + bid + "]", outer.rows, outer.max_rows);
-    MergeStage(out, "antijoin[b" + bid + "]", outer.rows, outer.max_rows);
-    // Push-down / virtual-cross link selection filters (or pads) the outer
-    // relation in place: output rows <= outer bound.
-    MergeStage(out, "link-select[b" + bid + "]", outer.rows, outer.max_rows);
-    // Magic restriction emits a subset of the child base.
-    MergeStage(out, "magic[b" + bid + "]", base.rows, base.max_rows);
-
-    WalkStages(child, joined, catalog, out);
-
-    // Nest groups the join result by the retained outer attributes: at most
-    // one group per pre-join outer row. Select and the fused pass only drop
-    // (or pad) groups.
-    MergeStage(out, "nest[b" + bid + "]", outer.rows, outer.max_rows);
-    MergeStage(out, "select[b" + bid + "]", outer.rows, outer.max_rows);
-    MergeStage(out, "fused[b" + bid + "]", outer.rows, outer.max_rows);
-  }
-}
-
-}  // namespace
-
-std::map<std::string, StageEstimate> EstimateStages(const QueryBlock& root,
-                                                    const Catalog& catalog) {
-  std::map<std::string, StageEstimate> out;
-  const RelEstimate base = EstimateBlockBase(root, catalog);
-  if (!base.known) return out;
-  MergeStage(&out, BaseLabel(root), base.rows, base.max_rows);
-  WalkStages(root, base, catalog, &out);
-
-  // The single-sort fused pipeline nests the whole chain back to the root
-  // attributes in one pass: at most one output row per root base row.
-  MergeStage(&out, "fused nest+select", base.rows, base.max_rows);
-
-  // Root finish: ordering/projection/distinct/limit never add rows.
-  double finish_rows = base.rows;
-  double finish_bound = std::max(base.max_rows, 1.0);
-  if (root.IsGrouped() && root.group_by.empty()) {
-    finish_rows = 1.0;  // global aggregate: exactly one row
-  }
-  if (root.limit >= 0) {
-    finish_rows = std::min(finish_rows, static_cast<double>(root.limit));
-    finish_bound = std::min(finish_bound, static_cast<double>(root.limit));
-  }
-  MergeStage(&out, "finish", finish_rows, finish_bound);
-  MergeStage(&out, "fused-finish", finish_rows, finish_bound);
-  return out;
 }
 
 }  // namespace nestra

@@ -14,12 +14,11 @@ namespace nestra {
 /// \brief Bottom-up statistics propagation over bound query blocks, and the
 /// cost gates derived from it (DESIGN.md §13).
 ///
-/// Every estimate is deterministic — same catalog stats, same numbers — so
-/// the executor, EXPLAIN, and the plan verifier recompute identical
-/// decisions from it. The cost-gate functions at the bottom are called ONLY
-/// through the shared predicates in src/nra/cost.h; lint check 6
-/// (tools/lint_engine_invariants.py) rejects direct call sites elsewhere,
-/// mirroring the PR 7 consolidation rule for the two-valued rewrite.
+/// Every estimate is deterministic — same catalog stats, same numbers. The
+/// plan decisions read them in one place, BuildPhysicalPlan
+/// (src/nra/physical_plan.h), which estimates each block once and folds the
+/// outer relation along the path; tools/lint_engine_invariants.py (check 4)
+/// rejects gate calls from anywhere else.
 
 /// Derived estimate for one (possibly qualified) column of a relation.
 /// Ranges are sound bounds inherited from load-time ColumnStats and only
@@ -54,14 +53,6 @@ struct RelEstimate {
 /// narrows the column ranges). `max_rows` is the plain cross-product bound.
 RelEstimate EstimateBlockBase(const QueryBlock& block, const Catalog& catalog);
 
-/// Estimates the accumulated outer relation at the point where the last
-/// block of `path` (root first) is about to join one of its children:
-/// the root base folded through one left-outer join per non-root path
-/// block. Left-outer keeps every outer row, so rows multiply by
-/// max(fanout, 1) and bounds by max(child_bound, 1).
-RelEstimate EstimateOuterAtChild(const std::vector<const QueryBlock*>& path,
-                                 const Catalog& catalog);
-
 /// One `outer_col = child_col` equality pulled out of a child block's
 /// correlated predicates.
 struct CorrelationPair {
@@ -82,10 +73,19 @@ bool EquiCorrelationPairs(const QueryBlock& child,
 double EstimateJoinFanout(const RelEstimate& child_base,
                           const QueryBlock& child);
 
+/// The accumulated outer relation after its left outer join with `block`'s
+/// base (estimated as `block_base`) on the block's correlation. Left-outer
+/// keeps every outer row, so rows multiply by max(fanout, 1) and bounds by
+/// max(block bound, 1). Carries no column estimates (no consumer reads them
+/// past a join). Unknown when either input is.
+RelEstimate EstimateOuterJoin(const RelEstimate& outer,
+                              const RelEstimate& block_base,
+                              const QueryBlock& block);
+
 // ---------------------------------------------------------------------------
-// Cost gates. Call through src/nra/cost.h ONLY (lint check 6): the executor,
-// EXPLAIN, and the verifier outline must route through the same inline
-// predicate so the executed plan and its descriptions cannot disagree.
+// Cost gates. Called only from BuildPhysicalPlan, and the scan strategy from
+// EvalBlockBase (lint check 4). `outer` estimates the accumulated relation
+// entering the child's join, `child_base` the child's base relation.
 // ---------------------------------------------------------------------------
 
 /// Rewrite gates fire only when the estimated join intermediate reaches
@@ -113,21 +113,26 @@ inline constexpr double kPerfectMaxSparsity = 8.0;
 /// fanout >= 2 (at fanout < 2 the generic join intermediate is no wider
 /// than the outer relation and the rewrite cannot win).
 bool CostGatesSemijoinRewrite(const QueryBlock& child,
-                              const std::vector<const QueryBlock*>& path,
-                              const Catalog& catalog);
+                              const RelEstimate& outer,
+                              const RelEstimate& child_base);
 
 /// §4.2.4 nest push-down avoids the same wide intermediate by grouping the
 /// child base once on its correlation key. Same gate as the semijoin
 /// rewrite — both are "the join intermediate is big" decisions.
-bool CostGatesNestPushDown(const QueryBlock& child,
-                           const std::vector<const QueryBlock*>& path,
-                           const Catalog& catalog);
+bool CostGatesNestPushDown(const QueryBlock& child, const RelEstimate& outer,
+                           const RelEstimate& child_base);
 
 /// Physical strategy for JoinWithChild(outer_rel, child_base, child, ...):
 /// perfect (dense-array) keying when the single equality key's child-side
 /// (build) column is integer-valued over a dense span. The build side is
 /// always the child base. Returns inert default hints when stats are
 /// missing.
+JoinBuildHints ChoosesJoinStrategy(const QueryBlock& child,
+                                   const RelEstimate& outer,
+                                   const RelEstimate& child_base);
+
+/// The same, estimating the outer relation along `path` (root first, ending
+/// at the child's parent) and the child base from the catalog.
 JoinBuildHints ChoosesJoinStrategy(const QueryBlock& child,
                                    const std::vector<const QueryBlock*>& path,
                                    const Catalog& catalog);
@@ -140,10 +145,6 @@ JoinBuildHints ChoosesScanJoinStrategy(const Catalog& catalog,
                                        const QueryBlock::TableRef& ref,
                                        const std::string& key_column);
 
-// ---------------------------------------------------------------------------
-// Per-stage estimates for EXPLAIN ANALYZE est-vs-actual output.
-// ---------------------------------------------------------------------------
-
 /// Estimated output rows of one profile stage. `rows` is the point
 /// estimate; `bound` is a sound upper limit on the stage's rows_out (the
 /// stats-soundness property test asserts actual <= bound). -1 = unknown.
@@ -151,15 +152,6 @@ struct StageEstimate {
   double rows = -1.0;
   double bound = -1.0;
 };
-
-/// Estimates for every profile stage label the executor may emit for this
-/// query ("base[...]", "join[bN]", "link-select[bN]", ...), keyed exactly
-/// like QueryProfile stage labels. Routing-agnostic: candidates are emitted
-/// for all paths a block can take, with bounds sound for each; labels the
-/// chosen route never emits are simply ignored at print time. Returns an
-/// empty map when stats are missing for any referenced table.
-std::map<std::string, StageEstimate> EstimateStages(const QueryBlock& root,
-                                                    const Catalog& catalog);
 
 }  // namespace nestra
 

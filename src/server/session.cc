@@ -7,6 +7,7 @@
 
 #include "common/date.h"
 #include "common/thread_pool.h"
+#include "nra/physical_plan.h"
 #include "plan/binder.h"
 #include "server/connection_manager.h"
 #include "sql/lexer.h"
@@ -14,7 +15,6 @@
 #include "telemetry/engine_metrics.h"
 #include "telemetry/slow_query.h"
 #include "telemetry/trace.h"
-#include "verify/verifier.h"
 
 namespace nestra {
 
@@ -150,8 +150,9 @@ Status Session::Prepare(const std::string& name, const std::string& sql) {
     m.statements_parsed_total->Add(1);
     m.statements_bound_total->Add(1);
   }
-  // Verify once, here; ExecutePrepared runs with verify_plans off, so the
-  // verifier (and its plans_verified_total counter) never re-runs per
+  // Build the plan and verify it once, here; ExecutePrepared runs with
+  // verify_plans off and builds its own plan from the bound arguments, so
+  // the verifier (and its plans_verified_total counter) never re-runs per
   // EXECUTE — the observable half of "parse+plan+verify paid once".
   if (options_.verify_plans) {
     Status verified = VerifyPlan(**root, *manager_->catalog_, options_);

@@ -5,24 +5,11 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "nra/cost.h"
-#include "nra/rewrites.h"
 #include "verify/properties.h"
 
 namespace nestra {
 
 namespace {
-
-// Mirrors the executor's NestedAttrsFor: N2 of the nest for a child link is
-// (linked attribute, key attribute), deduplicated. The verifier recomputes
-// it independently so drift between planner and executor is caught by the
-// outline checks rather than silently inherited.
-std::vector<std::string> NestedAttrsFor(const QueryBlock& child) {
-  std::vector<std::string> n2;
-  if (!child.linked_attr.empty()) n2.push_back(child.linked_attr);
-  if (child.key_attr != child.linked_attr) n2.push_back(child.key_attr);
-  return n2;
-}
 
 bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
@@ -47,9 +34,10 @@ const QueryBlock* ResolveInAncestors(
   return nullptr;
 }
 
-// StrictSafe over an explicit path (root..current), recomputed locally: the
-// strict selection may drop tuples only when every link on the path (the
-// links of the non-root blocks) is positive.
+// Strict-safety over an explicit path (root..current), recomputed here
+// rather than read from PlanStep::strict_safe: the strict selection may drop
+// tuples only when every link on the path (the links of the non-root
+// blocks) is positive.
 bool PathStrictSafe(const std::vector<const QueryBlock*>& path) {
   for (size_t i = 1; i < path.size(); ++i) {
     if (!path[i]->LinkIsPositive()) return false;
@@ -61,9 +49,7 @@ bool PathStrictSafe(const std::vector<const QueryBlock*>& path) {
 // predicate is `outer_col = child_col` with the sides resolving exclusively
 // on their own side. `ancestors` is root..parent.
 bool EquiCorrelationSplit(const QueryBlock& child,
-                          const std::vector<const QueryBlock*>& ancestors,
-                          std::vector<std::string>* outer_cols) {
-  outer_cols->clear();
+                          const std::vector<const QueryBlock*>& ancestors) {
   if (child.correlated_preds.empty()) return false;
   const Schema own = SchemaOf(child.attributes);
   for (const ExprPtr& p : child.correlated_preds) {
@@ -76,11 +62,8 @@ bool EquiCorrelationSplit(const QueryBlock& child,
     const bool r_own = own.Resolve(r->name()).ok();
     const bool l_anc = ResolveInAncestors(l->name(), ancestors) != nullptr;
     const bool r_anc = ResolveInAncestors(r->name(), ancestors) != nullptr;
-    if (l_anc && !l_own && r_own && !r_anc) {
-      outer_cols->push_back(l->name());
-    } else if (r_anc && !r_own && l_own && !l_anc) {
-      outer_cols->push_back(r->name());
-    } else {
+    if (!(l_anc && !l_own && r_own && !r_anc) &&
+        !(r_anc && !r_own && l_own && !l_anc)) {
       return false;
     }
   }
@@ -99,19 +82,6 @@ bool LooksEquiCorrelated(const QueryBlock& child) {
     if (dynamic_cast<const ColumnRef*>(&cmp->rhs()) == nullptr) return false;
   }
   return true;
-}
-
-// Root..leaf chain of a linear query (every block has at most one child).
-std::vector<const QueryBlock*> FlattenLinear(const QueryBlock& root) {
-  std::vector<const QueryBlock*> chain;
-  const QueryBlock* node = &root;
-  while (true) {
-    chain.push_back(node);
-    if (node->children.empty()) break;
-    NESTRA_DCHECK(node->children.size() == 1);
-    node = node->children[0].get();
-  }
-  return chain;
 }
 
 void AddDiagnostic(VerifyReport* report, VerifySeverity severity, int block_id,
@@ -187,7 +157,8 @@ Status VerifyReport::ToStatus() const {
   return Status::InvalidArgument(oss.str());
 }
 
-VerifyReport PlanVerifier::Verify(const QueryBlock& root) const {
+VerifyReport PlanVerifier::Verify(const QueryBlock& root,
+                                  const PhysicalPlan& plan) const {
   VerifyReport report;
 
   // Alias uniqueness is global: attribute qualification (and with it every
@@ -210,17 +181,16 @@ VerifyReport PlanVerifier::Verify(const QueryBlock& root) const {
   }
 
   std::vector<const QueryBlock*> ancestors;
-  CheckTree(root, &ancestors, &report);
+  CheckTree(root, &ancestors, plan, &report);
   CheckRootOutput(root, &report);
 
   // §4.2.3: the bottom-up pipeline trusts correlated_block_ids adjacency;
   // cross-check it against the predicates' actual column references.
-  if (options_.bottom_up_linear && root.IsLinearCorrelated()) {
-    const std::vector<const QueryBlock*> chain = FlattenLinear(root);
-    for (size_t k = 1; k < chain.size(); ++k) {
-      const QueryBlock& block = *chain[k];
+  if (plan.route == PlanRoute::kBottomUpLinear) {
+    for (const PlanStep& step : plan.steps) {
+      const QueryBlock& block = *step.child;
       const Schema own = SchemaOf(block.attributes);
-      const Schema parent = SchemaOf(chain[k - 1]->attributes);
+      const Schema parent = SchemaOf(step.parent->attributes);
       for (const ExprPtr& p : block.correlated_preds) {
         std::vector<std::string> cols;
         p->CollectColumns(&cols);
@@ -238,12 +208,13 @@ VerifyReport PlanVerifier::Verify(const QueryBlock& root) const {
   }
 
   CheckCarried(root, &ancestors, &report);
-  CheckOutline(Outline(root), &report);
+  CheckOutline(plan.steps, &report);
   return report;
 }
 
 void PlanVerifier::CheckTree(const QueryBlock& block,
                              std::vector<const QueryBlock*>* ancestors,
+                             const PhysicalPlan& plan,
                              VerifyReport* report) const {
   // --- schema-resolve: the block's attribute list matches its FROM tables.
   bool tables_ok = !block.tables.empty();
@@ -353,7 +324,7 @@ void PlanVerifier::CheckTree(const QueryBlock& block,
   if (!ancestors->empty()) {
     CheckLink(block, *ancestors, report);
     CheckLinkProperties(block, *ancestors, report);
-    CheckRewritePreconditions(block, *ancestors, report);
+    CheckRewritePreconditions(block, *ancestors, plan.StepFor(block), report);
     if (block.correlated_preds.empty() && !block.IsLeaf()) {
       AddWarning(report, block.id, verify_rules::kCartesianProduct,
                  "non-correlated block is not a leaf: its subtree joins "
@@ -363,7 +334,7 @@ void PlanVerifier::CheckTree(const QueryBlock& block,
 
   ancestors->push_back(&block);
   for (const auto& child : block.children) {
-    CheckTree(*child, ancestors, report);
+    CheckTree(*child, ancestors, plan, report);
   }
   ancestors->pop_back();
 }
@@ -621,182 +592,34 @@ void PlanVerifier::CheckCarried(const QueryBlock& block,
 
 void PlanVerifier::CheckRewritePreconditions(
     const QueryBlock& block, const std::vector<const QueryBlock*>& ancestors,
-    VerifyReport* report) const {
-  // §4.2.5 positive-semijoin rewrite: when the executor would take it
-  // (flag-forced or cost-gated — shared predicate), the extra join
-  // condition A θ B must be constructible.
-  {
-    const bool strict_safe = PathStrictSafe(ancestors);
-    if (TakesSemijoinRewrite(block, ancestors, strict_safe, catalog_,
-                             options_) &&
-        !block.is_aggregate_link &&
-        (block.link_op == LinkOp::kIn || block.link_op == LinkOp::kSome)) {
-      if (block.linked_attr.empty()) {
-        AddError(report, block.id, verify_rules::kRewritePrecond,
-                 "positive-semijoin rewrite (4.2.5) needs the link's inner "
-                 "operand, but the block has no linked attribute");
-      }
-      if (!block.linking_is_const && block.linking_attr.empty()) {
-        AddError(report, block.id, verify_rules::kRewritePrecond,
-                 "positive-semijoin rewrite (4.2.5) needs the link's outer "
-                 "operand, but the block has neither a linking attribute "
-                 "nor a constant");
-      }
+    const PlanStep* step, VerifyReport* report) const {
+  if (step == nullptr) return;
+  // §4.2.5 positive-semijoin rewrite: the extra join condition A θ B must
+  // be constructible.
+  if (step->kind == PlanStepKind::kSemijoin && !block.is_aggregate_link &&
+      (block.link_op == LinkOp::kIn || block.link_op == LinkOp::kSome)) {
+    if (block.linked_attr.empty()) {
+      AddError(report, block.id, verify_rules::kRewritePrecond,
+               "positive-semijoin rewrite (4.2.5) needs the link's inner "
+               "operand, but the block has no linked attribute");
+    }
+    if (!block.linking_is_const && block.linking_attr.empty()) {
+      AddError(report, block.id, verify_rules::kRewritePrecond,
+               "positive-semijoin rewrite (4.2.5) needs the link's outer "
+               "operand, but the block has neither a linking attribute "
+               "nor a constant");
     }
   }
 
-  // §4.2.4 nest push-down: enabled (flag or cost gate) + equality-shaped
-  // correlation that does not split cleanly into outer/inner sides silently
-  // falls back to the outer-join plan — worth a warning, not an error.
-  if (TakesNestPushDown(block, ancestors, catalog_, options_) &&
-      LooksEquiCorrelated(block)) {
-    std::vector<std::string> outer_cols;
-    if (!EquiCorrelationSplit(block, ancestors, &outer_cols)) {
-      AddWarning(report, block.id, verify_rules::kRewritePrecond,
-                 "nest push-down (4.2.4) is enabled and the correlation is "
-                 "equality-shaped, but it does not split into outer/inner "
-                 "sides; the executor falls back to the outer-join plan");
-    }
-  }
-}
-
-std::vector<PlanStep> PlanVerifier::Outline(const QueryBlock& root) const {
-  std::vector<PlanStep> steps;
-  if (root.children.empty()) return steps;
-
-  // §4.2.3 bottom-up pipeline (innermost level first; strict throughout).
-  if (options_.bottom_up_linear && root.IsLinearCorrelated()) {
-    const std::vector<const QueryBlock*> chain = FlattenLinear(root);
-    for (int k = static_cast<int>(chain.size()) - 2; k >= 0; --k) {
-      PlanStep s;
-      s.parent = chain[k];
-      s.child = chain[k + 1];
-      s.order = PlanStepOrder::kBottomUp;
-      s.mode = SelectionMode::kStrict;
-      std::vector<std::string> outer_cols;
-      std::vector<const QueryBlock*> path(chain.begin(),
-                                          chain.begin() + k + 1);
-      s.kind = EquiCorrelationSplit(*s.child, path, &outer_cols)
-                   ? PlanStepKind::kHashLinkSelect
-                   : PlanStepKind::kNestSelect;
-      s.nesting_attrs = s.kind == PlanStepKind::kHashLinkSelect
-                            ? outer_cols
-                            : s.parent->carried;
-      s.nested_attrs = NestedAttrsFor(*s.child);
-      s.path = std::move(path);
-      steps.push_back(std::move(s));
-    }
-    return steps;
-  }
-
-  // §4.2.1 + §4.2.2 single-sort fused pipeline over a whole linear chain.
-  if (options_.fused && root.IsLinear() && !options_.push_down_nest &&
-      !options_.rewrite_positive) {
-    const std::vector<const QueryBlock*> chain = FlattenLinear(root);
-    bool all_correlated = true;
-    for (size_t i = 1; i < chain.size(); ++i) {
-      all_correlated = all_correlated && !chain[i]->correlated_preds.empty();
-    }
-    // Proven-2VL bypass: when the chain's leaf link can run as a plain
-    // antijoin, the recursive route (below) takes it; the fused pipeline
-    // would evaluate the same link through 3VL member handling. Shared
-    // predicate — the executor and EXPLAIN call the same function.
-    if (FusedChainBypassesTwoValued(chain, catalog_, options_)) {
-      all_correlated = false;
-    }
-    // Same routing for a cost-gated §4.2.5/§4.2.4 rewrite on the leaf.
-    if (FusedChainBypassesForCost(chain, catalog_, options_)) {
-      all_correlated = false;
-    }
-    if (all_correlated) {
-      std::vector<std::string> prefix;
-      for (size_t k = 0; k + 1 < chain.size(); ++k) {
-        for (const std::string& a : chain[k]->carried) prefix.push_back(a);
-        PlanStep s;
-        s.parent = chain[k];
-        s.child = chain[k + 1];
-        s.kind = PlanStepKind::kNestSelect;
-        s.streaming = true;
-        s.mode = k == 0 ? SelectionMode::kStrict : SelectionMode::kPseudo;
-        s.nesting_attrs = prefix;
-        s.nested_attrs = NestedAttrsFor(*s.child);
-        s.path.assign(chain.begin(), chain.begin() + k + 1);
-        steps.push_back(std::move(s));
-      }
-      return steps;
-    }
-  }
-
-  // Recursive Algorithm 1.
-  std::vector<const QueryBlock*> path{&root};
-  OutlineNode(root, root.carried, &path, &steps);
-  return steps;
-}
-
-void PlanVerifier::OutlineNode(const QueryBlock& node,
-                               std::vector<std::string> retained,
-                               std::vector<const QueryBlock*>* path,
-                               std::vector<PlanStep>* steps) const {
-  for (const auto& child_ptr : node.children) {
-    const QueryBlock& child = *child_ptr;
-    const bool strict_safe = PathStrictSafe(*path);
-    const SelectionMode mode =
-        strict_safe ? SelectionMode::kStrict : SelectionMode::kPseudo;
-
-    PlanStep s;
-    s.parent = &node;
-    s.child = &child;
-    s.mode = mode;
-    s.path = *path;
-
-    if (TakesSemijoinRewrite(child, *path, strict_safe, catalog_,
-                             options_)) {
-      s.kind = PlanStepKind::kSemijoin;
-      s.mode = SelectionMode::kStrict;
-      steps->push_back(std::move(s));
-      continue;
-    }
-
-    if (TakesTwoValuedAntijoin(child, *path, catalog_, options_)) {
-      s.kind = PlanStepKind::kAntijoin;
-      s.mode = SelectionMode::kStrict;
-      steps->push_back(std::move(s));
-      continue;
-    }
-
-    if (child.IsLeaf() && child.correlated_preds.empty()) {
-      // Virtual Cartesian product: one shared group, no grouping key.
-      s.kind = PlanStepKind::kHashLinkSelect;
-      s.nested_attrs = NestedAttrsFor(child);
-      s.pad_attrs = node.carried;
-      steps->push_back(std::move(s));
-      continue;
-    }
-
-    if (TakesNestPushDown(child, *path, catalog_, options_)) {
-      std::vector<std::string> outer_cols;
-      if (EquiCorrelationSplit(child, *path, &outer_cols)) {
-        s.kind = PlanStepKind::kHashLinkSelect;
-        s.nesting_attrs = std::move(outer_cols);
-        s.nested_attrs = NestedAttrsFor(child);
-        s.pad_attrs = node.carried;
-        steps->push_back(std::move(s));
-        continue;
-      }
-    }
-
-    // Outer join, recurse, then nest by the retained prefix + select.
-    std::vector<std::string> retained_child = retained;
-    for (const std::string& a : child.carried) retained_child.push_back(a);
-    path->push_back(&child);
-    OutlineNode(child, std::move(retained_child), path, steps);
-    path->pop_back();
-
-    s.kind = PlanStepKind::kNestSelect;
-    s.nesting_attrs = retained;
-    s.nested_attrs = NestedAttrsFor(child);
-    s.pad_attrs = node.carried;
-    steps->push_back(std::move(s));
+  // §4.2.4 nest push-down: a candidate whose equality-shaped correlation
+  // does not split into outer/inner sides silently falls back to the
+  // outer-join plan — worth a warning, not an error.
+  if (step->push_down && LooksEquiCorrelated(block) &&
+      !EquiCorrelationSplit(block, ancestors)) {
+    AddWarning(report, block.id, verify_rules::kRewritePrecond,
+               "nest push-down (4.2.4) is enabled and the correlation is "
+               "equality-shaped, but it does not split into outer/inner "
+               "sides; the executor falls back to the outer-join plan");
   }
 }
 
@@ -817,10 +640,10 @@ void PlanVerifier::CheckOutline(const std::vector<PlanStep>& steps,
                  "a strict-safe path, but the link is positive or an "
                  "enclosing negative linking operator is pending");
       } else if (!NegativeLinkRunsTwoValued(child, s.path, catalog_)) {
-        // The call above is deliberately NOT the shared TakesTwoValuedAntijoin
-        // predicate: CheckOutline re-validates the property from first
-        // principles so a bug in the shared decision gate cannot also blind
-        // its checker. (Allowlisted in tools/lint_engine_invariants.py.)
+        // CheckOutline re-validates the property from first principles
+        // rather than trusting the plan builder's decision, so a bug there
+        // cannot also blind its checker. (Allowlisted in
+        // tools/lint_engine_invariants.py.)
         AddError(report, child.id, verify_rules::kRewritePrecond,
                  "two-valued antijoin rewrite requires a proven two-valued "
                  "member comparison (non-NULL operands), which does not "
@@ -928,12 +751,6 @@ void PlanVerifier::CheckOutline(const std::vector<PlanStep>& steps,
                    "from N2)");
     }
   }
-}
-
-Status VerifyPlan(const QueryBlock& root, const Catalog& catalog,
-                  const NraOptions& options) {
-  const PlanVerifier verifier(catalog, options);
-  return verifier.Verify(root).ToStatus();
 }
 
 }  // namespace nestra

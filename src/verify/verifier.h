@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "nested/linking_selection.h"
-#include "nra/options.h"
+#include "nra/physical_plan.h"
 #include "plan/query_block.h"
 #include "storage/catalog.h"
 
@@ -116,58 +115,21 @@ class VerifyReport {
   int num_warnings_ = 0;
 };
 
-/// How one linking selection of the plan evaluates its nest + selection.
-enum class PlanStepKind {
-  kNestSelect,      // nest by the retained prefix, then linking selection
-  kHashLinkSelect,  // §4.2.4 push-down / virtual Cartesian product
-  kSemijoin,        // §4.2.5 positive rewrite (no nest at all)
-  kAntijoin,        // proven-2VL negative-link rewrite (no nest at all)
-};
-
-/// Evaluation order of the step relative to its enclosing links. In the
-/// top-down orders an enclosing negative operator may still need a failing
-/// tuple (pseudo mode required); in the §4.2.3 bottom-up order nothing is
-/// pending below, so the strict selection is always sound.
-enum class PlanStepOrder { kTopDown, kBottomUp };
-
-/// \brief One linking-selection step, mirroring NraExecutor's decisions: the
-/// nest υ_{N1,N2} for `child`'s link evaluated against `parent`'s level.
-struct PlanStep {
-  const QueryBlock* parent = nullptr;
-  const QueryBlock* child = nullptr;
-  PlanStepKind kind = PlanStepKind::kNestSelect;
-  PlanStepOrder order = PlanStepOrder::kTopDown;
-  /// True for inner levels of the single-sort fused pipeline (§4.2.1): the
-  /// pseudo-selection's padding is implicit there (a failing group simply
-  /// contributes no member), so no pad list is required.
-  bool streaming = false;
-  SelectionMode mode = SelectionMode::kStrict;
-  std::vector<std::string> nesting_attrs;  // N1
-  std::vector<std::string> nested_attrs;   // N2
-  std::vector<std::string> pad_attrs;      // A (pseudo mode)
-  /// Enclosing blocks, root first, ending at `parent`. CheckOutline
-  /// recomputes the required selection mode from the links on this path.
-  std::vector<const QueryBlock*> path;
-};
-
 /// \brief Static verifier for bound QueryBlock plans (run before execution).
 ///
 /// Verify() checks the tree-level invariants (schemas, linking predicates,
-/// keys, rewrite preconditions), derives the plan outline the executor
-/// would choose under `options`, and checks every step of it. Outline() and
-/// CheckOutline() are exposed separately so tests (and future external
-/// planners) can validate a hand-built or mutated plan against a tree.
+/// keys, rewrite preconditions) and then every step of the physical plan it
+/// is handed. CheckOutline() is exposed separately so tests (and future
+/// external planners) can validate a hand-built or mutated plan against a
+/// tree. The verifier reads the plan's decisions but re-derives their
+/// soundness conditions itself, so a builder bug cannot also blind its
+/// checker.
 class PlanVerifier {
  public:
-  PlanVerifier(const Catalog& catalog,
-               NraOptions options = NraOptions::Optimized())
-      : catalog_(catalog), options_(options) {}
+  explicit PlanVerifier(const Catalog& catalog) : catalog_(catalog) {}
 
-  VerifyReport Verify(const QueryBlock& root) const;
-
-  /// The linking-selection steps NraExecutor would run for `root` under the
-  /// verifier's options, in evaluation order.
-  std::vector<PlanStep> Outline(const QueryBlock& root) const;
+  /// `plan` is the plan BuildPhysicalPlan made for `root`.
+  VerifyReport Verify(const QueryBlock& root, const PhysicalPlan& plan) const;
 
   /// Per-step invariants (link-mode, nest-sets, key-survival) over an
   /// explicit outline. `steps` may have been produced from a different (or
@@ -179,7 +141,7 @@ class PlanVerifier {
  private:
   void CheckTree(const QueryBlock& block,
                  std::vector<const QueryBlock*>* ancestors,
-                 VerifyReport* report) const;
+                 const PhysicalPlan& plan, VerifyReport* report) const;
   void CheckRootOutput(const QueryBlock& root, VerifyReport* report) const;
   void CheckLink(const QueryBlock& block,
                  const std::vector<const QueryBlock*>& ancestors,
@@ -195,22 +157,14 @@ class PlanVerifier {
   void CheckCarried(const QueryBlock& block,
                     std::vector<const QueryBlock*>* ancestors,
                     VerifyReport* report) const;
+  /// `step` is the plan's step for `block`'s link, or null.
   void CheckRewritePreconditions(const QueryBlock& block,
                                  const std::vector<const QueryBlock*>& ancestors,
+                                 const PlanStep* step,
                                  VerifyReport* report) const;
-  void OutlineNode(const QueryBlock& node,
-                   std::vector<std::string> retained,
-                   std::vector<const QueryBlock*>* path,
-                   std::vector<PlanStep>* steps) const;
 
   const Catalog& catalog_;
-  NraOptions options_;
 };
-
-/// Convenience wrapper: runs the verifier and converts the report to a
-/// Status (used by NraExecutor::Execute).
-Status VerifyPlan(const QueryBlock& root, const Catalog& catalog,
-                  const NraOptions& options);
 
 }  // namespace nestra
 

@@ -10,6 +10,7 @@
 #include "baseline/native_optimizer.h"
 #include "baseline/nested_iteration.h"
 #include "nra/executor.h"
+#include "nra/physical_plan.h"
 #include "plan/binder.h"
 #include "plan/tree_expr.h"
 #include "sql/parser.h"
@@ -218,8 +219,10 @@ TEST_F(AggregateSubqueryTest, BinderErrors) {
     ASSERT_EQ(scalar->children.size(), 1u);
     EXPECT_TRUE(scalar->children[0]->is_scalar_link);
     EXPECT_EQ(scalar->children[0]->link_op, LinkOp::kSome);
-    const PlanVerifier verifier(catalog_, NraOptions::Optimized());
-    const VerifyReport report = verifier.Verify(*scalar);
+    const PlanVerifier verifier(catalog_);
+    const VerifyReport report = verifier.Verify(
+        *scalar,
+        BuildPhysicalPlan(*scalar, catalog_, NraOptions::Optimized()));
     EXPECT_TRUE(report.HasRule(verify_rules::kScalarCard)) << report.ToString();
     EXPECT_FALSE(report.ok());
   }

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "nra/physical_plan.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
 #include "storage/csv_io.h"
@@ -27,8 +28,9 @@ void ExpectVerifies(const QueryBlock& root, const Catalog& catalog,
                     const std::string& input) {
   for (const NraOptions& opts :
        {NraOptions::Original(), NraOptions::Optimized()}) {
-    const PlanVerifier verifier(catalog, opts);
-    const VerifyReport report = verifier.Verify(root);
+    const PlanVerifier verifier(catalog);
+    const VerifyReport report =
+        verifier.Verify(root, BuildPhysicalPlan(root, catalog, opts));
     EXPECT_TRUE(report.ok())
         << input << "\n(" << opts.ToString() << ")\n" << report.ToString();
   }

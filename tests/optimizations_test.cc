@@ -5,6 +5,7 @@
 
 #include "baseline/nested_iteration.h"
 #include "nra/executor.h"
+#include "nra/physical_plan.h"
 #include "nra/planner.h"
 #include "nra/rewrites.h"
 #include "plan/binder.h"
@@ -123,12 +124,13 @@ TEST_F(OptimizationsTest, LinearCorrelationDetection) {
 TEST_F(OptimizationsTest, StrictSafeRule) {
   ASSERT_OK_AND_ASSIGN(QueryBlockPtr query_q,
                        ParseAndBind(testing_util::kQueryQ, catalog_));
-  const QueryBlock* root = query_q.get();
-  const QueryBlock* s = root->children[0].get();
+  const QueryBlock* s = query_q->children[0].get();
+  const PhysicalPlan plan_q =
+      BuildPhysicalPlan(*query_q, catalog_, NraOptions::Original());
   // At the root: always strict-safe.
-  EXPECT_TRUE(StrictSafe({root}));
+  EXPECT_TRUE(plan_q.StepFor(*s)->strict_safe);
   // Below the NOT IN link: not safe (failing S tuples must be padded).
-  EXPECT_FALSE(StrictSafe({root, s}));
+  EXPECT_FALSE(plan_q.StepFor(*s->children[0])->strict_safe);
 
   ASSERT_OK_AND_ASSIGN(
       QueryBlockPtr positive,
@@ -137,7 +139,9 @@ TEST_F(OptimizationsTest, StrictSafeRule) {
                    "    select * from t where t.l = s.i))",
                    catalog_));
   const QueryBlock* ps = positive->children[0].get();
-  EXPECT_TRUE(StrictSafe({positive.get(), ps}));  // IN above: positive
+  const PhysicalPlan plan_p =
+      BuildPhysicalPlan(*positive, catalog_, NraOptions::Original());
+  EXPECT_TRUE(plan_p.StepFor(*ps->children[0])->strict_safe);  // IN above
 }
 
 TEST_F(OptimizationsTest, AllEquiCorrelationDetection) {

@@ -1,10 +1,9 @@
-// Satellite regression for the consolidated plan-decision predicates: the
-// negative-link "proven two-valued antijoin" choice lives in ONE place
-// (TakesTwoValuedAntijoin / FusedChainBypassesTwoValued in nra/rewrites.h)
-// and EXPLAIN, the static verifier's plan outline, and the plan the
-// executor actually runs must never disagree about it. Before the
-// consolidation each layer re-derived the decision by hand; this test
-// fails if any future change lets them drift apart again.
+// The physical plan against the run: BuildPhysicalPlan decides every step
+// once, and EXPLAIN and the verifier read that same object, so what is left
+// to disagree is the executor. For each corpus query and option set, every
+// semijoin or antijoin step must run join-only, every nest-bearing step must
+// run a nest or selection stage, and the route, the magic restriction and
+// the fused pass must be the ones the plan names.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +13,9 @@
 
 #include "nra/executor.h"
 #include "nra/explain.h"
+#include "nra/physical_plan.h"
 #include "nra/profile.h"
 #include "plan/binder.h"
-#include "verify/verifier.h"
 #include "test_util.h"
 
 namespace nestra {
@@ -25,7 +24,7 @@ namespace {
 using testing_util::RegisterPaperRelations;
 using testing_util::kQueryQ;
 
-// The exact phrase ExplainNode prints for the decision — nothing else in
+// The exact phrase EXPLAIN prints for an antijoin step — nothing else in
 // EXPLAIN output contains it.
 constexpr const char* kAntijoinPhrase =
     "two-valued antijoin (proven non-NULL member comparison)";
@@ -95,54 +94,49 @@ class PlanDecisionTest : public ::testing::Test {
  protected:
   void SetUp() override { RegisterPaperRelations(&catalog_); }
 
-  // The three layers for one (query, options) pair:
-  //  1. EXPLAIN's antijoin-phrase count equals the outline's kAntijoin
-  //     step count.
-  //  2. Executing the query yields a profile where
-  //     every kAntijoin step ran join-only and every nest-bearing step
-  //     actually nested.
-  void CheckLayersAgree(const std::string& sql, const std::string& set_name,
-                        const NraOptions& options) {
+  // Executes `sql` with profiling and checks every step of its plan
+  // against the stages that ran.
+  void CheckPlanMatchesRun(const std::string& sql, const std::string& set_name,
+                           const NraOptions& options) {
     const std::string context = set_name + "\n" + sql;
     Result<QueryBlockPtr> bound = ParseAndBind(sql, catalog_);
     ASSERT_TRUE(bound.ok()) << context << "\n" << bound.status().ToString();
     const QueryBlockPtr root = std::move(bound).ValueOrDie();
-
-    const std::string explain = ExplainQuery(*root, catalog_, options);
-    const PlanVerifier verifier(catalog_, options);
-    const std::vector<PlanStep> steps = verifier.Outline(*root);
-
-    int outlined_antijoins = 0;
-    for (const PlanStep& s : steps) {
-      if (s.kind == PlanStepKind::kAntijoin) ++outlined_antijoins;
-    }
-    EXPECT_EQ(CountOccurrences(explain, kAntijoinPhrase), outlined_antijoins)
-        << context << "\nEXPLAIN and Outline() disagree:\n"
-        << explain;
+    const PhysicalPlan plan = BuildPhysicalPlan(*root, catalog_, options);
 
     NraOptions exec_opts = options;
     exec_opts.profile = true;
     NraExecutor exec(catalog_, exec_opts);
     QueryProfile profile;
-    Result<Table> result = exec.ExecuteSql(sql, nullptr, &profile);
+    Result<Table> result = exec.Execute(*root, nullptr, &profile);
     ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
 
-    for (const PlanStep& s : steps) {
+    EXPECT_EQ(HasStage(profile, "fused nest+select"),
+              plan.route == PlanRoute::kFusedChain)
+        << context << ": the single-sort fused pass ran against the plan";
+    for (const PlanStep& s : plan.steps) {
       const int id = s.child->id;
-      const std::string join_label = "join[b" + std::to_string(id) + "]";
+      const std::string bid = "[b" + std::to_string(id) + "]";
       if (s.kind == PlanStepKind::kAntijoin ||
           s.kind == PlanStepKind::kSemijoin) {
-        EXPECT_TRUE(HasStage(profile, join_label))
-            << context << ": outline promised a join-only fast path for "
-            << "block " << id << " but no " << join_label << " stage ran";
+        EXPECT_TRUE(HasStage(profile, "join" + bid))
+            << context << ": the plan promised a join-only fast path for "
+            << "block " << id << " but no join" << bid << " stage ran";
         EXPECT_FALSE(RanNestSelect(profile, id))
-            << context << ": outline promised a join-only fast path for "
+            << context << ": the plan promised a join-only fast path for "
             << "block " << id
             << " but the executed plan ran nest/selection stages";
-      } else {
-        EXPECT_TRUE(RanNestSelect(profile, id))
-            << context << ": outline step for block " << id
-            << " requires a nest/selection, but none ran";
+        continue;
+      }
+      EXPECT_TRUE(RanNestSelect(profile, id))
+          << context << ": the plan's step for block " << id
+          << " requires a nest/selection, but none ran";
+      if (s.kind != PlanStepKind::kNestSelect) continue;
+      EXPECT_EQ(HasStage(profile, "magic" + bid), s.magic)
+          << context << ": magic restriction of block " << id;
+      if (!s.streaming) {
+        EXPECT_EQ(HasStage(profile, "fused" + bid), s.fused)
+            << context << ": fused nest+select of block " << id;
       }
     }
   }
@@ -171,12 +165,12 @@ constexpr const char* kNotExists =
     "select r.a from r where not exists "
     "(select s.e from s where s.g = r.d)";
 
-TEST_F(PlanDecisionTest, AllLayersAgreeOnEveryCorpusQuery) {
+TEST_F(PlanDecisionTest, PlanMatchesTheRunOnEveryCorpusQuery) {
   const std::vector<const char*> corpus = {kProvenNotIn, kUnprovenNotIn,
                                            kPositiveIn, kNotExists, kQueryQ};
   for (const auto& [set_name, options] : DecisionOptionSets()) {
     for (const char* sql : corpus) {
-      CheckLayersAgree(sql, set_name, options);
+      CheckPlanMatchesRun(sql, set_name, options);
     }
   }
 }
@@ -191,7 +185,7 @@ TEST_F(PlanDecisionTest, ProvenNotInTakesAntijoinByDefault) {
                              kAntijoinPhrase),
             1);
   const std::vector<PlanStep> steps =
-      PlanVerifier(catalog_, options).Outline(*root);
+      BuildPhysicalPlan(*root, catalog_, options).steps;
   ASSERT_EQ(steps.size(), 1u);
   EXPECT_EQ(steps[0].kind, PlanStepKind::kAntijoin);
 }
@@ -206,7 +200,7 @@ TEST_F(PlanDecisionTest, DisablingTwoValuedDisablesAllThreeLayers) {
   EXPECT_EQ(CountOccurrences(ExplainQuery(*root, catalog_, options),
                              kAntijoinPhrase),
             0);
-  for (const PlanStep& s : PlanVerifier(catalog_, options).Outline(*root)) {
+  for (const PlanStep& s : BuildPhysicalPlan(*root, catalog_, options).steps) {
     EXPECT_NE(s.kind, PlanStepKind::kAntijoin);
   }
 

@@ -1,4 +1,4 @@
-// Concurrent stats invalidation (TSan target, label: slow_stats): client
+// Concurrent stats invalidation (TSan target): client
 // sessions keep executing cost-planned queries — ad hoc and prepared —
 // while a DDL thread re-registers the build-side table with alternating
 // dense / sparse key layouts. Each re-registration replaces the TableStats

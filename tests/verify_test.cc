@@ -11,6 +11,7 @@
 
 #include "nra/executor.h"
 #include "nra/explain.h"
+#include "nra/physical_plan.h"
 #include "plan/binder.h"
 #include "tpch/queries.h"
 #include "tpch/tpch_gen.h"
@@ -49,6 +50,12 @@ class VerifyTest : public ::testing::Test {
     Result<QueryBlockPtr> bound = ParseAndBind(sql, catalog_);
     EXPECT_TRUE(bound.ok()) << sql << "\n" << bound.status().ToString();
     return bound.ok() ? std::move(bound).ValueOrDie() : nullptr;
+  }
+
+  // The plan the executor builds for `root` under `opts`.
+  PhysicalPlan Plan(const QueryBlock& root,
+                    const NraOptions& opts = NraOptions::Optimized()) const {
+    return BuildPhysicalPlan(root, catalog_, opts);
   }
 
   Catalog catalog_;
@@ -100,11 +107,11 @@ TEST_F(VerifyTest, PaperCorpusCleanUnderEveryOptionSet) {
       "(select s.e from s where s.g = r.d) group by r.c order by r.c",
   };
   for (const NraOptions& opts : AllOptionSets()) {
-    const PlanVerifier verifier(catalog_, opts);
+    const PlanVerifier verifier(catalog_);
     for (const std::string& sql : corpus) {
       const QueryBlockPtr root = Bind(sql);
       ASSERT_NE(root, nullptr);
-      const VerifyReport report = verifier.Verify(*root);
+      const VerifyReport report = verifier.Verify(*root, Plan(*root, opts));
       EXPECT_TRUE(report.clean())
           << sql << "\n(" << opts.ToString() << ")\n" << report.ToString();
     }
@@ -122,7 +129,7 @@ TEST_F(VerifyTest, CorruptedOverlappingNestSets) {
   root->children[0]->linked_attr = "r.b";
 
   const PlanVerifier verifier(catalog_);
-  const VerifyReport report = verifier.Verify(*root);
+  const VerifyReport report = verifier.Verify(*root, Plan(*root));
   EXPECT_FALSE(report.ok()) << report.ToString();
   EXPECT_TRUE(report.HasRule(verify_rules::kNestSets)) << report.ToString();
 }
@@ -136,8 +143,8 @@ TEST_F(VerifyTest, CorruptedStrictUnderNegativeLink) {
       "s.h in (select t.j from t where t.k = s.i))");
   ASSERT_NE(root, nullptr);
 
-  const PlanVerifier verifier(catalog_, NraOptions::Original());
-  const std::vector<PlanStep> steps = verifier.Outline(*root);
+  const PlanVerifier verifier(catalog_);
+  const std::vector<PlanStep> steps = Plan(*root, NraOptions::Original()).steps;
   ASSERT_EQ(steps.size(), 2u);
   {
     VerifyReport before;
@@ -164,7 +171,7 @@ TEST_F(VerifyTest, CorruptedDroppedKeyAttribute) {
   root->children[0]->key_attr.clear();
 
   const PlanVerifier verifier(catalog_);
-  const VerifyReport report = verifier.Verify(*root);
+  const VerifyReport report = verifier.Verify(*root, Plan(*root));
   EXPECT_FALSE(report.ok()) << report.ToString();
   EXPECT_TRUE(report.HasRule(verify_rules::kKeySurvival)) << report.ToString();
 }
@@ -179,7 +186,7 @@ TEST_F(VerifyTest, CorruptedTableNotInCatalog) {
   root->children[0]->tables[0].table = "phantom";
 
   const PlanVerifier verifier(catalog_);
-  const VerifyReport report = verifier.Verify(*root);
+  const VerifyReport report = verifier.Verify(*root, Plan(*root));
   EXPECT_FALSE(report.ok()) << report.ToString();
   EXPECT_TRUE(report.HasRule(verify_rules::kSchemaResolve)) << report.ToString();
 }
@@ -194,7 +201,7 @@ TEST_F(VerifyTest, CorruptedLinkingAttributeUnresolvable) {
   root->children[0]->linking_attr = "r.zzz";
 
   const PlanVerifier verifier(catalog_);
-  const VerifyReport report = verifier.Verify(*root);
+  const VerifyReport report = verifier.Verify(*root, Plan(*root));
   EXPECT_FALSE(report.ok()) << report.ToString();
   EXPECT_TRUE(report.HasRule(verify_rules::kLinkSchema)) << report.ToString();
 }
@@ -212,8 +219,8 @@ TEST_F(VerifyTest, CorruptedPositiveRewriteMissingOperand) {
   opts.rewrite_positive = true;
   root->children[0]->linked_attr.clear();
 
-  const PlanVerifier verifier(catalog_, opts);
-  const VerifyReport report = verifier.Verify(*root);
+  const PlanVerifier verifier(catalog_);
+  const VerifyReport report = verifier.Verify(*root, Plan(*root, opts));
   EXPECT_FALSE(report.ok()) << report.ToString();
   EXPECT_TRUE(report.HasRule(verify_rules::kRewritePrecond))
       << report.ToString();
@@ -227,7 +234,7 @@ TEST_F(VerifyTest, NullLinkingFiresWhenComparisonProvablyUnknown) {
       "select r.a from r where r.b in (select s.h from s where s.h is null)");
   ASSERT_NE(root, nullptr);
   const PlanVerifier verifier(catalog_);
-  const VerifyReport report = verifier.Verify(*root);
+  const VerifyReport report = verifier.Verify(*root, Plan(*root));
   EXPECT_TRUE(report.HasRule(verify_rules::kNullLinking)) << report.ToString();
   EXPECT_TRUE(report.ok());  // warning severity: the plan still runs
 }
@@ -240,7 +247,7 @@ TEST_F(VerifyTest, NullLinkingSilentWhenComparisonCanDecide) {
       "select r.a from r where r.b in "
       "(select s.h from s where s.h is not null)");
   ASSERT_NE(root, nullptr);
-  const VerifyReport report = PlanVerifier(catalog_).Verify(*root);
+  const VerifyReport report = PlanVerifier(catalog_).Verify(*root, Plan(*root));
   EXPECT_FALSE(report.HasRule(verify_rules::kNullLinking)) << report.ToString();
   EXPECT_TRUE(report.clean()) << report.ToString();
 }
@@ -254,7 +261,7 @@ TEST_F(VerifyTest, ScalarCardFiresWhenNoKeyPinned) {
   ASSERT_NE(root, nullptr);
   ASSERT_EQ(root->children.size(), 1u);
   EXPECT_TRUE(root->children[0]->is_scalar_link);
-  const VerifyReport report = PlanVerifier(catalog_).Verify(*root);
+  const VerifyReport report = PlanVerifier(catalog_).Verify(*root, Plan(*root));
   EXPECT_TRUE(report.HasRule(verify_rules::kScalarCard)) << report.ToString();
   EXPECT_FALSE(report.ok());  // error severity
 }
@@ -269,7 +276,7 @@ TEST_F(VerifyTest, ScalarCardSilentWhenKeyPinned) {
     ASSERT_NE(root, nullptr);
     ASSERT_EQ(root->children.size(), 1u);
     EXPECT_TRUE(root->children[0]->is_scalar_link) << sql;
-    const VerifyReport report = PlanVerifier(catalog_).Verify(*root);
+    const VerifyReport report = PlanVerifier(catalog_).Verify(*root, Plan(*root));
     EXPECT_FALSE(report.HasRule(verify_rules::kScalarCard))
         << sql << "\n" << report.ToString();
     EXPECT_TRUE(report.ok()) << sql << "\n" << report.ToString();
@@ -286,11 +293,12 @@ TEST_F(VerifyTest, PseudoPadSetIsTheEnclosingCarriedSet) {
   const QueryBlock& s = *root->children[0];
   EXPECT_EQ(s.carried,
             (std::vector<std::string>{"s.e", "s.g", "s.h", "s.i"}));
-  const PlanVerifier verifier(catalog_, NraOptions::Original());
-  const VerifyReport report = verifier.Verify(*root);
+  const PlanVerifier verifier(catalog_);
+  const PhysicalPlan plan = Plan(*root, NraOptions::Original());
+  const VerifyReport report = verifier.Verify(*root, plan);
   EXPECT_TRUE(report.clean()) << report.ToString();
   bool found = false;
-  for (const PlanStep& step : verifier.Outline(*root)) {
+  for (const PlanStep& step : plan.steps) {
     if (step.child->id != 3) continue;
     found = true;
     EXPECT_EQ(step.mode, SelectionMode::kPseudo);
@@ -311,7 +319,7 @@ TEST_F(VerifyTest, CarriedSetDetectsDroppedColumns) {
     const QueryBlockPtr root = Bind(sql);
     ASSERT_NE(root, nullptr);
     mutate(root.get());
-    const VerifyReport report = PlanVerifier(catalog_).Verify(*root);
+    const VerifyReport report = PlanVerifier(catalog_).Verify(*root, Plan(*root));
     EXPECT_TRUE(report.HasRule(verify_rules::kCarriedSet))
         << needle << "\n" << report.ToString();
     EXPECT_NE(report.ToString().find(needle), std::string::npos)
@@ -340,8 +348,8 @@ TEST_F(VerifyTest, TwoValuedAntijoinOutlinedAndGuarded) {
   const QueryBlockPtr root = Bind(
       "select r.a from r where r.d not in (select s.e from s where s.g = r.d)");
   ASSERT_NE(root, nullptr);
-  const PlanVerifier verifier(catalog_, NraOptions::Optimized());
-  const std::vector<PlanStep> steps = verifier.Outline(*root);
+  const PlanVerifier verifier(catalog_);
+  const std::vector<PlanStep> steps = Plan(*root).steps;
   ASSERT_EQ(steps.size(), 1u);
   EXPECT_EQ(steps[0].kind, PlanStepKind::kAntijoin);
   EXPECT_EQ(steps[0].mode, SelectionMode::kStrict);
@@ -364,8 +372,7 @@ TEST_F(VerifyTest, TwoValuedAntijoinOutlinedAndGuarded) {
   root->children[0]->link_op = LinkOp::kNotIn;
   NraOptions three_valued = NraOptions::Optimized();
   three_valued.two_valued = false;
-  const PlanVerifier slow(catalog_, three_valued);
-  for (const PlanStep& s : slow.Outline(*root)) {
+  for (const PlanStep& s : Plan(*root, three_valued).steps) {
     EXPECT_NE(s.kind, PlanStepKind::kAntijoin);
   }
 }
@@ -441,11 +448,12 @@ TEST(VerifyTpchTest, ExperimentQueriesClean) {
                  Query3Variant::kVariantB),
   };
   for (const NraOptions& opts : AllOptionSets()) {
-    const PlanVerifier verifier(catalog, opts);
+    const PlanVerifier verifier(catalog);
     for (const std::string& sql : corpus) {
       ASSERT_OK_AND_ASSIGN(const QueryBlockPtr root,
                            ParseAndBind(sql, catalog));
-      const VerifyReport report = verifier.Verify(*root);
+      const VerifyReport report =
+          verifier.Verify(*root, BuildPhysicalPlan(*root, catalog, opts));
       EXPECT_TRUE(report.clean())
           << sql << "\n(" << opts.ToString() << ")\n" << report.ToString();
     }

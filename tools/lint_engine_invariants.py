@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lint, run by the CI repo-lint job.
 
-Seven checks, each guarding a convention the engine relies on but the
+Six checks, each guarding a convention the engine relies on but the
 compiler cannot enforce:
 
 1. Hot-path purity: no wall-clock or RNG calls (`steady_clock`, `rand(`,
@@ -21,14 +21,18 @@ compiler cannot enforce:
    tests/CMakeLists.txt. An unregistered suite compiles on nobody's
    machine and silently stops running.
 
-4. Plan-decision consolidation: the negative-link two-valued antijoin
-   decision is computed by `NegativeLinkRunsTwoValued`, but call sites are
-   restricted to its home (src/verify/properties.h/.cc), the shared
-   engine predicates (src/nra/rewrites.h), and exactly ONE deliberate
-   re-validation inside src/verify/verifier.cc's CheckOutline. Executor,
-   EXPLAIN, and outline derivation must route through the rewrites.h
-   predicates — a new direct call is a hand-mirrored copy of the decision
-   that will eventually drift (the bug class PR 7 removed).
+4. One physical plan: the plan decisions — the proven-2VL antijoin
+   (`NegativeLinkRunsTwoValued`), the cost gates
+   (`CostGatesSemijoinRewrite` / `CostGatesNestPushDown`) and the join
+   strategies (`ChoosesJoinStrategy` / `ChoosesScanJoinStrategy`) — are
+   computed only by BuildPhysicalPlan (src/nra/physical_plan.cc) and in
+   their home files. Two further sites are allowed: EvalBlockBase
+   (src/nra/planner.cc) picks the intra-block scan join strategy, which no
+   plan step covers, and the verifier's CheckOutline re-checks the antijoin
+   from first principles exactly once. Executor, EXPLAIN and verifier read
+   the plan; a new direct call is a second copy of a decision that will
+   eventually drift. (src/ only; tests may call them directly to pin their
+   behavior.)
 
 5. Catalog-mutation layering: once sessions exist, DDL must be serialized
    against running queries by ConnectionManager's schema lock, so direct
@@ -40,18 +44,7 @@ compiler cannot enforce:
    sneaking into the executor or an operator would bypass the schema lock
    and reintroduce the drop-under-a-running-query race.
 
-6. Cost-decision consolidation: the stats-driven estimator gates
-   (`CostGatesSemijoinRewrite` / `CostGatesNestPushDown` /
-   `ChoosesJoinStrategy` / `ChoosesScanJoinStrategy`) may be called only
-   from their home (src/plan/stats/) and the shared engine predicates in
-   src/nra/cost.h. Executor, EXPLAIN, and verifier consume the decisions
-   through those shared predicates, and the lint requires each consumer to
-   actually do so — the same one-predicate-many-mirrors rule as check 4,
-   extended to the cost model: a direct estimator call in an engine file
-   is a hand-mirrored copy of a plan decision that will drift. (src/ only;
-   tests may call the gates directly to pin their behavior.)
-
-7. One reading of constants: no `dynamic_cast<const Literal*>` or
+6. One reading of constants: no `dynamic_cast<const Literal*>` or
    `dynamic_cast<const ParamExpr*>` in `src/` outside the expression
    module (src/expr/). Code that reads a constant operand (scan kernels,
    zone-map terms, selectivity estimates, property facts) must call
@@ -142,39 +135,48 @@ def check_test_registration():
     return violations
 
 
-# Where the two-valued antijoin decision may be computed directly. The
-# value is the number of permitted call sites (None = unlimited: the
-# definition and the shared predicates that wrap it).
-DECISION_FUNCTION = "NegativeLinkRunsTwoValued"
-DECISION_ALLOWLIST = {
-    "src/verify/properties.h": None,   # declaration + docs
-    "src/verify/properties.cc": None,  # definition
-    "src/nra/rewrites.h": None,        # the shared predicates
-    "src/verify/verifier.cc": 1,       # CheckOutline's independent recheck
+# Where each plan decision may be computed: function -> {file: number of
+# permitted call sites (None = unlimited)}. Home files hold the declaration
+# and definition; the builder makes every decision of the plan.
+PLAN_BUILDER = "src/nra/physical_plan.cc"
+PLAN_DECISIONS = {
+    "NegativeLinkRunsTwoValued": {
+        "src/verify/properties.h": None,
+        "src/verify/properties.cc": None,
+        PLAN_BUILDER: None,
+        "src/verify/verifier.cc": 1,  # CheckOutline's independent re-check
+    },
+    "CostGatesSemijoinRewrite": {PLAN_BUILDER: None},
+    "CostGatesNestPushDown": {PLAN_BUILDER: None},
+    "ChoosesJoinStrategy": {PLAN_BUILDER: None},
+    "ChoosesScanJoinStrategy": {
+        "src/nra/planner.cc": 1,  # EvalBlockBase's intra-block join
+    },
 }
+PLAN_DECISION_HOME = "src/plan/stats/"
 
 
-def check_plan_decision_consolidation():
+def check_plan_decisions():
     violations = []
     for path in sorted((REPO / "src").rglob("*")):
         if path.suffix not in (".cc", ".h"):
             continue
         rel = path.relative_to(REPO).as_posix()
-        allowed = DECISION_ALLOWLIST.get(rel, 0)
-        if allowed is None:
+        if rel.startswith(PLAN_DECISION_HOME):
             continue
-        hits = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            code = line.split("//", 1)[0]
-            if DECISION_FUNCTION in code:
-                hits.append(lineno)
-        if len(hits) > allowed:
-            for lineno in hits[allowed:] if allowed else hits:
+        lines = path.read_text().splitlines()
+        for function, allowlist in PLAN_DECISIONS.items():
+            allowed = allowlist.get(rel, 0)
+            if allowed is None:
+                continue
+            pattern = re.compile(rf"\b{function}\s*\(")
+            hits = [lineno for lineno, line in enumerate(lines, start=1)
+                    if pattern.search(line.split("//", 1)[0])]
+            for lineno in hits[allowed:]:
                 violations.append(
-                    f"{rel}:{lineno}: direct {DECISION_FUNCTION} call site; "
-                    f"use the shared predicates in src/nra/rewrites.h "
-                    f"(TakesTwoValuedAntijoin / FusedChainBypassesTwoValued) "
-                    f"instead of re-deriving the plan decision"
+                    f"{rel}:{lineno}: direct {function} call; the plan "
+                    f"decision is made once, in BuildPhysicalPlan "
+                    f"({PLAN_BUILDER}) — read the PhysicalPlan instead"
                 )
     return violations
 
@@ -211,65 +213,6 @@ def check_catalog_mutation_layer():
     return violations
 
 
-# Stats-driven cost gates: callable only from the estimator's home and the
-# shared predicates that wrap it for the engine.
-COST_GATE_PATTERN = re.compile(
-    r"\b(?:CostGatesSemijoinRewrite|CostGatesNestPushDown"
-    r"|ChoosesJoinStrategy|ChoosesScanJoinStrategy)\s*\("
-)
-COST_GATE_ALLOWED_PREFIXES = (
-    "src/plan/stats/",  # declarations + definitions
-    "src/nra/cost.h",   # the shared predicates
-)
-
-# Every engine surface that acts on a cost decision must consume it through
-# the same shared predicate, so the three mirrors cannot drift. Word-bounded
-# so BaseJoinStrategyFor (the hint builder cost.h itself wraps) doesn't
-# satisfy the JoinStrategyFor requirement.
-COST_PREDICATE_CONSUMERS = {
-    "TakesSemijoinRewrite": (
-        "src/nra/executor.cc", "src/nra/explain.cc", "src/verify/verifier.cc",
-    ),
-    "TakesNestPushDown": (
-        "src/nra/executor.cc", "src/nra/explain.cc", "src/verify/verifier.cc",
-    ),
-    # The verifier checks rewrite shape, not join physics, so it has no
-    # JoinStrategyFor mirror to keep in sync.
-    "JoinStrategyFor": ("src/nra/executor.cc", "src/nra/explain.cc"),
-}
-
-
-def check_cost_decision_consolidation():
-    violations = []
-    for path in sorted((REPO / "src").rglob("*")):
-        if path.suffix not in (".cc", ".h"):
-            continue
-        rel = path.relative_to(REPO).as_posix()
-        if rel.startswith(COST_GATE_ALLOWED_PREFIXES):
-            continue
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            code = line.split("//", 1)[0]
-            if COST_GATE_PATTERN.search(code):
-                violations.append(
-                    f"{rel}:{lineno}: direct estimator gate call site; use "
-                    f"the shared predicates in src/nra/cost.h "
-                    f"(TakesSemijoinRewrite / TakesNestPushDown / "
-                    f"JoinStrategyFor) instead of re-deriving the cost "
-                    f"decision: {line.strip()}"
-                )
-    for predicate, consumers in COST_PREDICATE_CONSUMERS.items():
-        pattern = re.compile(rf"\b{predicate}\s*\(")
-        for rel in consumers:
-            if not pattern.search((REPO / rel).read_text()):
-                violations.append(
-                    f"{rel}: expected a {predicate}(...) call (the shared "
-                    f"cost predicate from src/nra/cost.h); this surface "
-                    f"must mirror the engine's cost decision through the "
-                    f"shared predicate, not a local copy"
-                )
-    return violations
-
-
 # Constant-operand matching: only the expression module may look at Literal
 # or ParamExpr by type; everything else reads constants via BoundConstant.
 CONSTANT_CAST_PATTERN = re.compile(
@@ -300,11 +243,8 @@ def check_constant_reading():
 def main():
     violations = []
     for check in (check_hot_path_purity, check_rule_ids,
-                  check_test_registration,
-                  check_plan_decision_consolidation,
-                  check_catalog_mutation_layer,
-                  check_cost_decision_consolidation,
-                  check_constant_reading):
+                  check_test_registration, check_plan_decisions,
+                  check_catalog_mutation_layer, check_constant_reading):
         violations.extend(check())
     for v in violations:
         print(f"lint: {v}", file=sys.stderr)
